@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race shuffle lint vet staticcheck optolint lint-mutation simdebug ci bench-snapshot dse-smoke
+.PHONY: all build test race shuffle lint vet staticcheck optolint lint-mutation simdebug perfbench ci bench-snapshot dse-smoke
 
 all: build test
 
@@ -58,7 +58,13 @@ simdebug:
 	$(GO) test -tags simdebug ./internal/sim ./internal/router ./internal/core -count=1
 	$(GO) test -tags simdebug ./internal/network -run 'Chaos|Fault|Audit|Recovery' -count=1
 
-ci: build shuffle lint simdebug race
+# perfbench is a nested module, so `go test ./...` never compiles it; vet
+# and test it on its own so an API change cannot break the benchmark while
+# the main suite stays green.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build shuffle lint simdebug race perfbench
 
 # bench-snapshot records the hot-path benchmarks into a benchstat-compatible
 # JSON snapshot. Set BENCH_LABEL to distinguish runs (e.g. pre-parallel /

@@ -326,10 +326,7 @@ func (sp *Space) Materialize(p Point, scale float64) (*scenario.Scenario, error)
 		return nil, fmt.Errorf("dse: trial scale %g outside (0, 1]", scale)
 	}
 	if scale < 1 {
-		measure := sc.Run.Measure
-		if measure == 0 {
-			measure = 100_000 // the scenario layer's default measure window
-		}
+		_, measure := sc.Run.Window()
 		scaled := int64(math.Round(float64(measure) * scale))
 		if scaled < 1 {
 			scaled = 1

@@ -201,7 +201,7 @@ func checkShardScope(pass *Pass, body *ast.BlockStmt, pair coordShardPair) {
 			if !ok || !strings.HasPrefix(sel.Sel.Name, "Schedule") {
 				break
 			}
-			// s.Schedule stages; s.n.wheel.ScheduleID bypasses the barrier.
+			// s.Schedule stages; s.n.wheel.Schedule bypasses the barrier.
 			if base := coordRooted(pass, sel.X, pair); base != nil {
 				pass.Reportf(n.Pos(), "wheel schedule through %s from shard scope: stage it via the shard's Schedule so the barrier replays it in a partition-independent order", pair.coord.Obj().Name())
 			}

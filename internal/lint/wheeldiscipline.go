@@ -16,8 +16,9 @@ import (
 // like busyUntilMC — or deadline*), unless the enclosing function evidently
 // schedules: it calls Schedule/ScheduleMarker directly, calls a same-package
 // function that does, or calls an arm* helper (the self-arming event
-// idiom). Stamps of the current time (`x.progressAt = now`) carry no
-// addition and are not flagged.
+// idiom). Calls match by method name, which covers every wheel insertion:
+// sim.Wheel.Schedule is the only one. Stamps of the current time
+// (`x.progressAt = now`) carry no addition and are not flagged.
 var WheelDisciplineAnalyzer = &Analyzer{
 	Name: "wheeldiscipline",
 	Doc: "future-cycle deadline writes in sim-core must pair with a wheel " +

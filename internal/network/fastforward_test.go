@@ -177,7 +177,7 @@ func TestLevelHistogramClampsOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.channels = append(n.channels, router.NewChannel(pl, router.OnWheel(n.wheel), nil))
+	n.channels = append(n.channels, router.NewChannel(pl, n.wheel, nil))
 	if lv := pl.Level(0); lv < len(cfg.Link.LevelRates) {
 		t.Fatalf("setup: overflow link starts at level %d, want >= %d", lv, len(cfg.Link.LevelRates))
 	}

@@ -491,11 +491,6 @@ func (n *Network) routeWestFirst(routerID int, p *router.Packet) int {
 	return best
 }
 
-// Wheel returns the global event wheel. Router-facing schedules go through
-// the shards (router.Scheduler); the wheel itself is exposed for the
-// coordinator-band users — recovery, telemetry, tests.
-func (n *Network) Wheel() *sim.Wheel { return n.wheel }
-
 // meshPos locates an inter-router link: the router it leaves and the mesh
 // direction it points.
 type meshPos struct {
@@ -592,7 +587,7 @@ func (n *Network) Step() {
 	// so this assigns sequence numbers in a K-invariant per-key order.
 	for _, s := range shards {
 		for _, se := range s.staged {
-			n.wheel.ScheduleKeyedID(se.at, se.key, se.id, se.ev)
+			n.wheel.Schedule(se.at, se.key, se.id, se.ev)
 		}
 		s.staged = s.staged[:0]
 	}
@@ -1043,7 +1038,7 @@ func (n *Network) Controllers() []policy.LinkPolicy { return n.controllers }
 // wheel entry keeps fast-forward honest about the pending wake, and the
 // handler descriptor lets checkpoints rebuild the closure on restore.
 func (n *Network) ArmPolicyTimer(at sim.Cycle, ordinal int) {
-	n.wheel.ScheduleID(at, sim.HandlerID(sim.HPolicyTimer, uint32(ordinal), 0), n.policyTimerEvt(ordinal))
+	n.wheel.Schedule(at, 0, sim.HandlerID(sim.HPolicyTimer, uint32(ordinal), 0), n.policyTimerEvt(ordinal))
 }
 
 // policyTimerEvt builds the wheel closure behind an HPolicyTimer

@@ -138,8 +138,8 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 		}
 		ref := n.meshRef[w.Link]
 		id := sim.HandlerID(sim.HRecRefresh, uint32(ref.r), uint16(ref.dir))
-		n.wheel.ScheduleID(w.At, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
-		n.wheel.ScheduleID(w.RepairAt, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
+		n.wheel.Schedule(w.At, 0, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
+		n.wheel.Schedule(w.RepairAt, 0, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
 	}
 	return rec
 }
@@ -160,7 +160,7 @@ func (rec *recovery) refresh(now sim.Cycle, r, dir int) {
 		if until <= now {
 			until = now + 1
 		}
-		rec.n.wheel.ScheduleID(until, sim.HandlerID(sim.HRecRefresh, uint32(r), uint16(dir)),
+		rec.n.wheel.Schedule(until, 0, sim.HandlerID(sim.HRecRefresh, uint32(r), uint16(dir)),
 			func(at sim.Cycle) { rec.refresh(at, r, dir) })
 	}
 }
@@ -226,7 +226,7 @@ func (rec *recovery) armScan(now sim.Cycle) {
 		return
 	}
 	rec.scanArmed = true
-	rec.n.wheel.ScheduleID(now+rec.cfg.ScanEvery, sim.HandlerID(sim.HRecScan, 0, 0), rec.scanEvt)
+	rec.n.wheel.Schedule(now+rec.cfg.ScanEvery, 0, sim.HandlerID(sim.HRecScan, 0, 0), rec.scanEvt)
 }
 
 // scan is the stall watchdog: every input VC whose head-of-line flit has

@@ -30,12 +30,12 @@ func BenchmarkBufferPushPop(b *testing.B) {
 
 func BenchmarkChannelSend(b *testing.B) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(mustLink(), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(mustLink(), w, func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 1 << 30}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Cycle(i)
-		w.Advance(now)
+		fireCycle(w, now)
 		ch.Send(now, FlitRef{Pkt: p, Seq: int32(i)})
 	}
 }
@@ -46,18 +46,18 @@ func BenchmarkGrantPath(b *testing.B) {
 	h := newBenchHarness()
 	r := New(Config{ID: 0, Ports: 2, VCs: 2, BufDepth: 16, Route: func(int, *Packet, int) (int, uint32) { return 1, ^uint32(0) }}, h)
 	out := r.Output(1)
-	ch := NewChannel(mustLink(), OnWheel(h.wheel), func(now sim.Cycle, f FlitRef) {
+	ch := NewChannel(mustLink(), h.Wheel, func(now sim.Cycle, f FlitRef) {
 		out.ReturnCredit(now, int(f.VC))
 	})
 	r.ConnectOutput(1, ch)
-	r.ConnectOutput(0, NewChannel(mustLink(), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(0, NewChannel(mustLink(), h.Wheel, func(sim.Cycle, FlitRef) {}))
 	accept := r.AcceptFlit(0)
 	p := &Packet{Len: 1 << 30, Dst: 1}
 	var seq int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Cycle(i)
-		h.wheel.Advance(now)
+		fireCycle(h.Wheel, now)
 		if i%8 != 7 { // keep the buffer fed but bounded
 			accept(now, FlitRef{Pkt: p, Seq: seq, VC: 0})
 			seq++
@@ -73,13 +73,10 @@ func BenchmarkGrantPath(b *testing.B) {
 }
 
 type benchHarness struct {
-	wheel  *sim.Wheel
+	*sim.Wheel
 	active []*Output
 }
 
-func (h *benchHarness) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
-	h.wheel.ScheduleKeyedID(at, key, id, ev)
-}
 func (h *benchHarness) ActivateOutput(o *Output) {
 	if !o.Active() {
 		o.SetActive(true)
@@ -87,4 +84,4 @@ func (h *benchHarness) ActivateOutput(o *Output) {
 	}
 }
 
-func newBenchHarness() *benchHarness { return &benchHarness{wheel: sim.NewWheel(1024)} }
+func newBenchHarness() *benchHarness { return &benchHarness{Wheel: sim.NewWheel(1024)} }

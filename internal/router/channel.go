@@ -165,8 +165,8 @@ type Channel struct {
 }
 
 // NewChannel wires a channel to its power-aware link, an event scheduler
-// (the owning shard, or OnWheel for standalone use), and the downstream
-// delivery function.
+// (the owning shard, or a bare *sim.Wheel for standalone use), and the
+// downstream delivery function.
 func NewChannel(pl *powerlink.Link, sched Sched, deliver DeliverFunc) *Channel {
 	c := &Channel{plink: pl, sched: sched, deliver: deliver, pending: shardrun.NewRing[txFlit](4)}
 	c.deliverEvt = func(now sim.Cycle) {

@@ -40,7 +40,7 @@ func runReplayScenario(t *testing.T, src *scriptedFaults, nFlits int) {
 	t.Helper()
 	w := sim.NewWheel(4096)
 	var got []int64
-	ch := NewChannel(testLink(t, []float64{10}), OnWheel(w), func(now sim.Cycle, f FlitRef) {
+	ch := NewChannel(testLink(t, []float64{10}), w, func(now sim.Cycle, f FlitRef) {
 		got = append(got, f.Pkt.ID)
 	})
 	ch.EnableReliability(ReliabilityConfig{
@@ -64,7 +64,7 @@ func runReplayScenario(t *testing.T, src *scriptedFaults, nFlits int) {
 	const deadline = sim.Cycle(100_000)
 	sent := 0
 	for now := sim.Cycle(0); now < deadline; now++ {
-		w.Advance(now)
+		fireCycle(w, now)
 		if sent < nFlits && ch.Usable(now) {
 			ch.Send(now, FlitRef{Pkt: pkts[sent], Seq: 0, VC: 0})
 			sent++
@@ -143,7 +143,7 @@ func TestChannelReplayDownWindow(t *testing.T) {
 // EnableReliability reports itself lossless and has no replay state.
 func TestChannelReliabilityZeroOverheadPath(t *testing.T) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(testLink(t, []float64{10}), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(testLink(t, []float64{10}), w, func(sim.Cycle, FlitRef) {})
 	if ch.ReliabilityEnabled() {
 		t.Error("fresh channel claims reliability enabled")
 	}
@@ -175,7 +175,7 @@ func TestFlitCRCDetectsSingleBitErrors(t *testing.T) {
 
 func TestChannelReliabilityMisuse(t *testing.T) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(testLink(t, []float64{10}), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(testLink(t, []float64{10}), w, func(sim.Cycle, FlitRef) {})
 	src := &scriptedFaults{}
 	cfg := ReliabilityConfig{Source: src, Window: 4, AckDelay: 2, Timeout: 32, MaxRetries: 2, ResetCycles: 100}
 	ch.EnableReliability(cfg)

@@ -19,9 +19,10 @@ func AllVCs(n int) uint32 { return uint32(1)<<uint(n) - 1 }
 
 // Sched is the event-scheduling half of the surrounding simulation. Under
 // sharding this is the router's owning shard, which stages the request and
-// forwards it to the global wheel at the cycle barrier; standalone users
-// adapt a wheel directly via OnWheel. The key orders same-cycle events
-// canonically (see sim.ActorKey); key 0 is the sequential coordinator band.
+// forwards it to the global wheel at the cycle barrier; a standalone router
+// or channel takes a *sim.Wheel, whose Schedule has this signature. The key
+// orders same-cycle events canonically (see sim.ActorKey); key 0 is the
+// sequential coordinator band.
 type Sched interface {
 	// Schedule registers ev to fire at cycle at. id is the checkpoint
 	// handler descriptor (sim.HandlerID) naming the handler behind ev so a
@@ -39,16 +40,6 @@ type Scheduler interface {
 	ActivateOutput(o *Output)
 }
 
-// OnWheel adapts a bare wheel into a Sched — for standalone routers and
-// channels outside a sharded network (unit tests, micro-benchmarks).
-func OnWheel(w *sim.Wheel) Sched { return wheelSched{w} }
-
-type wheelSched struct{ w *sim.Wheel }
-
-func (ws wheelSched) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
-	ws.w.ScheduleKeyedID(at, key, id, ev)
-}
-
 // CreditSink receives returned credits for a virtual channel: the upstream
 // output port of a router-to-router link, or a NIC for an injection link.
 type CreditSink interface {
@@ -63,8 +54,9 @@ type Config struct {
 	BufDepth int // flits per input VC
 	Route    RouteFunc
 	// Actor is the router's ordering-key identity (sim.ActorKey owner). 0 is
-	// fine for standalone routers driven by a wheel's insertion-order
-	// Advance; a sharded network assigns every router a unique actor id.
+	// fine for a standalone router on a bare wheel, where every key is then
+	// 0 and BeginCycle fires in insertion order; a sharded network assigns
+	// every router a unique actor id.
 	Actor uint32
 	// EscapeVCs reserves the first EscapeVCs virtual channels of every
 	// port as the escape layer of fault-aware routing (Duato-style): VC
@@ -107,10 +99,13 @@ type inputVC struct {
 	upVC int
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
 	creditKey uint64 // ordering key for credit returns: (upstream actor, us)
-	// creditsInFlight counts credit returns scheduled but not yet
-	// delivered upstream. Burst discards put several in flight at once;
-	// the conservation audit needs the exact count to bracket tightly.
-	creditsInFlight int
+	// creditsSent - creditsReturned counts credit returns scheduled but not
+	// yet delivered upstream. Burst discards put several in flight at
+	// once; the conservation audit needs the exact count to bracket
+	// tightly. The credit event runs on the upstream owner's shard, so each
+	// counter has one writing shard and the audit reads both at a barrier.
+	creditsSent     int
+	creditsReturned int
 
 	// progressAt is the cycle of the last forward progress on this VC —
 	// a pop, or an arrival into an empty buffer. The stall watchdog
@@ -186,7 +181,7 @@ func New(cfg Config, sched Scheduler) *Router {
 		in.holEvt = func(now sim.Cycle) { r.register(now, idx) }
 		in.creditEvt = func(now sim.Cycle) {
 			in := &r.ins[idx]
-			in.creditsInFlight--
+			in.creditsReturned++
 			if up := in.upstream; up != nil {
 				up.ReturnCredit(now, in.upVC)
 			}
@@ -264,7 +259,9 @@ func (r *Router) InputBuffer(p, v int) *Buffer { return r.ins[p*r.vcs+v].buf }
 // VC v that are scheduled but not yet delivered upstream — conservation
 // slack for the audit (a killed packet's discard puts one per flit in
 // flight at once).
-func (r *Router) CreditsInFlight(p, v int) int { return r.ins[p*r.vcs+v].creditsInFlight }
+func (r *Router) CreditsInFlight(p, v int) int { return r.ins[p*r.vcs+v].creditsInFlight() }
+
+func (in *inputVC) creditsInFlight() int { return in.creditsSent - in.creditsReturned }
 
 // SetUpstream wires the credit-return path for input port p, VC v: when a
 // flit leaves that buffer, sink.ReturnCredit(·, upVC) is invoked after
@@ -356,7 +353,7 @@ func (r *Router) discardKilled(now sim.Cycle, ivc int) {
 		in.progressAt = now
 		r.flitsDiscarded++
 		if in.upstream != nil {
-			in.creditsInFlight++
+			in.creditsSent++
 			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
 		}
 		if f.IsTail() && in.curPkt == p {
@@ -609,7 +606,7 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 			r.escGrants++
 		}
 		if in.upstream != nil {
-			in.creditsInFlight++
+			in.creditsSent++
 			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
 		}
 		f.VC = int8(v)

@@ -9,16 +9,14 @@ import (
 )
 
 // harness is a minimal Scheduler: it runs one router in isolation with
-// channels that deliver into capture buffers.
+// channels that deliver into capture buffers. The embedded wheel supplies
+// Schedule.
 type harness struct {
-	wheel  *sim.Wheel
+	*sim.Wheel
 	active []*Output
 	now    sim.Cycle
 }
 
-func (h *harness) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
-	h.wheel.ScheduleKeyedID(at, key, id, ev)
-}
 func (h *harness) ActivateOutput(o *Output) {
 	if !o.Active() {
 		o.SetActive(true)
@@ -26,8 +24,16 @@ func (h *harness) ActivateOutput(o *Output) {
 	}
 }
 
+// fireCycle harvests cycle now and runs its events in canonical order,
+// exactly as Network.Step drains the wheel.
+func fireCycle(w *sim.Wheel, now sim.Cycle) {
+	for _, e := range w.BeginCycle(now) {
+		e.Ev(now)
+	}
+}
+
 func (h *harness) step() {
-	h.wheel.Advance(h.now)
+	fireCycle(h.Wheel, h.now)
 	outs := h.active
 	h.active = nil
 	for _, o := range outs {
@@ -45,7 +51,7 @@ func (h *harness) run(n int) {
 }
 
 func newHarness() *harness {
-	return &harness{wheel: sim.NewWheel(1024)}
+	return &harness{Wheel: sim.NewWheel(1024)}
 }
 
 // fixedRoute routes every packet to port p.Dst (tests encode the output
@@ -82,7 +88,7 @@ func buildRouter(t *testing.T, h *harness, ports, vcs, depth int) (*Router, []*f
 		log := &flitLog{}
 		logs[p] = log
 		out := r.Output(p)
-		ch := NewChannel(fullRateLink(t), OnWheel(h.wheel), func(now sim.Cycle, f FlitRef) {
+		ch := NewChannel(fullRateLink(t), h.Wheel, func(now sim.Cycle, f FlitRef) {
 			log.deliver(now, f)
 			out.ReturnCredit(now, int(f.VC))
 		})
@@ -101,7 +107,7 @@ func injectSeq(h *harness, r *Router, p, v int, pkt *Packet, start sim.Cycle) {
 	accept := r.AcceptFlit(p)
 	for seq := 0; seq < pkt.Len; seq++ {
 		s := int32(seq)
-		h.wheel.Schedule(start+sim.Cycle(seq), func(now sim.Cycle) {
+		h.Wheel.Schedule(start+sim.Cycle(seq), 0, 0, func(now sim.Cycle) {
 			accept(now, FlitRef{Pkt: pkt, Seq: s, VC: int8(v)})
 		})
 	}
@@ -205,9 +211,9 @@ func TestRouterCreditStall(t *testing.T) {
 	h := newHarness()
 	r := New(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 8, Route: fixedRoute}, h)
 	log := &flitLog{}
-	ch := NewChannel(fullRateLink(t), OnWheel(h.wheel), log.deliver)
+	ch := NewChannel(fullRateLink(t), h.Wheel, log.deliver)
 	r.ConnectOutput(1, ch)
-	r.ConnectOutput(0, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(0, NewChannel(fullRateLink(t), h.Wheel, func(sim.Cycle, FlitRef) {}))
 
 	// 12-flit packet, downstream never returns credits: exactly BufDepth
 	// flits may be granted; the rest wait in the 8-deep input buffer.
@@ -306,8 +312,8 @@ func TestRouterInvalidRoutePanics(t *testing.T) {
 	h := newHarness()
 	r := New(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 4,
 		Route: func(int, *Packet, int) (int, uint32) { return 99, ^uint32(0) }}, h)
-	r.ConnectOutput(0, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
-	r.ConnectOutput(1, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(0, NewChannel(fullRateLink(t), h.Wheel, func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(1, NewChannel(fullRateLink(t), h.Wheel, func(sim.Cycle, FlitRef) {}))
 	pkt := mkPacket(1, 0, 1)
 	defer func() {
 		if recover() == nil {
@@ -354,8 +360,8 @@ func TestRouterSlowLink(t *testing.T) {
 		LevelRates: []float64{5},
 	})
 	log := &flitLog{}
-	r.ConnectOutput(1, NewChannel(slow, OnWheel(h.wheel), log.deliver))
-	r.ConnectOutput(0, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(1, NewChannel(slow, h.Wheel, log.deliver))
+	r.ConnectOutput(0, NewChannel(fullRateLink(t), h.Wheel, func(sim.Cycle, FlitRef) {}))
 	pkt := mkPacket(1, 1, 6)
 	injectSeq(h, r, 0, 0, pkt, 1)
 	h.run(60)

@@ -250,7 +250,7 @@ func (r *Router) ExportState(collect PacketCollector) RouterState {
 		}
 		is.InReq = in.inReq
 		is.ProgressAt = in.progressAt
-		is.CreditsInFlight = in.creditsInFlight
+		is.CreditsInFlight = in.creditsInFlight()
 	}
 	for p := range r.outs {
 		o := &r.outs[p]
@@ -299,7 +299,7 @@ func (r *Router) RestoreState(st RouterState, resolve PacketResolver) error {
 		}
 		in.inReq = is.InReq
 		in.progressAt = is.ProgressAt
-		in.creditsInFlight = is.CreditsInFlight
+		in.creditsSent, in.creditsReturned = is.CreditsInFlight, 0
 	}
 	for p := range st.Outs {
 		o := &r.outs[p]

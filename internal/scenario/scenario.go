@@ -137,6 +137,13 @@ type Run struct {
 	Bucket int64 `json:"bucket"`
 }
 
+// Window resolves the warmup and measure windows. Zero warmup is
+// meaningful (time-series runs keep the transient), so only the measure
+// window has a default, 100 000 cycles.
+func (r Run) Window() (warmup, measure sim.Cycle) {
+	return sim.Cycle(r.Warmup), sim.Cycle(defaulted(r.Measure, 100_000))
+}
+
 // Policy is the JSON-facing adaptive-policy description. The zero value
 // keeps the history-window DVS controller with the system section's
 // window/threshold knobs, exactly as before the section existed.
@@ -364,7 +371,8 @@ func (s *Scenario) NewSystem() (*core.System, sim.Cycle, sim.Cycle, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return sys, sim.Cycle(s.Run.Warmup), sim.Cycle(defaulted(s.Run.Measure, 100_000)), nil
+	warmup, measure := s.Run.Window()
+	return sys, warmup, measure, nil
 }
 
 // Generator resolves the workload section against the system config.
@@ -399,8 +407,8 @@ func (s *Scenario) Generator(cfg network.Config) (traffic.Generator, error) {
 	case "splash":
 		for _, b := range trace.Benchmarks() {
 			if b.String() == w.Bench {
-				length := sim.Cycle(s.Run.Warmup + s.Run.Measure)
-				return trace.Generator(b, cfg.Nodes(), length), nil
+				warmup, measure := s.Run.Window()
+				return trace.Generator(b, cfg.Nodes(), warmup+measure), nil
 			}
 		}
 		return nil, fmt.Errorf("scenario: unknown splash bench %q", w.Bench)
@@ -431,10 +439,7 @@ func (s *Scenario) Execute() (core.Result, *core.TimeSeries, error) {
 	if err != nil {
 		return core.Result{}, nil, err
 	}
-	// Zero warmup is meaningful (time-series runs keep the transient), so
-	// only the measure window has a default.
-	warmup := sim.Cycle(s.Run.Warmup)
-	measure := sim.Cycle(defaulted(s.Run.Measure, 100_000))
+	warmup, measure := s.Run.Window()
 	if s.Run.Series {
 		bucket := sim.Cycle(defaulted(s.Run.Bucket, 10_000))
 		total := warmup + measure

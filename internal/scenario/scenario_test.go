@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/linkmodel"
 	"repro/internal/network"
 	"repro/internal/policy"
@@ -173,6 +175,33 @@ func TestExecuteSplash(t *testing.T) {
 	}
 	if r.Packets == 0 {
 		t.Error("splash scenario delivered nothing")
+	}
+}
+
+// TestOmittedMeasureUsesDefault: a run section that omits "measure" runs
+// the default window everywhere, the splash trace's length included, so
+// it gives the same result as one that writes the default out.
+func TestOmittedMeasureUsesDefault(t *testing.T) {
+	run := func(runJSON string) core.Result {
+		t.Helper()
+		s := mustLoad(t, `{
+			"system": {"meshW": 2, "meshH": 2, "nodesPerRack": 2},
+			"workload": {"type": "splash", "bench": "radix"},
+			"run": `+runJSON+`
+		}`)
+		r, _, err := s.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	omitted := run(`{"warmup": 12000}`)
+	explicit := run(`{"warmup": 12000, "measure": 100000}`)
+	if omitted.Packets == 0 {
+		t.Fatal("omitted measure window measured no packets")
+	}
+	if !reflect.DeepEqual(omitted, explicit) {
+		t.Errorf("omitted measure gives %+v,\nexplicit default gives %+v", omitted, explicit)
 	}
 }
 

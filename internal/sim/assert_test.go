@@ -20,27 +20,27 @@ func mustPanic(t *testing.T, f func()) {
 
 func TestSkipToOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(5, func(Cycle) {})
+	w.Schedule(5, 0, 0, func(Cycle) {})
 	mustPanic(t, func() { w.SkipTo(10) })
 }
 
 func TestSkipToUpToEventIsLegal(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(5, func(Cycle) {})
+	w.Schedule(5, 0, 0, func(Cycle) {})
 	w.SkipTo(4) // the event is still in the future; no panic
-	w.Advance(5)
+	fireCycle(w, 5)
 }
 
-func TestAdvanceOverEventPanics(t *testing.T) {
+func TestBeginCycleOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(3, func(Cycle) {})
-	mustPanic(t, func() { w.Advance(7) })
+	w.Schedule(3, 0, 0, func(Cycle) {})
+	mustPanic(t, func() { w.BeginCycle(7) })
 }
 
-func TestAdvanceBackwardsPanics(t *testing.T) {
+func TestBeginCycleBackwardsPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Advance(9)
-	mustPanic(t, func() { w.Advance(4) })
+	w.BeginCycle(9)
+	mustPanic(t, func() { w.BeginCycle(4) })
 }
 
 func TestAssertfFormatsMessage(t *testing.T) {

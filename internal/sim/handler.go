@@ -10,8 +10,9 @@ package sim
 // telemetry registration ordinal) and param a sub-resource (input-VC index,
 // output port, mesh direction). On restore the network resolves each
 // descriptor back to the equivalent closure on the rebuilt object graph.
-// Descriptor 0 is reserved for "not snapshotable" (legacy schedule paths);
-// a wheel holding such entries refuses to export.
+// Descriptor 0 is reserved for "not snapshotable" (events scheduled without
+// a descriptor, as standalone tests do); a wheel holding such entries
+// refuses to export.
 
 // Handler kinds. The namespace is flat across subsystems so one wheel's
 // entries are unambiguous.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 )
@@ -27,8 +26,8 @@ type WheelState struct {
 // ExportState captures every pending event with its absolute cycle and
 // ordering coordinates, sorted by insertion sequence (a canonical total
 // order: sequence numbers are globally unique). It fails if any entry
-// carries handler ID 0, i.e. was scheduled through a legacy path that a
-// checkpoint cannot reconstruct.
+// carries handler ID 0, i.e. was scheduled without a handler descriptor
+// that a checkpoint could reconstruct.
 func (w *Wheel) ExportState() (WheelState, error) {
 	st := WheelState{Now: w.now, Seq: w.seq}
 	st.Entries = make([]WheelEntryState, 0, w.pending)
@@ -46,10 +45,10 @@ func (w *Wheel) ExportState() (WheelState, error) {
 		}
 	}
 	for _, fe := range w.far {
-		if fe.id == 0 {
-			return WheelState{}, fmt.Errorf("sim: far wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", fe.key, fe.seq, fe.at)
+		if fe.ID == 0 {
+			return WheelState{}, fmt.Errorf("sim: far wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", fe.Key, fe.Seq, fe.at)
 		}
-		st.Entries = append(st.Entries, WheelEntryState{At: fe.at, Key: fe.key, Seq: fe.seq, ID: fe.id})
+		st.Entries = append(st.Entries, WheelEntryState{At: fe.at, Key: fe.Key, Seq: fe.Seq, ID: fe.ID})
 	}
 	slices.SortFunc(st.Entries, func(a, b WheelEntryState) int {
 		if a.Seq < b.Seq {
@@ -84,7 +83,6 @@ func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool
 	w.pending = 0
 	w.now = st.Now
 	w.seq = st.Seq
-	w.advancing = false
 	for _, e := range st.Entries {
 		if e.At <= st.Now {
 			return fmt.Errorf("sim: restored wheel entry at %d is not after the restored clock %d", e.At, st.Now)
@@ -96,14 +94,7 @@ func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool
 		if !ok || ev == nil {
 			return fmt.Errorf("sim: no handler for wheel entry id %#x (at=%d key=%#x)", e.ID, e.At, e.Key)
 		}
-		w.pending++
-		if e.At-w.now >= w.horizon {
-			heap.Push(&w.far, farEvent{at: e.At, key: e.Key, seq: e.Seq, id: e.ID, ev: ev})
-			continue
-		}
-		idx := e.At & w.mask
-		w.buckets[idx] = append(w.buckets[idx], Entry{Key: e.Key, Seq: e.Seq, ID: e.ID, Ev: ev})
-		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
+		w.insert(e.At, Entry{Key: e.Key, Seq: e.Seq, ID: e.ID, Ev: ev})
 	}
 	if Debug {
 		if next, ok := w.NextEventAt(); ok {

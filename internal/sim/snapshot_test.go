@@ -56,59 +56,62 @@ func TestRNGSetStateNormalizesZero(t *testing.T) {
 	}
 }
 
-// wheelFire records one handler firing for order comparison.
+// wheelFire records one handler firing for order comparison: the cycle and
+// key BeginCycle harvested it under, and the handler ID its closure reports.
 type wheelFire struct {
-	At Cycle
-	ID uint64
+	At  Cycle
+	Key uint64
+	ID  uint64
 }
 
-// drainWheel advances a wheel cycle by cycle to horizon, recording every
-// firing in execution order. fired points at the slice the restored
-// handler closures append to.
-func drainWheel(w *Wheel, horizon Cycle, fired *[]wheelFire) []wheelFire {
-	*fired = (*fired)[:0]
+// drainWheel harvests a wheel cycle by cycle to horizon, as Network.Step
+// does, recording every firing in execution order. Each closure reports
+// its own handler ID through *ran, so an ID resolved to the wrong closure
+// shows up as a mismatch.
+func drainWheel(w *Wheel, horizon Cycle, ran *uint64) []wheelFire {
+	var out []wheelFire
 	for c := w.now + 1; c <= horizon; c++ {
-		w.Advance(c)
+		for _, e := range w.BeginCycle(c) {
+			e.Ev(c)
+			out = append(out, wheelFire{At: c, Key: e.Key, ID: *ran})
+		}
 	}
-	out := make([]wheelFire, len(*fired))
-	copy(out, *fired)
 	return out
 }
 
 // TestWheelExportRestoreRoundTrip loads a wheel with keyed, identified
 // events spanning near buckets and the far heap, exports mid-run, restores
 // into a fresh wheel, and checks the remaining executions fire in exactly
-// the original order — the foundation of resume equivalence.
+// the original (Key, Seq) order — the foundation of resume equivalence.
 func TestWheelExportRestoreRoundTrip(t *testing.T) {
-	var fired []wheelFire
+	var ran uint64
 	mk := func(id uint64) Event {
-		return func(at Cycle) { fired = append(fired, wheelFire{At: at, ID: id}) }
+		return func(Cycle) { ran = id }
 	}
 	build := func() *Wheel {
 		w := NewWheel(64)
 		// Deliberately interleaved keys and cycles, plus far-heap entries
 		// beyond the 64-cycle horizon.
-		w.ScheduleKeyedID(5, 3, HandlerID(1, 3, 0), mk(HandlerID(1, 3, 0)))
-		w.ScheduleKeyedID(5, 1, HandlerID(1, 1, 0), mk(HandlerID(1, 1, 0)))
-		w.ScheduleKeyedID(5, 3, HandlerID(2, 3, 1), mk(HandlerID(2, 3, 1)))
-		w.ScheduleKeyedID(9, 2, HandlerID(3, 2, 0), mk(HandlerID(3, 2, 0)))
-		w.ScheduleKeyedID(200, 4, HandlerID(4, 4, 0), mk(HandlerID(4, 4, 0)))
-		w.ScheduleKeyedID(450, 1, HandlerID(5, 1, 2), mk(HandlerID(5, 1, 2)))
+		w.Schedule(5, 3, HandlerID(1, 3, 0), mk(HandlerID(1, 3, 0)))
+		w.Schedule(5, 1, HandlerID(1, 1, 0), mk(HandlerID(1, 1, 0)))
+		w.Schedule(5, 3, HandlerID(2, 3, 1), mk(HandlerID(2, 3, 1)))
+		w.Schedule(9, 2, HandlerID(3, 2, 0), mk(HandlerID(3, 2, 0)))
+		w.Schedule(200, 4, HandlerID(4, 4, 0), mk(HandlerID(4, 4, 0)))
+		w.Schedule(450, 1, HandlerID(5, 1, 2), mk(HandlerID(5, 1, 2)))
 		return w
 	}
 
 	// Reference: run to completion without interruption.
 	ref := build()
-	var refTail []wheelFire
 	for c := Cycle(1); c <= 3; c++ {
-		ref.Advance(c)
+		fireCycle(ref, c)
 	}
-	refTail = drainWheel(ref, 500, &fired)
+	refTail := drainWheel(ref, 500, &ran)
 
 	// Round trip at cycle 3 (before anything fired).
 	w := build()
 	for c := Cycle(1); c <= 3; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
 	st, err := w.ExportState()
 	if err != nil {
@@ -126,9 +129,18 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	if w2.Pending() != 6 {
 		t.Fatalf("restored pending = %d, want 6", w2.Pending())
 	}
-	got := drainWheel(w2, 500, &fired)
+	got := drainWheel(w2, 500, &ran)
 	if !reflect.DeepEqual(got, refTail) {
 		t.Fatalf("restored firing order diverges:\n got %v\nwant %v", got, refTail)
+	}
+	var keys5 []uint64
+	for _, f := range got {
+		if f.At == 5 {
+			keys5 = append(keys5, f.Key)
+		}
+	}
+	if want := []uint64{1, 3, 3}; !reflect.DeepEqual(keys5, want) {
+		t.Fatalf("restored cycle 5 fired keys %v, want %v", keys5, want)
 	}
 
 	// Sequence counter must survive so post-restore scheduling keeps the
@@ -143,12 +155,12 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 // rather than silently dropping them.
 func TestWheelExportRejectsAnonymousEvents(t *testing.T) {
 	w := NewWheel(64)
-	w.ScheduleKeyed(5, 1, func(Cycle) {})
+	w.Schedule(5, 1, 0, func(Cycle) {})
 	if _, err := w.ExportState(); err == nil {
 		t.Fatal("export of an id-less near event succeeded")
 	}
 	w2 := NewWheel(64)
-	w2.Schedule(500, func(Cycle) {}) // far heap path
+	w2.Schedule(500, 0, 0, func(Cycle) {}) // far heap path
 	if _, err := w2.ExportState(); err == nil {
 		t.Fatal("export of an id-less far event succeeded")
 	}

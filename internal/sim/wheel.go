@@ -36,15 +36,10 @@ type Entry struct {
 // few word scans, which is what lets the surrounding simulator fast-forward
 // over idle gaps instead of advancing cycle by cycle.
 //
-// Two draining disciplines coexist:
-//
-//   - Advance fires a cycle's events in insertion order (far-heap events
-//     first), exactly the historical sequential semantics. Standalone users
-//     (unit tests, the telemetry sampler driving its own wheel) use this.
-//   - BeginCycle hands the cycle's events back sorted by (Key, Seq) — a
-//     total order that is independent of how many shards produced them, as
-//     long as every key has a single deterministic producer. The parallel
-//     network engine uses this; see DESIGN.md §6g.
+// BeginCycle is the one drain: it hands a cycle's events back sorted by
+// (Key, Seq) — a total order that is independent of how many shards
+// produced them, as long as every key has a single deterministic producer.
+// The caller runs them; see DESIGN.md §6g.
 type Wheel struct {
 	buckets [][]Entry
 	//optolint:derived occupancy bitmap, rebuilt by the restore path's re-inserts
@@ -57,8 +52,6 @@ type Wheel struct {
 	seq     uint64
 	//optolint:derived BeginCycle scratch, reused across cycles
 	run []Entry // BeginCycle scratch, reused across cycles
-	//optolint:derived re-entrancy guard, false whenever the wheel is quiescent enough to export
-	advancing bool
 }
 
 // NewWheel returns a wheel with the given power-of-two bucket count.
@@ -74,95 +67,41 @@ func NewWheel(size int) *Wheel {
 	}
 }
 
-// Schedule registers ev to fire at cycle at under key 0 (the coordinator
-// band; see ScheduleKeyed). Inside an Advance callback, scheduling for the
-// current cycle fires later in the same Advance; outside of Advance, a
-// request for the current cycle (or earlier) is deferred to the next cycle,
-// since the current cycle's bucket has already run.
-func (w *Wheel) Schedule(at Cycle, ev Event) {
-	w.ScheduleKeyed(at, 0, ev)
-}
-
-// ScheduleKeyed registers ev to fire at cycle at under the given ordering
-// key. The sequence number is assigned here, at insertion, so the canonical
-// (Key, Seq) order of a cycle is fixed by the order Schedule calls reach the
-// wheel — which the sharded engine makes deterministic by draining staged
-// schedules in shard order.
-func (w *Wheel) ScheduleKeyed(at Cycle, key uint64, ev Event) {
-	w.ScheduleKeyedID(at, key, 0, ev)
-}
-
-// ScheduleID registers ev under key 0 with a checkpoint handler descriptor.
-func (w *Wheel) ScheduleID(at Cycle, id uint64, ev Event) {
-	w.ScheduleKeyedID(at, 0, id, ev)
-}
-
-// ScheduleKeyedID is ScheduleKeyed plus a handler descriptor id recorded in
-// the entry, allowing the wheel's contents to be exported to a checkpoint
-// and resolved back to events on restore.
-func (w *Wheel) ScheduleKeyedID(at Cycle, key, id uint64, ev Event) {
-	if w.advancing {
-		if at < w.now {
-			at = w.now
-		}
-	} else if at <= w.now {
-		at = w.now + 1
-	}
-	w.pending++
+// Schedule registers ev to fire at cycle at under ordering key key (0 is
+// the coordinator band; see ActorKey) with checkpoint handler descriptor id
+// (see HandlerID; 0 marks the entry as not snapshotable). The sequence
+// number is assigned here, so a cycle's canonical (Key, Seq) order is fixed
+// by the order Schedule calls reach the wheel — which the sharded engine
+// makes deterministic by replaying staged schedules in shard order. A
+// request for the current cycle or earlier, which BeginCycle has already
+// harvested, is deferred to the next cycle.
+func (w *Wheel) Schedule(at Cycle, key, id uint64, ev Event) {
 	w.seq++
+	w.insert(max(at, w.now+1), Entry{Key: key, Seq: w.seq, ID: id, Ev: ev})
+}
+
+// insert places e at cycle at: into its bucket within the horizon, into
+// the far heap beyond it.
+func (w *Wheel) insert(at Cycle, e Entry) {
+	w.pending++
 	if at-w.now >= w.horizon {
-		heap.Push(&w.far, farEvent{at: at, key: key, seq: w.seq, id: id, ev: ev})
+		heap.Push(&w.far, farEvent{at: at, Entry: e})
 		return
 	}
 	idx := at & w.mask
-	w.buckets[idx] = append(w.buckets[idx], Entry{Key: key, Seq: w.seq, ID: id, Ev: ev})
+	w.buckets[idx] = append(w.buckets[idx], e)
 	w.occ[idx>>6] |= 1 << (uint(idx) & 63)
-}
-
-// Advance runs every event scheduled for cycle now in insertion order.
-// Cycles must be presented in increasing order; gaps are allowed only when
-// every skipped cycle is known to be event-free (see NextEventAt and
-// SkipTo).
-func (w *Wheel) Advance(now Cycle) {
-	if Debug {
-		Assertf(now >= w.now, "wheel: Advance(%d) moves the clock backwards from %d", now, w.now)
-		if next, ok := w.NextEventAt(); ok {
-			Assertf(next >= now, "wheel: Advance(%d) would skip over the event scheduled at %d", now, next)
-		}
-	}
-	w.now = now
-	w.advancing = true
-	// Pull matured far events into the current bucket first.
-	for len(w.far) > 0 && w.far[0].at <= now {
-		fe := heap.Pop(&w.far).(farEvent)
-		w.pending--
-		fe.ev(now)
-	}
-	idx := now & w.mask
-	if len(w.buckets[idx]) == 0 {
-		w.advancing = false
-		return
-	}
-	// Events may schedule new events for this same cycle; they land in the
-	// same bucket, so iterate by index and re-read.
-	for i := 0; i < len(w.buckets[idx]); i++ {
-		ev := w.buckets[idx][i].Ev
-		w.buckets[idx][i] = Entry{}
-		w.pending--
-		ev(now)
-	}
-	w.buckets[idx] = w.buckets[idx][:0]
-	w.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-	w.advancing = false
 }
 
 // BeginCycle removes every event scheduled for cycle now — matured far-heap
 // events included — and returns them sorted by (Key, Seq): key-0
 // coordinator events first, then each actor's events in insertion order.
 // The caller owns running them; the returned slice is valid until the next
-// BeginCycle. Unlike Advance, callbacks that schedule for the current cycle
-// are deferred to the next one (the bucket has already been harvested), so
-// the canonical engine never sees same-cycle insertions.
+// BeginCycle. Callbacks that schedule for the current cycle are deferred to
+// the next one (the bucket has already been harvested), so the engine never
+// sees same-cycle insertions. Cycles must be presented in increasing order;
+// gaps are allowed only when every skipped cycle is event-free (see
+// NextEventAt and SkipTo).
 func (w *Wheel) BeginCycle(now Cycle) []Entry {
 	if Debug {
 		Assertf(now >= w.now, "wheel: BeginCycle(%d) moves the clock backwards from %d", now, w.now)
@@ -173,9 +112,8 @@ func (w *Wheel) BeginCycle(now Cycle) []Entry {
 	w.now = now
 	w.run = w.run[:0]
 	for len(w.far) > 0 && w.far[0].at <= now {
-		fe := heap.Pop(&w.far).(farEvent)
 		w.pending--
-		w.run = append(w.run, Entry{Key: fe.key, Seq: fe.seq, ID: fe.id, Ev: fe.ev})
+		w.run = append(w.run, heap.Pop(&w.far).(farEvent).Entry)
 	}
 	idx := now & w.mask
 	b := w.buckets[idx]
@@ -271,11 +209,8 @@ func (w *Wheel) cycleFor(idx int) Cycle {
 func (w *Wheel) Pending() int { return w.pending }
 
 type farEvent struct {
-	at  Cycle
-	key uint64
-	seq uint64
-	id  uint64
-	ev  Event
+	at Cycle
+	Entry
 }
 
 type farHeap []farEvent
@@ -285,7 +220,7 @@ func (h farHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].seq < h[j].seq
+	return h[i].Seq < h[j].Seq
 }
 func (h farHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *farHeap) Push(x interface{}) { *h = append(*h, x.(farEvent)) }

@@ -5,12 +5,20 @@ import (
 	"testing/quick"
 )
 
+// fireCycle harvests cycle now and runs its events in canonical order,
+// exactly as Network.Step drains the wheel.
+func fireCycle(w *Wheel, now Cycle) {
+	for _, e := range w.BeginCycle(now) {
+		e.Ev(now)
+	}
+}
+
 func TestWheelFiresAtScheduledCycle(t *testing.T) {
 	w := NewWheel(16)
 	fired := map[Cycle]bool{}
 	for _, at := range []Cycle{1, 3, 7, 15} {
 		at := at
-		w.Schedule(at, func(now Cycle) {
+		w.Schedule(at, 0, 0, func(now Cycle) {
 			if now != at {
 				t.Errorf("event scheduled for %d fired at %d", at, now)
 			}
@@ -18,7 +26,7 @@ func TestWheelFiresAtScheduledCycle(t *testing.T) {
 		})
 	}
 	for c := Cycle(0); c < 20; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
 	if len(fired) != 4 {
 		t.Errorf("fired %d events, want 4", len(fired))
@@ -31,43 +39,27 @@ func TestWheelFiresAtScheduledCycle(t *testing.T) {
 func TestWheelFarFuture(t *testing.T) {
 	w := NewWheel(8)
 	var got Cycle = -1
-	w.Schedule(1000, func(now Cycle) { got = now })
+	w.Schedule(1000, 0, 0, func(now Cycle) { got = now })
 	for c := Cycle(0); c <= 1000; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
 	if got != 1000 {
 		t.Errorf("far event fired at %d, want 1000", got)
 	}
 }
 
-func TestWheelSameCycleChaining(t *testing.T) {
-	// An event may schedule another event for the same cycle; it must fire
-	// within the same Advance.
-	w := NewWheel(8)
-	order := []int{}
-	w.Schedule(5, func(now Cycle) {
-		order = append(order, 1)
-		w.Schedule(5, func(Cycle) { order = append(order, 2) })
-	})
-	for c := Cycle(0); c < 8; c++ {
-		w.Advance(c)
-	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Errorf("chained events order = %v", order)
-	}
-}
-
 func TestWheelPastScheduleOutsideAdvance(t *testing.T) {
-	// Outside Advance, scheduling at or before `now` defers to now+1
-	// (that bucket has already run).
+	// Between cycles, scheduling at or before the last harvested cycle
+	// defers to the next one (those buckets have already run).
 	w := NewWheel(8)
-	w.Advance(0)
-	w.Advance(1)
-	fired := Cycle(-1)
-	w.Schedule(1, func(now Cycle) { fired = now })
-	w.Advance(2)
-	if fired != 2 {
-		t.Errorf("past-scheduled event fired at %d, want deferral to 2", fired)
+	fireCycle(w, 0)
+	fireCycle(w, 1)
+	var current, past Cycle = -1, -1
+	w.Schedule(1, 0, 0, func(now Cycle) { current = now })
+	w.Schedule(0, 0, 0, func(now Cycle) { past = now })
+	fireCycle(w, 2)
+	if current != 2 || past != 2 {
+		t.Errorf("current/past schedules fired at %d/%d, want deferral to 2", current, past)
 	}
 }
 
@@ -76,14 +68,14 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	// collide with the current bucket.
 	w := NewWheel(8)
 	fired := Cycle(-1)
-	w.Advance(0)
-	w.Schedule(8, func(now Cycle) { fired = now })
-	w.Advance(0) // same bucket index as 8 — must NOT fire
+	fireCycle(w, 0)
+	w.Schedule(8, 0, 0, func(now Cycle) { fired = now })
+	fireCycle(w, 0) // same bucket index as 8 — must NOT fire
 	if fired != -1 {
 		t.Fatal("event for cycle 8 fired at cycle 0 (wheel wrap bug)")
 	}
 	for c := Cycle(1); c <= 8; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
 	if fired != 8 {
 		t.Errorf("fired at %d, want 8", fired)
@@ -108,24 +100,24 @@ func TestWheelNextEventAtEmpty(t *testing.T) {
 	if at, ok := w.NextEventAt(); ok {
 		t.Errorf("empty wheel reported next event at %d", at)
 	}
-	w.Advance(5)
+	fireCycle(w, 5)
 	if _, ok := w.NextEventAt(); ok {
-		t.Error("empty wheel reported a next event after Advance")
+		t.Error("empty wheel reported a next event after BeginCycle")
 	}
 }
 
 func TestWheelNextEventAtNear(t *testing.T) {
 	w := NewWheel(16)
 	nop := Event(func(Cycle) {})
-	w.Advance(0)
-	w.Schedule(7, nop)
-	w.Schedule(12, nop)
+	fireCycle(w, 0)
+	w.Schedule(7, 0, 0, nop)
+	w.Schedule(12, 0, 0, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 7 {
 		t.Errorf("NextEventAt = %d,%v, want 7,true", at, ok)
 	}
 	// After the first event fires, the next is 12.
 	for c := Cycle(1); c <= 7; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
 	if at, ok := w.NextEventAt(); !ok || at != 12 {
 		t.Errorf("NextEventAt = %d,%v, want 12,true", at, ok)
@@ -138,9 +130,9 @@ func TestWheelNextEventAtWrap(t *testing.T) {
 	w := NewWheel(16)
 	nop := Event(func(Cycle) {})
 	for c := Cycle(0); c <= 13; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
-	w.Schedule(17, nop) // bucket 1, current bucket 13
+	w.Schedule(17, 0, 0, nop) // bucket 1, current bucket 13
 	if at, ok := w.NextEventAt(); !ok || at != 17 {
 		t.Errorf("NextEventAt = %d,%v, want 17,true", at, ok)
 	}
@@ -149,12 +141,12 @@ func TestWheelNextEventAtWrap(t *testing.T) {
 func TestWheelNextEventAtFar(t *testing.T) {
 	w := NewWheel(16)
 	nop := Event(func(Cycle) {})
-	w.Schedule(1000, nop)
+	w.Schedule(1000, 0, 0, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 1000 {
 		t.Errorf("NextEventAt = %d,%v, want 1000,true (far heap)", at, ok)
 	}
 	// A nearer bucketed event wins over the far top.
-	w.Schedule(9, nop)
+	w.Schedule(9, 0, 0, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 9 {
 		t.Errorf("NextEventAt = %d,%v, want 9,true", at, ok)
 	}
@@ -165,21 +157,21 @@ func TestWheelSkipToAdvance(t *testing.T) {
 	// cycle fires the event exactly as consecutive stepping would.
 	w := NewWheel(16)
 	fired := Cycle(-1)
-	w.Advance(0)
-	w.Schedule(9, func(now Cycle) { fired = now })
+	fireCycle(w, 0)
+	w.Schedule(9, 0, 0, func(now Cycle) { fired = now })
 	at, ok := w.NextEventAt()
 	if !ok || at != 9 {
 		t.Fatalf("NextEventAt = %d,%v, want 9,true", at, ok)
 	}
 	w.SkipTo(at - 1)
-	w.Advance(at)
+	fireCycle(w, at)
 	if fired != 9 {
 		t.Errorf("event fired at %d, want 9", fired)
 	}
 	// After the skip, deferred past-scheduling still lands at now+1.
 	deferred := Cycle(-1)
-	w.Schedule(2, func(now Cycle) { deferred = now })
-	w.Advance(10)
+	w.Schedule(2, 0, 0, func(now Cycle) { deferred = now })
+	fireCycle(w, 10)
 	if deferred != 10 {
 		t.Errorf("past schedule after skip fired at %d, want 10", deferred)
 	}
@@ -195,7 +187,7 @@ func TestWheelSkipEquivalence(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			id := i
 			at := Cycle(1 + r.Intn(500))
-			w.Schedule(at, func(fireAt Cycle) { got[id] = fireAt })
+			w.Schedule(at, 0, 0, func(fireAt Cycle) { got[id] = fireAt })
 		}
 		now := Cycle(0)
 		for now < 600 {
@@ -209,7 +201,7 @@ func TestWheelSkipEquivalence(t *testing.T) {
 			} else {
 				now++
 			}
-			w.Advance(now)
+			fireCycle(w, now)
 		}
 		return got
 	}
@@ -241,16 +233,16 @@ func TestWheelPropertyAllFire(t *testing.T) {
 				id := scheduled
 				at := now + 1 + Cycle(r.Intn(100))
 				want[id] = at
-				w.Schedule(at, func(fireAt Cycle) { got[id] = fireAt })
+				w.Schedule(at, 0, 0, func(fireAt Cycle) { got[id] = fireAt })
 				scheduled++
 			}
 			next := now + 1 + Cycle(r.Intn(5))
 			for ; now < next; now++ {
-				w.Advance(now)
+				fireCycle(w, now)
 			}
 		}
 		for ; now < 1000; now++ {
-			w.Advance(now)
+			fireCycle(w, now)
 		}
 		if len(got) != n {
 			return false
@@ -277,7 +269,7 @@ func TestWheelRecurringSamplerBoundsSkips(t *testing.T) {
 	var fired []Cycle
 	var rearm func(at Cycle)
 	rearm = func(at Cycle) {
-		w.Schedule(at+period, func(now Cycle) {
+		w.Schedule(at+period, 0, 0, func(now Cycle) {
 			fired = append(fired, now)
 			rearm(now)
 		})
@@ -299,7 +291,7 @@ func TestWheelRecurringSamplerBoundsSkips(t *testing.T) {
 			w.SkipTo(next - 1)
 		}
 		now = next
-		w.Advance(now)
+		fireCycle(w, now)
 		if w.Pending() != 1 {
 			t.Fatalf("pending = %d after firing, want 1 (the re-armed sampler)", w.Pending())
 		}
@@ -333,17 +325,15 @@ func TestWheelSkipToOntoBarrier(t *testing.T) {
 	w.BeginCycle(0)
 	fired := map[Cycle]bool{}
 	mark := func(now Cycle) { fired[now] = true }
-	w.ScheduleKeyed(48, 7, mark) // far heap: 48-0 >= 16
+	w.Schedule(48, 7, 0, mark) // far heap: 48-0 >= 16
 	if at, ok := w.NextEventAt(); !ok || at != 48 {
 		t.Fatalf("NextEventAt = %v,%v, want 48,true", at, ok)
 	}
 	w.SkipTo(32) // exactly a wheel-size multiple, event-free per NextEventAt
 	// From the barrier, schedule within the new window and on its last cycle.
-	w.ScheduleKeyed(40, 3, mark)
+	w.Schedule(40, 3, 0, mark)
 	for c := Cycle(33); c <= 48; c++ {
-		for _, e := range w.BeginCycle(c) {
-			e.Ev(c)
-		}
+		fireCycle(w, c)
 	}
 	if !fired[40] || !fired[48] {
 		t.Errorf("fired = %v, want events at 40 and 48", fired)
@@ -358,7 +348,7 @@ func TestWheelSkipToOntoBarrier(t *testing.T) {
 // this every idle cycle between policy windows.
 func TestWheelBeginCycleEmpty(t *testing.T) {
 	w := NewWheel(8)
-	w.ScheduleKeyed(5, 1, func(Cycle) {})
+	w.Schedule(5, 1, 0, func(Cycle) {})
 	for c := Cycle(0); c < 5; c++ {
 		if batch := w.BeginCycle(c); len(batch) != 0 {
 			t.Fatalf("BeginCycle(%d) returned %d entries on an empty cycle", c, len(batch))
@@ -386,14 +376,14 @@ func TestWheelBeginCycleHorizonEdge(t *testing.T) {
 	rec := func(key uint64) Event {
 		return func(Cycle) { gotKeys = append(gotKeys, key) }
 	}
-	w.ScheduleKeyed(7, 9, rec(9)) // last bucketed cycle
-	w.ScheduleKeyed(8, 4, rec(4)) // first far-heap cycle
+	w.Schedule(7, 9, 0, rec(9)) // last bucketed cycle
+	w.Schedule(8, 4, 0, rec(4)) // first far-heap cycle
 	if len(w.far) != 1 {
 		t.Fatalf("far heap holds %d events, want 1 (cycle 8 must overflow the horizon)", len(w.far))
 	}
 	// A far event maturing on the same cycle as a bucketed one must merge
 	// into a single sorted batch.
-	w.ScheduleKeyed(8, 2, rec(2))
+	w.Schedule(8, 2, 0, rec(2))
 	if len(w.far) != 2 {
 		t.Fatalf("far heap holds %d events, want 2", len(w.far))
 	}
@@ -432,13 +422,11 @@ func TestWheelBeginCycleHorizonEdge(t *testing.T) {
 func TestWheelBeginCycleSameCycleDefers(t *testing.T) {
 	w := NewWheel(8)
 	var firedAt Cycle = -1
-	w.ScheduleKeyed(3, 1, func(now Cycle) {
-		w.ScheduleKeyed(now, 1, func(at Cycle) { firedAt = at })
+	w.Schedule(3, 1, 0, func(now Cycle) {
+		w.Schedule(now, 1, 0, func(at Cycle) { firedAt = at })
 	})
 	for c := Cycle(0); c <= 4; c++ {
-		for _, e := range w.BeginCycle(c) {
-			e.Ev(c)
-		}
+		fireCycle(w, c)
 	}
 	if firedAt != 4 {
 		t.Errorf("same-cycle insertion fired at %d, want deferral to 4", firedAt)

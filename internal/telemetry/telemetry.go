@@ -259,7 +259,7 @@ func (r *Registry) arm(now sim.Cycle) {
 	}
 	r.samplerArmed = true
 	r.pending++
-	r.wheel.ScheduleID(now+r.cfg.SampleEvery, sim.HandlerID(sim.HTelemSample, 0, 0), r.samplerWrap)
+	r.wheel.Schedule(now+r.cfg.SampleEvery, 0, sim.HandlerID(sim.HTelemSample, 0, 0), r.samplerWrap)
 }
 
 func (r *Registry) sampleAll(now sim.Cycle) {
@@ -290,7 +290,7 @@ func (r *Registry) ScheduleMarker(at sim.Cycle, fn sim.Event) {
 	}
 	ordinal := uint32(len(r.markers))
 	r.markers = append(r.markers, wrap)
-	r.wheel.ScheduleID(at, sim.HandlerID(sim.HTelemMarker, ordinal, 0), wrap)
+	r.wheel.Schedule(at, 0, sim.HandlerID(sim.HTelemMarker, ordinal, 0), wrap)
 }
 
 // ResolveHandler maps a checkpoint handler descriptor owned by the registry

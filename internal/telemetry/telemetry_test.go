@@ -9,11 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
+// fireCycle harvests cycle now and runs its events in canonical order,
+// exactly as Network.Step drains the wheel.
+func fireCycle(w *sim.Wheel, now sim.Cycle) {
+	for _, e := range w.BeginCycle(now) {
+		e.Ev(now)
+	}
+}
+
 // drive runs the wheel from cycle 1 through end, firing events as the
 // simulator's cycle loop would.
 func drive(w *sim.Wheel, end sim.Cycle) {
 	for c := sim.Cycle(1); c <= end; c++ {
-		w.Advance(c)
+		fireCycle(w, c)
 	}
 }
 
@@ -274,7 +282,7 @@ func TestSamplerBoundsFastForward(t *testing.T) {
 	}
 	// Fast-forward to the boundary and fire it, as the simulator core does.
 	w.SkipTo(next - 1)
-	w.Advance(next)
+	fireCycle(w, next)
 	if r.Samples() != 2 { // baseline + boundary sample
 		t.Fatalf("samples=%d after skip to boundary", r.Samples())
 	}
