@@ -137,6 +137,24 @@ func TestLevelHistogramNoAllocs(t *testing.T) {
 	}
 }
 
+// TestStepNoAllocs pins ROADMAP's zero-allocation Step at one and two
+// shards, on the paper system at the Fig. 5 medium load once it has
+// reached steady occupancy.
+func TestStepNoAllocs(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Shards = k
+			n := MustNew(cfg, traffic.NewUniform(cfg.Nodes(), 3.3, 5))
+			defer n.Close()
+			n.RunTo(5_000)
+			if allocs := testing.AllocsPerRun(200, n.Step); allocs != 0 {
+				t.Errorf("Step allocates %v per cycle, want 0", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkBuild measures full-system wiring cost (1248 links, 64 routers).
 func BenchmarkBuild(b *testing.B) {
 	cfg := DefaultConfig()

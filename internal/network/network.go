@@ -113,6 +113,14 @@ type Network struct {
 	telemLat *stats.Histogram
 }
 
+// wheelSize is the network wheel's bucket count, and so its horizon in
+// cycles. Per-flit events (channel arrival, credit return, pipeline,
+// wake-ups) land 1–4 cycles ahead — 99.97 % of schedules at the Fig. 5
+// medium load — so 64 buckets hold nearly every event in a wheel small
+// enough to stay cache-resident; the rare long waits (retransmit watchdog,
+// telemetry sampler, failure windows) go to its far heap.
+const wheelSize = 64
+
 // New assembles a network from cfg with traffic generator gen (nil for a
 // quiet network driven only by tests).
 func New(cfg Config, gen traffic.Generator) (*Network, error) {
@@ -121,7 +129,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	}
 	n := &Network{
 		cfg:   cfg,
-		wheel: sim.NewWheel(4096),
+		wheel: sim.NewWheel(wheelSize),
 		gen:   gen,
 	}
 

@@ -22,16 +22,15 @@ import (
 	"sync/atomic"
 )
 
-type task struct {
-	f  func()
-	wg *sync.WaitGroup
-}
-
 // Pool runs batches of tasks on persistent worker goroutines. Workers block
 // on a channel receive between batches — no spinning — so an idle pool
 // costs nothing but memory.
 type Pool struct {
-	tasks  chan task
+	tasks chan func()
+	// wg is the batch barrier. Run never runs concurrently with itself, so
+	// one WaitGroup serves every batch; a per-call one would escape to the
+	// heap through the task channel and cost an allocation per Run.
+	wg     sync.WaitGroup
 	closed bool
 }
 
@@ -42,12 +41,12 @@ func NewPool(n int) *Pool {
 	if n < 1 {
 		panic("shardrun: pool needs at least one worker")
 	}
-	p := &Pool{tasks: make(chan task)}
+	p := &Pool{tasks: make(chan func())}
 	for i := 0; i < n; i++ {
 		go func() {
-			for t := range p.tasks {
-				t.f()
-				t.wg.Done()
+			for f := range p.tasks {
+				f()
+				p.wg.Done()
 			}
 		}()
 	}
@@ -57,7 +56,7 @@ func NewPool(n int) *Pool {
 // Run executes every task and returns once all have completed (a full
 // barrier). The first task runs inline on the caller — with K shards and
 // K-1 workers every shard gets a thread, and on a single-core host the
-// inline task avoids one context switch per cycle.
+// inline task avoids one context switch per cycle. Calls must not overlap.
 func (p *Pool) Run(tasks []func()) {
 	switch len(tasks) {
 	case 0:
@@ -66,13 +65,12 @@ func (p *Pool) Run(tasks []func()) {
 		tasks[0]()
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(tasks) - 1)
+	p.wg.Add(len(tasks) - 1)
 	for _, f := range tasks[1:] {
-		p.tasks <- task{f: f, wg: &wg}
+		p.tasks <- f
 	}
 	tasks[0]()
-	wg.Wait()
+	p.wg.Wait()
 }
 
 // Close terminates the workers. The pool must be idle (no Run in flight);

@@ -8,17 +8,21 @@ import (
 func TestPoolRunsEveryTaskAndBarriers(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
-	var ran [8]atomic.Bool
+	var ran [8]atomic.Int32
 	tasks := make([]func(), len(ran))
 	for i := range tasks {
 		i := i
-		tasks[i] = func() { ran[i].Store(true) }
+		tasks[i] = func() { ran[i].Add(1) }
 	}
-	p.Run(tasks)
-	// Run is a full barrier: every task must be visibly done on return.
-	for i := range ran {
-		if !ran[i].Load() {
-			t.Errorf("task %d had not completed when Run returned", i)
+	// Several batches, as Network.Step runs one per cycle: the pool's one
+	// barrier must serve each in turn.
+	for batch := int32(1); batch <= 4; batch++ {
+		p.Run(tasks)
+		// Run is a full barrier: every task must be visibly done on return.
+		for i := range ran {
+			if got := ran[i].Load(); got != batch {
+				t.Fatalf("batch %d: task %d had run %d times when Run returned", batch, i, got)
+			}
 		}
 	}
 }

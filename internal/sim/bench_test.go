@@ -40,17 +40,34 @@ func BenchmarkWheelBeginCycleIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkWheelBeginCycleMultiKey harvests a busy cycle: 64 entries over
-// 16 actor keys, scheduled with the keys interleaved so BeginCycle's
-// (Key, Seq) sort has real grouping to do, as on a loaded sharded cycle.
+// BenchmarkWheelBeginCycleMultiKey schedules and harvests one cycle shaped
+// like the paper system at the Fig. 5 medium load: 290 events a cycle,
+// keyed by an owner in 1–577 (routers and NICs) and a src in 578–1825
+// (channels), landing 1–4 cycles ahead on the network's 64-bucket wheel.
+// The keys vary in four of their five bytes, so BeginCycle's radix sort
+// makes four passes per cycle.
 func BenchmarkWheelBeginCycleMultiKey(b *testing.B) {
-	const perCycle, keys = 64, 16
-	w := NewWheel(4096)
+	const perCycle = 290
+	type sched struct {
+		key   uint64
+		ahead Cycle
+	}
+	r := NewRNG(1)
+	script := make([]sched, 64*perCycle)
+	for i := range script {
+		owner, src := 1+r.Intn(577), 578+r.Intn(1248)
+		script[i] = sched{key: ActorKey(uint32(owner), uint32(src)), ahead: Cycle(1 + r.Intn(4))}
+	}
+	w := NewWheel(64)
 	nop := Event(func(Cycle) {})
+	next := 0
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := Cycle(i)
 		for j := 0; j < perCycle; j++ {
-			w.Schedule(now+1, ActorKey(uint32(1+j%keys), 0), 0, nop)
+			s := script[next]
+			next = (next + 1) % len(script)
+			w.Schedule(now+s.ahead, s.key, 0, nop)
 		}
 		fireCycle(w, now)
 	}

@@ -67,7 +67,9 @@ func (w *Wheel) ExportState() (WheelState, error) {
 // (Key, Seq) execution order after restore matches the original run
 // exactly. resolve maps a handler descriptor back to the (rebuilt) event
 // closure; an unresolvable ID is an error, as is an entry at or before the
-// restored clock (a restored wheel must be strictly monotonic).
+// restored clock (a restored wheel must be strictly monotonic) and an
+// entry list not strictly ascending in Seq, the order ExportState writes
+// and the order BeginCycle's harvest relies on (see Wheel).
 func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool)) error {
 	for idx := range w.buckets {
 		b := w.buckets[idx]
@@ -83,9 +85,12 @@ func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool
 	w.pending = 0
 	w.now = st.Now
 	w.seq = st.Seq
-	for _, e := range st.Entries {
+	for i, e := range st.Entries {
 		if e.At <= st.Now {
 			return fmt.Errorf("sim: restored wheel entry at %d is not after the restored clock %d", e.At, st.Now)
+		}
+		if i > 0 && e.Seq <= st.Entries[i-1].Seq {
+			return fmt.Errorf("sim: restored wheel entry seq %d does not follow seq %d", e.Seq, st.Entries[i-1].Seq)
 		}
 		if e.Seq > st.Seq {
 			return fmt.Errorf("sim: restored wheel entry seq %d exceeds the sequence counter %d", e.Seq, st.Seq)

@@ -167,7 +167,8 @@ func TestWheelExportRejectsAnonymousEvents(t *testing.T) {
 }
 
 // TestWheelRestoreValidation: a restored wheel must be strictly monotonic
-// (no entry at or before the restored clock) and fully resolvable.
+// (no entry at or before the restored clock), list its entries strictly
+// ascending in Seq, and be fully resolvable.
 func TestWheelRestoreValidation(t *testing.T) {
 	ev := func(Cycle) {}
 	resolve := func(uint64) (Event, bool) { return ev, true }
@@ -182,6 +183,17 @@ func TestWheelRestoreValidation(t *testing.T) {
 	unseq := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{{At: 11, Key: 1, Seq: 6, ID: 7}}}
 	if err := w.RestoreState(unseq, resolve); err == nil {
 		t.Fatal("restore accepted an entry seq beyond the sequence counter")
+	}
+
+	for _, seqs := range [][2]uint64{{3, 2}, {2, 2}} {
+		w = NewWheel(64)
+		unordered := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{
+			{At: 11, Key: 1, Seq: seqs[0], ID: 7},
+			{At: 11, Key: 1, Seq: seqs[1], ID: 7},
+		}}
+		if err := w.RestoreState(unordered, resolve); err == nil {
+			t.Fatalf("restore accepted entries in seq order %v", seqs)
+		}
 	}
 
 	w = NewWheel(64)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // Event is a callback fired at a scheduled cycle. Events must not schedule
 // into the past.
@@ -13,7 +9,9 @@ type Event func(now Cycle)
 // Entry is one scheduled event together with its ordering coordinates: the
 // actor key that owns it (see ActorKey) and the global insertion sequence
 // number. BeginCycle returns a cycle's entries sorted by (Key, Seq) — the
-// canonical order the sharded network engine executes in.
+// canonical order the sharded network engine executes in. Seq is assigned
+// by Schedule, so it rises with every insertion; BeginCycle relies on that
+// to order a cycle's entries by sorting on Key alone.
 type Entry struct {
 	Key uint64
 	Seq uint64
@@ -30,7 +28,8 @@ type Entry struct {
 // Wheel is a timing wheel for near-future events with a heap overflow for
 // far-future ones. Almost all simulator events (flit arrivals, channel
 // free, credit returns) land within a few cycles; the wheel makes those
-// O(1). Longer waits (CDR relock, link wake-up) spill into the heap.
+// O(1). Waits beyond the wheel's horizon (retransmit watchdogs, telemetry
+// samplers, failure windows) spill into the heap.
 //
 // A per-bucket occupancy bitmap (one bit per bucket) makes NextEventAt a
 // few word scans, which is what lets the surrounding simulator fast-forward
@@ -40,6 +39,14 @@ type Entry struct {
 // (Key, Seq) — a total order that is independent of how many shards
 // produced them, as long as every key has a single deterministic producer.
 // The caller runs them; see DESIGN.md §6g.
+//
+// The drain needs no comparison sort because a cycle's harvest is already
+// in Seq order: a bucket receives its entries in Schedule order, which is
+// Seq order (RestoreState re-inserts in ExportState's Seq order and rejects
+// any other); the far heap pops by (at, Seq); and an entry placed in the
+// far heap for cycle T was placed at least a horizon before T, so before,
+// and with a smaller Seq than, every entry placed in T's bucket. A stable
+// sort on Key alone therefore yields (Key, Seq).
 type Wheel struct {
 	buckets [][]Entry
 	//optolint:derived occupancy bitmap, rebuilt by the restore path's re-inserts
@@ -52,6 +59,8 @@ type Wheel struct {
 	seq     uint64
 	//optolint:derived BeginCycle scratch, reused across cycles
 	run []Entry // BeginCycle scratch, reused across cycles
+	//optolint:derived BeginCycle radix-sort scratch, reused across cycles
+	spare []Entry
 }
 
 // NewWheel returns a wheel with the given power-of-two bucket count.
@@ -85,7 +94,7 @@ func (w *Wheel) Schedule(at Cycle, key, id uint64, ev Event) {
 func (w *Wheel) insert(at Cycle, e Entry) {
 	w.pending++
 	if at-w.now >= w.horizon {
-		heap.Push(&w.far, farEvent{at: at, Entry: e})
+		w.far.push(farEvent{at: at, Entry: e})
 		return
 	}
 	idx := at & w.mask
@@ -102,6 +111,9 @@ func (w *Wheel) insert(at Cycle, e Entry) {
 // sees same-cycle insertions. Cycles must be presented in increasing order;
 // gaps are allowed only when every skipped cycle is event-free (see
 // NextEventAt and SkipTo).
+//
+// The harvest comes out in Seq order (see Wheel), so a stable sort on Key
+// (see sortRunByKey) puts it in (Key, Seq) order without comparing Seqs.
 func (w *Wheel) BeginCycle(now Cycle) []Entry {
 	if Debug {
 		Assertf(now >= w.now, "wheel: BeginCycle(%d) moves the clock backwards from %d", now, w.now)
@@ -113,7 +125,7 @@ func (w *Wheel) BeginCycle(now Cycle) []Entry {
 	w.run = w.run[:0]
 	for len(w.far) > 0 && w.far[0].at <= now {
 		w.pending--
-		w.run = append(w.run, heap.Pop(&w.far).(farEvent).Entry)
+		w.run = append(w.run, w.far.pop().Entry)
 	}
 	idx := now & w.mask
 	b := w.buckets[idx]
@@ -126,21 +138,74 @@ func (w *Wheel) BeginCycle(now Cycle) []Entry {
 		w.buckets[idx] = b[:0]
 		w.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 	}
+	if Debug {
+		for i := 1; i < len(w.run); i++ {
+			Assertf(w.run[i-1].Seq < w.run[i].Seq, "wheel: cycle %d harvested seq %d before seq %d", now, w.run[i-1].Seq, w.run[i].Seq)
+		}
+	}
 	if len(w.run) > 1 {
-		slices.SortFunc(w.run, func(a, b Entry) int {
-			if a.Key != b.Key {
-				if a.Key < b.Key {
-					return -1
-				}
-				return 1
-			}
-			if a.Seq < b.Seq {
-				return -1
-			}
-			return 1
-		})
+		w.sortRunByKey()
 	}
 	return w.run
+}
+
+// smallRun is the run length below which sortRunByKey uses an insertion
+// sort: each radix pass has a fixed cost, clearing and summing 256
+// counters, that a few dozen entries do not repay (a two-entry run took
+// ~1 µs by radix and ~10 ns by insertion on a 2.1 GHz Xeon).
+const smallRun = 32
+
+// sortRunByKey stably sorts w.run by Key, so each key's entries keep their
+// harvest (Seq) order. Short runs — small meshes, light load — are
+// insertion-sorted. Longer ones take an LSD radix sort: one counting pass
+// per key byte, skipping the bytes every key shares (the bits set in
+// OR ^ AND of the run's keys), ping-ponging between w.run and w.spare.
+func (w *Wheel) sortRunByKey() {
+	src := w.run
+	if len(src) < smallRun {
+		for i := 1; i < len(src); i++ {
+			e, j := src[i], i
+			for ; j > 0 && src[j-1].Key > e.Key; j-- {
+				src[j] = src[j-1]
+			}
+			src[j] = e
+		}
+		return
+	}
+	or, and := uint64(0), ^uint64(0)
+	for i := range src {
+		or |= src[i].Key
+		and &= src[i].Key
+	}
+	varying := or ^ and
+	if varying == 0 {
+		return
+	}
+	if cap(w.spare) < len(src) {
+		w.spare = make([]Entry, len(src), cap(src))
+	}
+	dst := w.spare[:len(src)]
+	for shift := uint(0); varying>>shift != 0; shift += 8 {
+		if byte(varying>>shift) == 0 {
+			continue
+		}
+		var offset [256]int32
+		for i := range src {
+			offset[byte(src[i].Key>>shift)]++
+		}
+		var sum int32
+		for d, c := range offset {
+			offset[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := byte(src[i].Key >> shift)
+			dst[offset[d]] = src[i]
+			offset[d]++
+		}
+		src, dst = dst, src
+	}
+	w.run, w.spare = src, dst
 }
 
 // SkipTo declares every cycle in (w.now, now] event-free and jumps the
@@ -213,21 +278,53 @@ type farEvent struct {
 	Entry
 }
 
+// farHeap is a binary min-heap of far events ordered by (at, Seq). It is
+// typed rather than built on container/heap, whose interface{} boxing
+// allocates on every push and pop.
 type farHeap []farEvent
 
-func (h farHeap) Len() int { return len(h) }
-func (h farHeap) Less(i, j int) bool {
+func (h farHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].Seq < h[j].Seq
 }
-func (h farHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *farHeap) Push(x interface{}) { *h = append(*h, x.(farEvent)) }
-func (h *farHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *farHeap) push(fe farEvent) {
+	*h = append(*h, fe)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *farHeap) pop() farEvent {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = farEvent{} // drop the closure reference for the GC
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
