@@ -153,13 +153,13 @@ type Stats struct {
 // keep corruption and relock draws independent: the order of draws within
 // each stream is fixed by per-link causality alone.
 type linkState struct {
-	crng, rrng *sim.RNG
+	crng, rrng sim.RNG
 	pl         *powerlink.Link
 	failures   []LinkFailure // sorted by At
 
 	// Cached per-flit corruption probability, keyed by the (electrical,
-	// optical) level pair it was computed for. ProjectedBER inverts the
-	// Q/BER relation numerically, far too slow per flit.
+	// optical) level pair it was computed for. ProjectedBER evaluates the
+	// link budget and an erfc, too slow to repeat per flit.
 	probLevel, probOpt int
 	probValid          bool
 	prob               float64
@@ -172,30 +172,29 @@ type linkState struct {
 // router.FaultSource and, through Relock, powerlink.RelockFaults.
 type Injector struct {
 	cfg   Config
-	seed  uint64
-	links map[int]*linkState
+	links []linkState // indexed by link
 }
 
-// NewInjector builds an injector from cfg (protocol defaults applied) and a
-// dedicated fault seed — derive it from the scenario seed via
-// sim.NewStream(seed, sim.StreamFault) so traffic draws are untouched.
-func NewInjector(cfg Config, seed uint64) (*Injector, error) {
-	if err := cfg.Validate(); err != nil {
+// NewInjector builds an injector for a network of numLinks links from cfg
+// (protocol defaults applied) and a dedicated fault seed — derive it from
+// the scenario seed via sim.NewStream(seed, sim.StreamFault) so traffic
+// draws are untouched. Link k draws from streams 2k+1 (corruption) and 2k+2
+// (relock) of the seed, so no two links — and no two fault classes — ever
+// share a draw sequence. A failure window on a link outside [0, numLinks)
+// is an error.
+func NewInjector(cfg Config, seed uint64, numLinks int) (*Injector, error) {
+	if err := cfg.ValidateFor(numLinks); err != nil {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	in := &Injector{cfg: cfg, seed: seed, links: make(map[int]*linkState)}
+	in := &Injector{cfg: cfg, links: make([]linkState, numLinks)}
 	for _, w := range cfg.LinkFailures {
-		ls := in.state(w.Link)
-		ls.failures = append(ls.failures, w)
+		in.links[w.Link].failures = append(in.links[w.Link].failures, w)
 	}
-	ids := make([]int, 0, len(in.links))
-	for id := range in.links {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ls := in.links[id]
+	for k := range in.links {
+		ls := &in.links[k]
+		ls.crng = *sim.NewStream(seed, uint64(2*k+1))
+		ls.rrng = *sim.NewStream(seed, uint64(2*k+2))
 		sort.Slice(ls.failures, func(i, j int) bool { return ls.failures[i].At < ls.failures[j].At })
 	}
 	return in, nil
@@ -204,30 +203,15 @@ func NewInjector(cfg Config, seed uint64) (*Injector, error) {
 // Config returns the injector's configuration with defaults applied.
 func (in *Injector) Config() Config { return in.cfg }
 
-// state returns (creating if needed) link's private state. Streams 2k+1 and
-// 2k+2 are reserved for link k so no two links — and no two fault classes —
-// ever share a draw sequence.
-func (in *Injector) state(link int) *linkState {
-	ls := in.links[link]
-	if ls == nil {
-		ls = &linkState{
-			crng: sim.NewStream(in.seed, uint64(2*link+1)),
-			rrng: sim.NewStream(in.seed, uint64(2*link+2)),
-		}
-		in.links[link] = ls
-	}
-	return ls
-}
-
 // Bind registers the powerlink behind link index link as the margin source
 // for its corruption rate. Unbound links fall back to BERFloor alone.
 func (in *Injector) Bind(link int, pl *powerlink.Link) {
-	in.state(link).pl = pl
+	in.links[link].pl = pl
 }
 
 // flitErrProb returns the per-flit corruption probability for link ls at
 // now, caching by (electrical level, optical level).
-func (ls *linkState) flitErrProb(cfg Config, now sim.Cycle) float64 {
+func (in *Injector) flitErrProb(ls *linkState, now sim.Cycle) float64 {
 	lv, opt := -1, 0
 	if ls.pl != nil {
 		lv = ls.pl.Level(now)
@@ -236,9 +220,9 @@ func (ls *linkState) flitErrProb(cfg Config, now sim.Cycle) float64 {
 	if ls.probValid && ls.probLevel == lv && ls.probOpt == opt {
 		return ls.prob
 	}
-	ber := cfg.BERFloor
-	if cfg.BERScale > 0 && ls.pl != nil && lv >= 0 {
-		if b := cfg.BERScale * ls.pl.ProjectedBER(now, lv); b > ber {
+	ber := in.cfg.BERFloor
+	if in.cfg.BERScale > 0 && ls.pl != nil && lv >= 0 {
+		if b := in.cfg.BERScale * ls.pl.ProjectedBER(now, lv); b > ber {
 			ber = b
 		}
 	}
@@ -260,11 +244,8 @@ func (ls *linkState) flitErrProb(cfg Config, now sim.Cycle) float64 {
 // resolved before this transmission's corruption draw — the per-link draw
 // order is a pure function of the transmission schedule.
 func (in *Injector) CorruptionMask(link int, now sim.Cycle) uint16 {
-	ls := in.links[link]
-	if ls == nil {
-		ls = in.state(link)
-	}
-	p := ls.flitErrProb(in.cfg, now)
+	ls := &in.links[link]
+	p := in.flitErrProb(ls, now)
 	if p <= 0 {
 		return 0
 	}
@@ -284,11 +265,7 @@ func (in *Injector) CorruptionMask(link int, now sim.Cycle) uint16 {
 // repaired. Purely schedule-driven — no RNG — so arrival-time evaluation is
 // exactly reproducible.
 func (in *Injector) DownWindow(link int, now sim.Cycle) (bool, sim.Cycle) {
-	ls := in.links[link]
-	if ls == nil {
-		return false, 0
-	}
-	for _, w := range ls.failures {
+	for _, w := range in.links[link].failures {
 		if now < w.At {
 			return false, 0
 		}
@@ -302,11 +279,7 @@ func (in *Injector) DownWindow(link int, now sim.Cycle) (bool, sim.Cycle) {
 // NextFailureAt returns the start of the first failure window on link at or
 // after now (ok=false when none remain).
 func (in *Injector) NextFailureAt(link int, now sim.Cycle) (sim.Cycle, bool) {
-	ls := in.links[link]
-	if ls == nil {
-		return 0, false
-	}
-	for _, w := range ls.failures {
+	for _, w := range in.links[link].failures {
 		if w.RepairAt > now {
 			if w.At > now {
 				return w.At, true
@@ -338,16 +311,16 @@ func (r relockSource) RelockFails() bool {
 // Relock returns the CDR relock fault source for link, to be installed with
 // powerlink.Link.SetRelockFaults.
 func (in *Injector) Relock(link int) powerlink.RelockFaults {
-	return relockSource{ls: in.state(link), prob: in.cfg.RelockFailProb}
+	return relockSource{ls: &in.links[link], prob: in.cfg.RelockFailProb}
 }
 
 // Stats returns aggregate injector activity.
 func (in *Injector) Stats() Stats {
 	var s Stats
 	s.FailureWindows = len(in.cfg.LinkFailures)
-	for _, ls := range in.links {
-		s.CorruptedFlits += ls.corrupted
-		s.RelockFailures += ls.relockFails
+	for i := range in.links {
+		s.CorruptedFlits += in.links[i].corrupted
+		s.RelockFailures += in.links[i].relockFails
 	}
 	return s
 }

@@ -1,10 +1,14 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// testLinks is the link count of the standalone injectors below.
+const testLinks = 8
 
 func TestConfigEnabled(t *testing.T) {
 	if (Config{}).Enabled() {
@@ -66,6 +70,18 @@ func TestValidateFor(t *testing.T) {
 	}
 }
 
+// TestNewInjectorRejectsForeignFailureLink: a failure window on a link the
+// network does not have is rejected before any per-link state is sized from
+// it.
+func TestNewInjectorRejectsForeignFailureLink(t *testing.T) {
+	for _, link := range []int{testLinks, math.MaxInt} {
+		cfg := Config{LinkFailures: []LinkFailure{{Link: link, At: 1, RepairAt: 2}}}
+		if _, err := NewInjector(cfg, 1, testLinks); err == nil {
+			t.Errorf("failure on link %d of %d accepted", link, testLinks)
+		}
+	}
+}
+
 func TestWithDefaults(t *testing.T) {
 	d := Config{}.WithDefaults()
 	if d.WindowSize != 16 || d.AckDelay != 4 || d.RetxTimeout != 256 ||
@@ -84,7 +100,7 @@ func TestWithDefaults(t *testing.T) {
 // sequence; a different seed diverges.
 func TestMaskDeterminism(t *testing.T) {
 	mk := func(seed uint64) []uint16 {
-		in, err := NewInjector(Config{BERFloor: 0.05}, seed)
+		in, err := NewInjector(Config{BERFloor: 0.05}, seed, testLinks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +135,7 @@ func TestMaskDeterminism(t *testing.T) {
 func TestPerLinkStreamIndependence(t *testing.T) {
 	cfg := Config{BERFloor: 0.05}
 	mkB := func(drawAFirst int) []uint16 {
-		in, err := NewInjector(cfg, 7)
+		in, err := NewInjector(cfg, 7, testLinks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +161,7 @@ func TestPerLinkStreamIndependence(t *testing.T) {
 func TestRelockStreamIndependentOfCorruption(t *testing.T) {
 	cfg := Config{BERFloor: 0.05, RelockFailProb: 0.5}
 	seq := func(corruptFirst int) []bool {
-		in, err := NewInjector(cfg, 11)
+		in, err := NewInjector(cfg, 11, testLinks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +187,7 @@ func TestRelockStreamIndependentOfCorruption(t *testing.T) {
 // CorruptionMask is always zero (and consumes no randomness — the stream
 // is never touched, which keeps zero-corruption runs bit-identical).
 func TestCorruptionDisabledDrawsNothing(t *testing.T) {
-	in, err := NewInjector(Config{LinkFailures: []LinkFailure{{Link: 0, At: 5, RepairAt: 10}}}, 1)
+	in, err := NewInjector(Config{LinkFailures: []LinkFailure{{Link: 0, At: 5, RepairAt: 10}}}, 1, testLinks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +204,7 @@ func TestCorruptionDisabledDrawsNothing(t *testing.T) {
 // TestCorruptionMaskNonZeroWhenFired: a fired corruption always yields a
 // non-zero mask (a zero mask would be an undetectable "corruption").
 func TestCorruptionMaskNonZeroWhenFired(t *testing.T) {
-	in, err := NewInjector(Config{BERFloor: 0.5}, 9) // p(flit) ≈ 1
+	in, err := NewInjector(Config{BERFloor: 0.5}, 9, testLinks) // p(flit) ≈ 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +226,7 @@ func TestDownWindowSchedule(t *testing.T) {
 	in, err := NewInjector(Config{LinkFailures: []LinkFailure{
 		{Link: 4, At: 100, RepairAt: 200},
 		{Link: 4, At: 50, RepairAt: 60}, // out of order on purpose
-	}}, 1)
+	}}, 1, testLinks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +262,7 @@ func TestDownWindowSchedule(t *testing.T) {
 }
 
 func TestRelockProbabilityEdges(t *testing.T) {
-	in, err := NewInjector(Config{RelockFailProb: 1}, 2)
+	in, err := NewInjector(Config{RelockFailProb: 1}, 2, testLinks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +276,7 @@ func TestRelockProbabilityEdges(t *testing.T) {
 		t.Errorf("relock failures %d, want 50", s.RelockFailures)
 	}
 
-	in2, err := NewInjector(Config{BERFloor: 1e-9}, 2)
+	in2, err := NewInjector(Config{BERFloor: 1e-9}, 2, testLinks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -26,40 +25,32 @@ type InjectorState struct {
 	Links []LinkFaultState // sorted by Link
 }
 
-// ExportState captures every instantiated link's fault state in canonical
-// (link-index) order. Links whose state was never touched are not present;
-// a restored injector lazily re-creates them at the identical stream
-// positions, so the set of exported links does not affect determinism.
+// ExportState captures every link's fault state in link-index order.
 func (in *Injector) ExportState() InjectorState {
-	ids := make([]int, 0, len(in.links))
-	for id := range in.links {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	st := InjectorState{Links: make([]LinkFaultState, 0, len(ids))}
-	for _, id := range ids {
-		ls := in.links[id]
-		st.Links = append(st.Links, LinkFaultState{
-			Link:        id,
+	st := InjectorState{Links: make([]LinkFaultState, len(in.links))}
+	for k := range in.links {
+		ls := &in.links[k]
+		st.Links[k] = LinkFaultState{
+			Link:        k,
 			CRNG:        ls.crng.State(),
 			RRNG:        ls.rrng.State(),
 			Corrupted:   ls.corrupted,
 			RelockFails: ls.relockFails,
-		})
+		}
 	}
 	return st
 }
 
-// RestoreState overwrites the injector's per-link fault state. Link states
-// not yet instantiated are created (at their canonical stream positions)
-// before being overwritten; the probability cache is invalidated so the
-// first post-restore draw recomputes it from the restored powerlink level.
+// RestoreState overwrites the per-link fault state of every link the
+// snapshot lists and invalidates their probability caches, so the first
+// post-restore draw recomputes the probability from the restored powerlink
+// level. A link index outside the injector's network is an error.
 func (in *Injector) RestoreState(st InjectorState) error {
 	for _, l := range st.Links {
-		if l.Link < 0 {
-			return fmt.Errorf("fault: snapshot has negative link index %d", l.Link)
+		if l.Link < 0 || l.Link >= len(in.links) {
+			return fmt.Errorf("fault: snapshot has link index %d, but the network has %d links", l.Link, len(in.links))
 		}
-		ls := in.state(l.Link)
+		ls := &in.links[l.Link]
 		ls.crng.SetState(l.CRNG)
 		ls.rrng.SetState(l.RRNG)
 		ls.corrupted = l.Corrupted

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -53,6 +55,35 @@ func BenchmarkStepHeavy(b *testing.B)  { benchStepAtLoad(b, 5.05, true) }
 
 // BenchmarkStepNonPA isolates the policy controllers' overhead.
 func BenchmarkStepNonPA(b *testing.B) { benchStepAtLoad(b, 3.3, false) }
+
+// BenchmarkStepFaults measures the reliable-link path: the paper system at
+// 1.75 packets/cycle with the margin-derived BER scaled by 1e9 over 23 dB of
+// extra path loss, relock failures at probability 0.3, recovery on, and the
+// loss-aware rule engine with a 1e-12 BER guard, so every flit is stamped
+// and checked by CRC and replayed go-back-N when corrupted. It reports the
+// retransmits of its fixed 5000-cycle warm-up, which only a change in the
+// simulated behaviour can move.
+func BenchmarkStepFaults(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Link.PathLossDB += 23
+	cfg.Fault = fault.Config{BERScale: 1e9, RelockFailProb: 0.3}
+	cfg.Recovery = RecoveryConfig{Enabled: true}
+	cfg.Policy.Kind = policy.KindRules
+	cfg.Policy.Rules = policy.DefaultRulesConfig()
+	cfg.Policy.MaxBER = 1e-12
+	n := MustNew(cfg, traffic.NewUniform(cfg.Nodes(), 1.75, 5))
+	n.RunTo(5_000)
+	retx := n.FaultStats().Retransmits
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Step()
+	}
+	b.StopTimer()
+	if retx == 0 {
+		b.Fatal("no retransmits: the reliable path was not exercised")
+	}
+	b.ReportMetric(float64(retx), "warmup-retx")
+}
 
 func benchTelemetry(b *testing.B, enabled bool) {
 	cfg := DefaultConfig()

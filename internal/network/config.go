@@ -175,7 +175,7 @@ func (c Config) Routers() int { return c.MeshW * c.MeshH }
 func (c Config) PortsPerRouter() int { return c.NodesPerRack + 4 }
 
 // meshPort converts a direction to a router port index.
-func (c Config) meshPort(dir int) int { return c.NodesPerRack + dir }
+func (c *Config) meshPort(dir int) int { return c.NodesPerRack + dir }
 
 // InterRouterLinks returns the number of unidirectional router-to-router
 // links in the mesh.
@@ -224,13 +224,13 @@ func (c Config) StaticRate(rateGbps float64) Config {
 }
 
 // nodeRouter returns the router serving global node id n.
-func (c Config) nodeRouter(n int) int { return n / c.NodesPerRack }
+func (c *Config) nodeRouter(n int) int { return n / c.NodesPerRack }
 
 // nodeLocal returns node n's local port at its router.
-func (c Config) nodeLocal(n int) int { return n % c.NodesPerRack }
+func (c *Config) nodeLocal(n int) int { return n % c.NodesPerRack }
 
 // routerXY returns router r's mesh coordinates.
-func (c Config) routerXY(r int) (x, y int) { return r % c.MeshW, r / c.MeshW }
+func (c *Config) routerXY(r int) (x, y int) { return r % c.MeshW, r / c.MeshW }
 
 // RouterAt returns the router index at mesh coordinates (x, y) — rack
 // (x, y) in the paper's notation.

@@ -353,7 +353,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	// and therefore every result — bit-identical.
 	if cfg.Fault.Enabled() {
 		fc := cfg.Fault.WithDefaults()
-		inj, err := fault.NewInjector(fc, sim.NewStream(cfg.Seed, sim.StreamFault).Uint64())
+		inj, err := fault.NewInjector(fc, sim.NewStream(cfg.Seed, sim.StreamFault).Uint64(), len(n.channels))
 		if err != nil {
 			return nil, err
 		}

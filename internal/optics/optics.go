@@ -144,15 +144,22 @@ func BERFromQ(q float64) float64 {
 	return 0.5 * math.Erfc(q/math.Sqrt2)
 }
 
+// RefBER is the inter-chassis target bit error rate that receiver
+// sensitivities are specified at (paper: 25 µW at 10 Gb/s for BER 1e-12).
+const RefBER = 1e-12
+
+// refQ is the Q factor at RefBER (≈ 7.03), inverted once.
+var refQ = QFromBER(RefBER)
+
 // BERAtMargin returns the expected bit error rate of a receiver operating
-// marginDB above (negative: below) the sensitivity that yields targetBER,
-// in the thermal-noise-limited regime where the Q factor scales linearly
-// with received optical power. At zero margin the link runs exactly at the
-// target BER; each dB of eroded margin multiplies Q by 10^(-1/10) and the
-// BER grows super-exponentially — which is why power-aware links that shave
-// optical power must watch their margin.
-func BERAtMargin(targetBER, marginDB float64) float64 {
-	return BERFromQ(QFromBER(targetBER) * FromDB(marginDB))
+// marginDB above (negative: below) the sensitivity that yields RefBER, in
+// the thermal-noise-limited regime where the Q factor scales linearly with
+// received optical power. At zero margin the link runs exactly at RefBER;
+// each dB of eroded margin multiplies Q by 10^(-1/10) and the BER grows
+// super-exponentially — which is why power-aware links that shave optical
+// power must watch their margin.
+func BERAtMargin(marginDB float64) float64 {
+	return BERFromQ(refQ * FromDB(marginDB))
 }
 
 // SensitivityW returns the receiver sensitivity (W) required for a target
@@ -162,12 +169,10 @@ func BERAtMargin(targetBER, marginDB float64) float64 {
 //	P_rec = Q(BER) · (i_n/R) · BR/BR_ref
 //
 // with responsivity R (A/W) and input-referred noise current i_n (A) at the
-// reference bit rate. Calibrate with refSensitivityW at refBitRateGbps
-// (paper: 25 µW at 10 Gb/s for BER 1e-12).
+// reference bit rate. Calibrate with refSensitivityW at refBitRateGbps, the
+// sensitivity at RefBER.
 func SensitivityW(ber, bitRateGbps, refBitRateGbps, refSensitivityW float64) float64 {
-	qRef := QFromBER(1e-12)
-	q := QFromBER(ber)
-	return refSensitivityW * (q / qRef) * (bitRateGbps / refBitRateGbps)
+	return refSensitivityW * (QFromBER(ber) / refQ) * (bitRateGbps / refBitRateGbps)
 }
 
 // LaserCapacity reports how many links a mode-locked laser of laserPowerW

@@ -148,6 +148,26 @@ func TestQFromBERTarget(t *testing.T) {
 	}
 }
 
+// TestBERAtMargin: zero margin is the reference BER, eroded margin is
+// worse, and the once-inverted reference Q gives exactly the float64 a
+// fresh bisection gives at every margin.
+func TestBERAtMargin(t *testing.T) {
+	if got := BERAtMargin(0); got < 0.99e-12 || got > 1.01e-12 {
+		t.Errorf("BER at zero margin = %g, want ≈%g", got, RefBER)
+	}
+	prev := 0.0
+	for m := 10.0; m >= -30; m -= 0.25 {
+		got := BERAtMargin(m)
+		if want := BERFromQ(QFromBER(RefBER) * FromDB(m)); got != want {
+			t.Errorf("BERAtMargin(%g) = %v, bisection gives %v", m, got, want)
+		}
+		if got < prev {
+			t.Errorf("BER fell from %g to %g as margin eroded to %g dB", prev, got, m)
+		}
+		prev = got
+	}
+}
+
 func TestBERMonotoneInQ(t *testing.T) {
 	f := func(a, b uint8) bool {
 		qa, qb := float64(a)/16, float64(b)/16

@@ -691,7 +691,7 @@ func (l *Link) ReceiverMarginDB(now sim.Cycle) float64 {
 // at electrical level lv (1e-12 at zero margin, worse below). The policy's
 // reliability guard consults this before stepping rates up.
 func (l *Link) ProjectedBER(now sim.Cycle, lv int) float64 {
-	return optics.BERAtMargin(1e-12, l.MarginDBAt(now, lv))
+	return optics.BERAtMargin(l.MarginDBAt(now, lv))
 }
 
 // OpticalLevel returns the current optical level index (0 for links without

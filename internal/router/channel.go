@@ -649,28 +649,36 @@ func (c *Channel) String() string {
 	return fmt.Sprintf("channel{busyUntilMC=%d flits=%d}", c.busyUntilMC, c.flits)
 }
 
-// flitCRC computes the CRC-16/CCITT of a flit's wire header (packet ID,
-// link sequence number, VC). The simulator does not model payload bits;
-// corrupting the stored CRC with the injector's error mask is equivalent to
-// corrupting any header or payload bit the CRC covers.
-func flitCRC(pktID int64, seq uint64, vc int8) uint16 {
-	crc := uint16(0xFFFF)
-	feed := func(b byte) {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crcTable maps the top byte of a CRC-16/CCITT register (polynomial 0x1021,
+// MSB first), already XORed with the next input byte, to that byte's eight
+// shift-and-reduce steps.
+var crcTable = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i) << 8
+		for b := 0; b < 8; b++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
 	}
-	for i := 0; i < 8; i++ {
-		feed(byte(uint64(pktID) >> (8 * i)))
+	return t
+}()
+
+// flitCRC computes the CRC-16/CCITT (init 0xFFFF) of a flit's wire header:
+// the packet ID and the link sequence number, each least significant byte
+// first, then the VC — one table step per byte. The simulator does not model
+// payload bits; corrupting the stored CRC with the injector's error mask is
+// equivalent to corrupting any header or payload bit the CRC covers.
+func flitCRC(pktID int64, seq uint64, vc int8) uint16 {
+	crc := uint16(0xFFFF)
+	for i := 0; i < 64; i += 8 {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^byte(uint64(pktID)>>i)]
 	}
-	for i := 0; i < 8; i++ {
-		feed(byte(seq >> (8 * i)))
+	for i := 0; i < 64; i += 8 {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^byte(seq>>i)]
 	}
-	feed(byte(vc))
-	return crc
+	return crc<<8 ^ crcTable[byte(crc>>8)^byte(vc)]
 }
