@@ -80,13 +80,16 @@ bench-snapshot:
 
 # dse-smoke mirrors the CI job: the committed 8-trial grid study must
 # reproduce the committed golden frontier byte for byte, and a rerun over
-# the finished study directory must re-evaluate nothing.
+# the finished study directory must re-evaluate nothing and append nothing
+# to its trial log.
 DSE_SMOKE_DIR ?= /tmp/optodse-smoke
 
 dse-smoke:
 	rm -rf $(DSE_SMOKE_DIR)
 	$(GO) run ./cmd/optodse -space internal/dse/testdata/smoke-space.json -out $(DSE_SMOKE_DIR)
 	cmp $(DSE_SMOKE_DIR)/frontier.json internal/dse/testdata/smoke-frontier.json
+	cp $(DSE_SMOKE_DIR)/trials.jsonl $(DSE_SMOKE_DIR)/trials.jsonl.before
 	$(GO) run ./cmd/optodse -space internal/dse/testdata/smoke-space.json -out $(DSE_SMOKE_DIR) | \
 		grep -q '8 trials (0 fresh, 8 cached)'
+	cmp $(DSE_SMOKE_DIR)/trials.jsonl.before $(DSE_SMOKE_DIR)/trials.jsonl
 	cmp $(DSE_SMOKE_DIR)/frontier.json internal/dse/testdata/smoke-frontier.json

@@ -109,9 +109,9 @@ type fleetOptions struct {
 // fleetEval builds the parallel evaluator: each pending trial runs in its
 // own optodse -worker subprocess under fleet.Run's bounded pool, with
 // crash retries and a per-trial deadline. Results are reported through the
-// serialized onDone callback, so the study log is rewritten between
-// trials, never during one — and the outcome is indistinguishable from
-// dse.Sequential.
+// serialized onDone callback, so each trial's line is appended to the study
+// log and fsynced before the next is recorded, never two at once — and the
+// outcome is indistinguishable from dse.Sequential.
 func fleetEval(opt fleetOptions) (dse.EvalFunc, error) {
 	self, err := os.Executable()
 	if err != nil {

@@ -1,14 +1,16 @@
 package dse
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/atomicio"
@@ -43,11 +45,27 @@ type studyHeader struct {
 	Gamma       float64 `json:"gamma"`
 }
 
-// logRecord is one trials.jsonl line: exactly one of the fields is set.
+// logRecord is the payload of one trials.jsonl line: exactly one of the
+// fields is set.
 type logRecord struct {
 	Study *studyHeader `json:"study,omitempty"`
 	Trial *Trial       `json:"trial,omitempty"`
 }
+
+// journalLine is one trials.jsonl line as written:
+//
+//	{"crc32":"9a3f0c1e","record":{"trial":{...}}}
+//
+// CRC32 is the IEEE CRC-32 of Record's exact bytes, in eight hex digits.
+// Record stays raw, so checking a line never re-encodes it.
+type journalLine struct {
+	CRC32  string          `json:"crc32"`
+	Record json.RawMessage `json:"record"`
+}
+
+// errUnchecksummed marks a line from a log written before the journal
+// format: a bare record with no checksum.
+var errUnchecksummed = errors.New("record has no checksum")
 
 // Pending is one trial awaiting evaluation: the materialized scenario plus
 // everything the evaluator needs to report it back.
@@ -71,8 +89,8 @@ type EvalFunc func(pending []Pending, record RecordFunc)
 
 // Study drives one design-space search: it replays the sampler's proposal
 // stream, reuses every trial already present in the study log, hands the
-// rest to the evaluator, and persists the log after each completed trial
-// so an interrupted study resumes without re-evaluating anything.
+// rest to the evaluator, and appends each completed trial to the log so an
+// interrupted study resumes without re-evaluating anything.
 type Study struct {
 	// OnTrialDone, when set, fires after each freshly evaluated (not
 	// cached) trial with the running fresh count — progress reporting and
@@ -84,12 +102,14 @@ type Study struct {
 	dir     string
 	header  studyHeader
 
-	trials     []Trial
+	trials     []Trial     // sorted by ID
 	byID       map[int]int // trial ID -> index in trials
 	pending    map[int]Pending
 	cached     int
 	fresh      int
 	persistErr error
+	// headerLogged is set once the log on disk starts with the header.
+	headerLogged bool
 }
 
 // TrialName is the experiment name a trial's summary carries.
@@ -108,7 +128,8 @@ func spaceSHA256(sp *Space) (string, error) {
 // Open validates the space, builds the sampler, and binds the study to a
 // directory (empty dir = in-memory study, used by tests). If the directory
 // already holds a study log with a matching header, its completed trials
-// are loaded and will be reused instead of re-evaluated.
+// are loaded and will be reused instead of re-evaluated. Open writes to
+// the log only to cut off a torn last line.
 func Open(sp *Space, kind string, opt Options, dir string) (*Study, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -162,79 +183,162 @@ func (st *Study) Fresh() int { return st.fresh }
 // Trials returns a copy of the completed trials, sorted by ID.
 func (st *Study) Trials() []Trial { return append([]Trial(nil), st.trials...) }
 
-// loadLog reads an existing trials.jsonl, rejecting a header that does not
-// match this study's identity.
+// loadLog reads an existing trials.jsonl. Every line must carry a record
+// whose checksum matches; the header must be the first record and match
+// this study's identity, and no trial ID may appear twice. The last line
+// alone may be torn by a kill between append and fsync: if it lacks its
+// newline, fails its checksum or does not parse, it is cut off and its
+// trial runs again. A bad line before the last is corruption, and the
+// file is left as it was.
 func (st *Study) loadLog() error {
-	f, err := os.Open(st.logPath())
+	path := st.logPath()
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	sawHeader := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	good := 0 // end of the last good line
+	for lineNo := 1; good < len(data); lineNo++ {
+		n := bytes.IndexByte(data[good:], '\n')
+		if n < 0 {
+			break // torn: the last append never wrote its newline
 		}
-		var rec logRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("dse: %s is corrupt: %w", st.logPath(), err)
+		rec, err := decodeLine(data[good : good+n])
+		if errors.Is(err, errUnchecksummed) {
+			return fmt.Errorf("dse: %s is a study log without checksums, from an older optodse; rerun the study in a fresh directory", path)
+		}
+		if err != nil {
+			if good+n+1 == len(data) {
+				break // torn: the last line is incomplete
+			}
+			return fmt.Errorf("dse: %s is corrupt at line %d: %w", path, lineNo, err)
 		}
 		switch {
+		case rec.Study != nil && lineNo > 1:
+			return fmt.Errorf("dse: %s has a study header at line %d; it must be the first record", path, lineNo)
 		case rec.Study != nil:
 			if *rec.Study != st.header {
-				return fmt.Errorf("dse: %s belongs to a different study (space, sampler, or budget changed); use a fresh directory", st.logPath())
+				return fmt.Errorf("dse: %s belongs to a different study (space, sampler, or budget changed); use a fresh directory", path)
 			}
-			sawHeader = true
-		case rec.Trial != nil:
-			st.trials = append(st.trials, *rec.Trial)
+			st.headerLogged = true
+		case lineNo == 1:
+			return fmt.Errorf("dse: %s has trials but no study header", path)
+		default:
+			if _, dup := st.byID[rec.Trial.ID]; dup {
+				return fmt.Errorf("dse: %s records trial %d twice (again at line %d)", path, rec.Trial.ID, lineNo)
+			}
+			st.insert(*rec.Trial)
 		}
+		good += n + 1
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	if good == len(data) {
+		return nil
 	}
-	if len(st.trials) > 0 && !sawHeader {
-		return fmt.Errorf("dse: %s has trials but no study header", st.logPath())
-	}
-	st.reindex()
-	return nil
+	// Cut the torn tail durably: were it to come back after a crash, the
+	// next append would bury it mid-file as corruption.
+	return syncedWrite(path, os.O_WRONLY, func(f *os.File) error { return f.Truncate(int64(good)) })
 }
 
-func (st *Study) reindex() {
-	sort.Slice(st.trials, func(i, j int) bool { return st.trials[i].ID < st.trials[j].ID })
-	st.byID = make(map[int]int, len(st.trials))
-	for i := range st.trials {
+// decodeLine checks one log line's checksum and decodes its record.
+func decodeLine(line []byte) (logRecord, error) {
+	var ln journalLine
+	if err := json.Unmarshal(line, &ln); err != nil {
+		return logRecord{}, err
+	}
+	var rec logRecord
+	if ln.Record == nil {
+		if json.Unmarshal(line, &rec) == nil && (rec.Study != nil || rec.Trial != nil) {
+			return logRecord{}, errUnchecksummed
+		}
+		return logRecord{}, errors.New("line holds no record")
+	}
+	if sum := checksum(ln.Record); ln.CRC32 != sum {
+		return logRecord{}, fmt.Errorf("checksum %q does not match the record's %s", ln.CRC32, sum)
+	}
+	if err := json.Unmarshal(ln.Record, &rec); err != nil {
+		return logRecord{}, err
+	}
+	if (rec.Study == nil) == (rec.Trial == nil) {
+		return logRecord{}, errors.New("record must hold exactly one of study and trial")
+	}
+	return rec, nil
+}
+
+// appendLine appends rec to buf as one newline-terminated log line.
+func appendLine(buf []byte, rec logRecord) ([]byte, error) {
+	js, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	line, err := json.Marshal(journalLine{CRC32: checksum(js), Record: js})
+	if err != nil {
+		return buf, err
+	}
+	return append(append(buf, line...), '\n'), nil
+}
+
+func checksum(b []byte) string { return fmt.Sprintf("%08x", crc32.ChecksumIEEE(b)) }
+
+// insert adds a trial, keeping trials sorted by ID. Trials complete in ID
+// order under Sequential, so this is usually an append.
+func (st *Study) insert(t Trial) {
+	i := sort.Search(len(st.trials), func(i int) bool { return st.trials[i].ID > t.ID })
+	st.trials = slices.Insert(st.trials, i, t)
+	for ; i < len(st.trials); i++ {
 		st.byID[st.trials[i].ID] = i
 	}
 }
 
-// persist atomically rewrites the whole log: header first, then every
-// completed trial in ID order. One trial per line keeps the file humanly
-// greppable; the atomic whole-file rewrite keeps it uncorruptible — a
-// crash leaves either the previous log or the new one, never a torn line.
-func (st *Study) persist() error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	h := st.header
-	if err := enc.Encode(logRecord{Study: &h}); err != nil {
-		return err
-	}
-	for i := range st.trials {
-		if err := enc.Encode(logRecord{Trial: &st.trials[i]}); err != nil {
+// persist appends one trial's line to the log and fsyncs it, so the trial
+// is on disk before Record returns and OnTrialDone fires. The first append
+// carries the header line in the same write, so Open on an empty directory
+// writes nothing. The cost of a trial does not grow with the study, and a
+// kill mid-append tears at most the last line, which the next Open cuts
+// off. Lines land in completion order; the loader sorts by ID.
+func (st *Study) persist(t *Trial) error {
+	var buf []byte
+	var err error
+	if !st.headerLogged {
+		if buf, err = appendLine(buf, logRecord{Study: &st.header}); err != nil {
 			return err
 		}
 	}
-	return atomicio.WriteFile(st.logPath(), buf.Bytes(), 0o644)
+	if buf, err = appendLine(buf, logRecord{Trial: t}); err != nil {
+		return err
+	}
+	err = syncedWrite(st.logPath(), os.O_WRONLY|os.O_APPEND|os.O_CREATE, func(f *os.File) error {
+		_, err := f.Write(buf)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("dse: appending to %s: %w", st.logPath(), err)
+	}
+	st.headerLogged = true
+	return nil
+}
+
+// syncedWrite opens path with flag, applies write, and fsyncs and closes
+// the file, reporting the first error.
+func syncedWrite(path string, flag int, write func(*os.File) error) error {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Record reports one pending trial's outcome. It is handed to evaluators
-// as the RecordFunc; the study persists the updated log before returning,
-// so every completed trial survives a crash.
+// as the RecordFunc; the study appends the trial to its log and fsyncs it
+// before returning, so every completed trial survives a crash.
 func (st *Study) Record(id int, sum report.Summary, evalErr error) {
 	p, ok := st.pending[id]
 	if !ok {
@@ -260,13 +364,12 @@ func (st *Study) recordTrial(p Pending, sum report.Summary, evalErr error) {
 		o := ObjectivesOf(sum)
 		t.Objectives = &o
 	}
-	st.trials = append(st.trials, t)
-	st.reindex()
+	st.insert(t)
 	st.fresh++
-	if st.dir != "" {
-		if err := st.persist(); err != nil && st.persistErr == nil {
-			st.persistErr = err
-		}
+	// After a failed append nothing more is appended, so a torn line can
+	// only ever be the last; persistErr fails the Run.
+	if st.dir != "" && st.persistErr == nil {
+		st.persistErr = st.persist(&t)
 	}
 	if st.OnTrialDone != nil {
 		st.OnTrialDone(st.fresh)

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"math"
 	"os"
@@ -16,7 +17,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func loadSmokeSpace(t *testing.T) *Space {
+func loadSmokeSpace(t testing.TB) *Space {
 	t.Helper()
 	sp, err := LoadFile(filepath.Join("testdata", "smoke-space.json"))
 	if err != nil {
@@ -183,6 +184,187 @@ func TestStudyRejectsForeignLog(t *testing.T) {
 	if _, err := Open(sp, "random", Options{}, dir); err == nil || !strings.Contains(err.Error(), "different study") {
 		t.Errorf("foreign sampler accepted: %v", err)
 	}
+}
+
+// smokeLogLines runs the smoke study and returns its log split into lines
+// that keep their newlines: the header, then trials 0 to 7 in ID order.
+func smokeLogLines(t testing.TB) [][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := Open(loadSmokeSpace(t), "grid", Options{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Run(Sequential); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "trials.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(log, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty split after the final newline
+	if len(lines) != 9 {
+		t.Fatalf("smoke log has %d lines, want a header and 8 trials:\n%s", len(lines), log)
+	}
+	return lines
+}
+
+// flipID flips the low bit of the first digit of a trial line's ID: the
+// line still parses, but its checksum no longer matches.
+func flipID(line []byte) []byte {
+	out := bytes.Clone(line)
+	out[bytes.Index(out, []byte(`"id":`))+len(`"id":`)] ^= 1
+	return out
+}
+
+// TestStudyLogTornTail is a kill between append and fsync: the log holds
+// the header, two trials and a torn third line. Open cuts the torn line,
+// the resume evaluates its trial again, and the finished log and frontier
+// match an uninterrupted run's byte for byte.
+func TestStudyLogTornTail(t *testing.T) {
+	sp := loadSmokeSpace(t)
+	lines := smokeLogLines(t)
+	clean := bytes.Join(lines, nil)
+	kept := bytes.Join(lines[:3], nil)
+	third := lines[3]
+	golden, err := os.ReadFile(filepath.Join("testdata", "smoke-frontier.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"prefix", third[:len(third)/2]},
+		{"no-newline", third[:len(third)-1]},
+		{"bad-checksum", flipID(third)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "trials.jsonl")
+			if err := os.WriteFile(path, append(bytes.Clone(kept), tc.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(sp, "grid", Options{}, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, kept) {
+				t.Fatalf("Open left\n%s\nwant the header and 2 trials", got)
+			}
+			st.OnTrialDone = func(fresh int) {
+				// Each fresh trial is in the log before OnTrialDone fires.
+				got, _ := os.ReadFile(path)
+				if n := bytes.Count(got, []byte("\n")); n != 3+fresh {
+					t.Errorf("after %d fresh trials the log has %d lines, want %d", fresh, n, 3+fresh)
+				}
+			}
+			if _, err := st.Run(Sequential); err != nil {
+				t.Fatal(err)
+			}
+			if st.Cached() != 2 || st.Fresh() != 6 {
+				t.Errorf("resume cached=%d fresh=%d, want 2/6", st.Cached(), st.Fresh())
+			}
+			if got, _ := os.ReadFile(filepath.Join(dir, "frontier.json")); !bytes.Equal(got, golden) {
+				t.Errorf("resumed frontier diverges from golden:\n%s", got)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, clean) {
+				t.Errorf("resumed log differs from an uninterrupted run's:\n%s", got)
+			}
+		})
+	}
+}
+
+// TestStudyLogRejects: a log the append path cannot produce fails Open,
+// which leaves the file's bytes as they were. Only the last line may be
+// torn, a trial is logged once, the header comes first, and a log without
+// checksums is refused rather than half-read.
+func TestStudyLogRejects(t *testing.T) {
+	sp := loadSmokeSpace(t)
+	lines := smokeLogLines(t)
+	header, t0, t1, t2 := lines[0], lines[1], lines[2], lines[3]
+	var unchecksummed [][]byte
+	for _, line := range lines {
+		var ln journalLine
+		if err := json.Unmarshal(line, &ln); err != nil {
+			t.Fatal(err)
+		}
+		unchecksummed = append(unchecksummed, append(ln.Record, '\n'))
+	}
+	for _, tc := range []struct {
+		name string
+		log  [][]byte
+		want string
+	}{
+		{"bad line before a good one", [][]byte{header, t0, flipID(t1), t2}, "corrupt at line 3: checksum"},
+		{"duplicate trial", [][]byte{header, t0, t1, t1}, "trial 1 twice"},
+		{"second header", [][]byte{header, t0, header, t1}, "must be the first record"},
+		{"trial before header", [][]byte{t0, header}, "no study header"},
+		{"no checksums", unchecksummed, "without checksums"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "trials.jsonl")
+			log := bytes.Join(tc.log, nil)
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(sp, "grid", Options{}, dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Open error = %v, want one containing %q", err, tc.want)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, log) {
+				t.Errorf("failed Open changed the log")
+			}
+		})
+	}
+}
+
+// FuzzStudyLog opens arbitrary bytes as a study log. Open must not panic
+// and must leave the file untouched when it fails; when it succeeds, the
+// file is a prefix of the input ending at a line boundary, every line of
+// it after the header is a loaded trial, and the trial IDs are unique.
+func FuzzStudyLog(f *testing.F) {
+	sp := loadSmokeSpace(f)
+	lines := smokeLogLines(f)
+	f.Add(bytes.Join(lines, nil))
+	f.Add(append(bytes.Join(lines[:3], nil), lines[3][:40]...))
+	f.Add(bytes.Join([][]byte{lines[0], lines[1], flipID(lines[2]), lines[3]}, nil))
+	f.Add(bytes.Join([][]byte{lines[0], lines[1], lines[1]}, nil))
+	f.Add([]byte("{\"study\":{}}\n"))
+	f.Add([]byte{})
+	// One directory serves every input: a worker runs them one at a time,
+	// and a fresh directory per input would cost more than Open itself.
+	dir := f.TempDir()
+	path := filepath.Join(dir, "trials.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(sp, "grid", Options{}, dir)
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(got, data) {
+				t.Fatalf("failed Open (%v) changed the log", err)
+			}
+			return
+		}
+		if !bytes.HasPrefix(data, got) || (len(got) > 0 && got[len(got)-1] != '\n') {
+			t.Fatalf("Open left %q, not a prefix of the input ending at a line boundary", got)
+		}
+		trials := st.Trials()
+		if n := bytes.Count(got, []byte("\n")); n > 0 && len(trials) != n-1 {
+			t.Fatalf("log keeps %d lines but %d trials loaded", n, len(trials))
+		}
+		for i := 1; i < len(trials); i++ {
+			if trials[i].ID <= trials[i-1].ID {
+				t.Fatalf("trial IDs not unique: %d after %d", trials[i].ID, trials[i-1].ID)
+			}
+		}
+	})
 }
 
 // TestStudyTable1Region is the paper-validation study: a grid over the
