@@ -64,7 +64,7 @@ simdebug:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build shuffle lint simdebug race perfbench
+ci: build shuffle lint simdebug race perfbench dse-smoke
 
 # bench-snapshot records the hot-path benchmarks into a benchstat-compatible
 # JSON snapshot. Set BENCH_LABEL to distinguish runs (e.g. pre-parallel /

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/dse"
+	"repro/internal/fleet"
 )
 
 func main() {
@@ -91,10 +92,10 @@ func main() {
 		fatal(err)
 	}
 
-	kill := newKillArm()
+	kill := fleet.ArmKill(killTokenEnv)
 	st.OnTrialDone = func(fresh int) {
 		fmt.Printf("optodse: trial done (%d fresh, %d cached)\n", fresh, st.Cached())
-		kill.maybeKill(fresh)
+		kill(fresh)
 	}
 
 	evaluate := dse.Sequential

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,36 +15,11 @@ import (
 )
 
 // killTokenEnv names a file that arms a deterministic self-SIGKILL for the
-// resume-test harness: if the file exists when the driver starts, it is
-// consumed (deleted) and the driver kills itself — mid-study, with the
-// trial log already holding the completed trials — after that many fresh
-// trials finish. The rerun never sees the token, so it resumes clean.
+// resume-test harness (see fleet.ArmKill): an optodse run that finds it
+// consumes it and kills itself — mid-study, with the trial log already
+// holding the completed trials — after that many fresh trials finish. The rerun never
+// sees the token, so it resumes clean.
 const killTokenEnv = "OPTODSE_TEST_KILL_TOKEN"
-
-type killArm struct {
-	after int // fresh-trial count that triggers the kill; -1 = disarmed
-}
-
-func newKillArm() *killArm {
-	k := &killArm{after: -1}
-	if token := os.Getenv(killTokenEnv); token != "" {
-		if b, err := os.ReadFile(token); err == nil {
-			os.Remove(token)
-			if n, err := strconv.Atoi(strings.TrimSpace(string(b))); err == nil {
-				k.after = n
-			}
-		}
-	}
-	return k
-}
-
-func (k *killArm) maybeKill(fresh int) {
-	if k.after >= 0 && fresh >= k.after {
-		p, _ := os.FindProcess(os.Getpid())
-		p.Kill()
-		select {} // unreachable: SIGKILL is not handleable
-	}
-}
 
 // pointCSV round-trips a point through the worker command line losslessly
 // ('g'/-1 is the shortest representation that parses back bit-identical).
@@ -146,17 +120,23 @@ func fleetEval(opt fleetOptions) (dse.EvalFunc, error) {
 				record(p.ID, report.Summary{}, jobErr)
 				return
 			}
-			b, err := os.ReadFile(outPath(p))
-			if err != nil {
-				record(p.ID, report.Summary{}, err)
-				return
-			}
-			var sum report.Summary
-			if err := json.Unmarshal(b, &sum); err != nil {
-				record(p.ID, report.Summary{}, fmt.Errorf("trial %d summary is corrupt: %w", p.ID, err))
-				return
-			}
-			record(p.ID, sum, nil)
+			sum, err := readTrialSummary(outPath(p), p.ID)
+			record(p.ID, sum, err)
 		})
 	}, nil
+}
+
+// readTrialSummary reads a worker's published summary through
+// report.ParseSummary, so a writer/reader schema drift fails the trial,
+// naming it, instead of silently dropping counters.
+func readTrialSummary(path string, id int) (report.Summary, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return report.Summary{}, err
+	}
+	sum, err := report.ParseSummary(b)
+	if err != nil {
+		return report.Summary{}, fmt.Errorf("trial %d summary %s: %w", id, path, err)
+	}
+	return sum, nil
 }

@@ -13,8 +13,8 @@
 // It is also a crash-resilient run supervisor: -supervise executes a list
 // of scenarios each in its own worker subprocess with periodic
 // checkpoints, restarting crashed or hung workers from their newest valid
-// checkpoint and recording every outcome in a manifest, so an interrupted
-// matrix resumes exactly where it died:
+// checkpoint. A finished scenario leaves its summary file, which a rerun
+// skips, so an interrupted matrix resumes exactly where it died:
 //
 //	optorun -supervise -out-dir results/ a.json b.json c.json
 package main
@@ -35,7 +35,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit series tables as CSV")
 
 	superMode := flag.Bool("supervise", false, "run the scenarios as a supervised, crash-resilient matrix")
-	outDir := flag.String("out-dir", "optorun-out", "supervisor output directory (manifest, summaries, checkpoints, logs)")
+	outDir := flag.String("out-dir", "optorun-out", "supervisor output directory (summaries, checkpoints, logs)")
 	retries := flag.Int("retries", 3, "supervisor: retries per scenario after a crash or timeout")
 	timeout := flag.Duration("timeout", 0, "supervisor: per-attempt deadline (0 = none)")
 	backoff := flag.Duration("backoff", time.Second, "supervisor: base retry backoff (linear in the attempt number)")

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"time"
 
-	"repro/internal/atomicio"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
@@ -20,63 +18,6 @@ type superConfig struct {
 	Retries   int
 	Timeout   time.Duration
 	Backoff   time.Duration
-}
-
-// RunRecord is one scenario's entry in the manifest.
-type RunRecord struct {
-	Scenario string `json:"scenario"`
-	Status   string `json:"status"` // pending | running | done | failed
-	Attempts int    `json:"attempts"`
-	// Summary is the path of the published summary JSON (status done).
-	Summary string `json:"summary,omitempty"`
-	// Error is the last failure description (crash signal, timeout, or
-	// worker error) — kept even on success, as a record of survived crashes.
-	Error string `json:"error,omitempty"`
-}
-
-// Manifest records the outcome of every run in a scenario matrix. It is
-// rewritten atomically after every state change, so an interrupted matrix
-// resumes exactly where it died: done runs are skipped, everything else
-// restarts from its newest valid checkpoint.
-type Manifest struct {
-	CkptEvery int64       `json:"checkpointEvery"`
-	Runs      []RunRecord `json:"runs"`
-}
-
-func manifestPath(outDir string) string { return filepath.Join(outDir, "manifest.json") }
-
-func loadManifest(outDir string) (*Manifest, error) {
-	b, err := os.ReadFile(manifestPath(outDir))
-	if os.IsNotExist(err) {
-		return &Manifest{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("optorun: manifest %s is unreadable: %w", manifestPath(outDir), err)
-	}
-	return &m, nil
-}
-
-func (m *Manifest) save(outDir string) error {
-	js, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(manifestPath(outDir), append(js, '\n'), 0o644)
-}
-
-// record returns the manifest entry for a scenario, adding one if absent.
-func (m *Manifest) record(scPath string) *RunRecord {
-	for i := range m.Runs {
-		if m.Runs[i].Scenario == scPath {
-			return &m.Runs[i]
-		}
-	}
-	m.Runs = append(m.Runs, RunRecord{Scenario: scPath, Status: "pending"})
-	return &m.Runs[len(m.Runs)-1]
 }
 
 // runDirs returns the per-scenario working paths: checkpoint directory,
@@ -92,13 +33,15 @@ func runDirs(outDir string, idx int, scPath string) (ckptDir, outPath, logPath s
 // supervise runs a scenario matrix with per-scenario subprocess isolation:
 // each scenario executes in its own worker process that auto-checkpoints,
 // so a panic, OOM kill, or stray SIGKILL costs at most one checkpoint
-// interval. Crashed or timed-out workers are retried with linear backoff
-// and resume from their newest valid checkpoint; outcomes land in
-// manifest.json after every transition.
+// interval. The workers run one at a time through fleet.Run, which retries
+// a crashed or timed-out worker with linear backoff; the retry resumes
+// from the newest valid checkpoint. A worker publishes its summary
+// atomically, so a scenario whose summary file exists is done and a rerun
+// skips it. Each worker's log records the crashes it survived.
 func supervise(cfg superConfig, scenarios []string) error {
 	// Validate the whole matrix upfront: a malformed scenario fails here,
-	// before any worker subprocess spawns or the manifest records a run —
-	// not minutes later from inside a crashed worker's log.
+	// before any worker subprocess spawns or any output is written — not
+	// minutes later from inside a crashed worker's log.
 	for _, scPath := range scenarios {
 		sc, err := scenario.LoadFile(scPath)
 		if err != nil {
@@ -111,77 +54,54 @@ func supervise(cfg superConfig, scenarios []string) error {
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return err
 	}
-	m, err := loadManifest(cfg.OutDir)
-	if err != nil {
-		return err
-	}
-	m.CkptEvery = cfg.CkptEvery
 	self, err := os.Executable()
 	if err != nil {
 		return err
 	}
 
-	failed := 0
+	var todo []int
 	for idx, sc := range scenarios {
-		rec := m.record(sc)
-		if rec.Status == "done" {
+		_, outPath, _ := runDirs(cfg.OutDir, idx, sc)
+		if _, err := os.Stat(outPath); err == nil {
 			fmt.Printf("optorun: %s already done, skipping\n", sc)
 			continue
 		}
-		ckptDir, outPath, logPath := runDirs(cfg.OutDir, idx, sc)
-		rec.Status = "running"
-		rec.Summary = ""
-		if err := m.save(cfg.OutDir); err != nil {
-			return err
-		}
-
-		var lastErr string
-		ok := false
-		for attempt := 1; attempt <= cfg.Retries+1; attempt++ {
-			rec.Attempts++
-			if err := m.save(cfg.OutDir); err != nil {
-				return err
-			}
-			err := runAttempt(cfg, self, sc, ckptDir, outPath, logPath)
-			if err == nil {
-				ok = true
-				break
-			}
-			lastErr = err.Error()
-			fmt.Fprintf(os.Stderr, "optorun: %s attempt %d: %v\n", sc, attempt, err)
-			if attempt <= cfg.Retries {
-				time.Sleep(cfg.Backoff * time.Duration(attempt))
-			}
-		}
-		rec.Error = lastErr
-		if ok {
-			rec.Status = "done"
-			rec.Summary = outPath
-			fmt.Printf("optorun: %s done (%d attempt(s)) -> %s\n", sc, rec.Attempts, outPath)
-		} else {
-			rec.Status = "failed"
-			failed++
-			fmt.Fprintf(os.Stderr, "optorun: %s failed after %d attempt(s): %s\n", sc, rec.Attempts, lastErr)
-		}
-		if err := m.save(cfg.OutDir); err != nil {
-			return err
-		}
+		todo = append(todo, idx)
 	}
+	attempts := make([]int, len(todo))
+	failed := 0
+	fleet.Run(fleet.Config{
+		Workers: 1,
+		Retries: cfg.Retries,
+		Timeout: cfg.Timeout,
+		Backoff: cfg.Backoff,
+	}, len(todo), func(i, attempt int) error {
+		idx := todo[i]
+		sc := scenarios[idx]
+		ckptDir, outPath, logPath := runDirs(cfg.OutDir, idx, sc)
+		attempts[i] = attempt
+		err := fleet.Attempt(cfg.Timeout, []string{self,
+			"-worker",
+			"-checkpoint-dir", ckptDir,
+			"-checkpoint-every", strconv.FormatInt(cfg.CkptEvery, 10),
+			"-out", outPath,
+			sc}, logPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "optorun: %s attempt %d: %v\n", sc, attempt, err)
+		}
+		return err
+	}, func(i int, err error) {
+		idx := todo[i]
+		_, outPath, logPath := runDirs(cfg.OutDir, idx, scenarios[idx])
+		if err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "optorun: %s failed after %d attempt(s); see %s\n", scenarios[idx], attempts[i], logPath)
+			return
+		}
+		fmt.Printf("optorun: %s done (%d attempt(s)) -> %s\n", scenarios[idx], attempts[i], outPath)
+	})
 	if failed > 0 {
-		return fmt.Errorf("%d of %d runs failed; see %s", failed, len(scenarios), manifestPath(cfg.OutDir))
+		return fmt.Errorf("%d of %d runs failed; see the worker logs in %s", failed, len(scenarios), cfg.OutDir)
 	}
 	return nil
-}
-
-// runAttempt spawns one worker process through fleet.Attempt, which
-// enforces the per-attempt deadline (SIGTERM, then SIGKILL five seconds
-// later) and classifies the exit: clean, worker-reported error, crash
-// (signal), or deadline.
-func runAttempt(cfg superConfig, self, scPath, ckptDir, outPath, logPath string) error {
-	return fleet.Attempt(cfg.Timeout, []string{self,
-		"-worker",
-		"-checkpoint-dir", ckptDir,
-		"-checkpoint-every", strconv.FormatInt(cfg.CkptEvery, 10),
-		"-out", outPath,
-		scPath}, logPath)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -73,17 +72,13 @@ func runSupervisor(t *testing.T, bin, outDir string, env []string, scenarios ...
 	return string(out), err
 }
 
-func readManifest(t *testing.T, outDir string) Manifest {
+// assertNoManifest checks the output directory holds only per-scenario
+// files: the summaries are the record of what finished.
+func assertNoManifest(t *testing.T, outDir string) {
 	t.Helper()
-	b, err := os.ReadFile(manifestPath(outDir))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(outDir, "manifest.json")); !os.IsNotExist(err) {
+		t.Errorf("out dir holds a manifest.json: %v", err)
 	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // TestSupervisorSurvivesSIGKILL is the crash-recovery acceptance harness:
@@ -112,8 +107,8 @@ func TestSupervisorSurvivesSIGKILL(t *testing.T) {
 			}
 
 			// Arm the kill token: the worker SIGKILLs itself right after
-			// writing its second checkpoint (cycle 10000 of 22000, inside
-			// the measured window).
+			// writing its second checkpoint (cycle 5000 of 22000, inside
+			// the measured window; the first is the warm-up end at 2000).
 			token := filepath.Join(dir, "kill.token")
 			if err := os.WriteFile(token, []byte("2"), 0o644); err != nil {
 				t.Fatal(err)
@@ -130,15 +125,17 @@ func TestSupervisorSurvivesSIGKILL(t *testing.T) {
 				t.Fatalf("kill token not consumed: %v", err)
 			}
 
-			m := readManifest(t, killDir)
-			if len(m.Runs) != 1 || m.Runs[0].Status != "done" || m.Runs[0].Attempts != 2 {
-				t.Fatalf("manifest = %+v, want one done run with 2 attempts", m.Runs)
+			if !strings.Contains(out, "done (2 attempt(s))") {
+				t.Errorf("supervisor output does not report one retry:\n%s", out)
 			}
-			if !strings.Contains(m.Runs[0].Error, "killed") {
-				t.Errorf("manifest does not record the crash: %+v", m.Runs[0])
+			assertNoManifest(t, killDir)
+			// The worker log keeps the record of the survived crash.
+			key := "000-faulty-shards" + fmt.Sprint(shards)
+			if log, err := os.ReadFile(filepath.Join(killDir, key+".log")); err != nil || !strings.Contains(string(log), "fleet: worker killed by killed") {
+				t.Errorf("worker log does not record the crash (err %v):\n%s", err, log)
 			}
 
-			killedSum, err := os.ReadFile(m.Runs[0].Summary)
+			killedSum, err := os.ReadFile(filepath.Join(killDir, key+".summary.json"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +148,7 @@ func TestSupervisorSurvivesSIGKILL(t *testing.T) {
 
 // TestSuperviseValidatesUpfront: a malformed scenario anywhere in the
 // matrix fails the whole supervise call before any worker subprocess
-// spawns — no manifest, no checkpoint directories, no worker logs — so a
+// spawns — no summaries, no checkpoint directories, no worker logs — so a
 // typo surfaces in seconds instead of from inside a crashed worker.
 func TestSuperviseValidatesUpfront(t *testing.T) {
 	dir := t.TempDir()
@@ -177,9 +174,9 @@ func TestSuperviseValidatesUpfront(t *testing.T) {
 	}
 }
 
-// TestSupervisorResumesMatrix checks manifest-driven resumption: rerunning
-// a finished matrix re-executes nothing, and an interrupted matrix picks
-// up only the unfinished scenarios.
+// TestSupervisorResumesMatrix checks summary-file resumption: an
+// interrupted matrix picks up only the unfinished scenarios, and rerunning
+// a finished matrix starts no worker at all.
 func TestSupervisorResumesMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -200,16 +197,40 @@ func TestSupervisorResumesMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume pass: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "already done, skipping") {
-		t.Errorf("resume pass re-ran a finished scenario:\n%s", out)
+	if strings.Count(out, "already done, skipping") != 1 || strings.Count(out, "done (1 attempt(s))") != 1 {
+		t.Errorf("resume pass did not skip scenario 1 and run scenario 4 once:\n%s", out)
 	}
-	m := readManifest(t, outDir)
-	if len(m.Runs) != 2 {
-		t.Fatalf("manifest has %d runs, want 2", len(m.Runs))
+	assertNoManifest(t, outDir)
+
+	// Third pass over the finished matrix: both skipped, no worker started,
+	// so no worker log grows and no summary is rewritten.
+	before := snapshotDir(t, outDir)
+	out, err = runSupervisor(t, bin, outDir, nil, sc1, sc4)
+	if err != nil {
+		t.Fatalf("rerun of a finished matrix: %v\n%s", err, out)
 	}
-	for _, r := range m.Runs {
-		if r.Status != "done" || r.Attempts != 1 {
-			t.Errorf("run %+v, want done in 1 attempt", r)
+	if strings.Count(out, "already done, skipping") != 2 || strings.Contains(out, "attempt") {
+		t.Errorf("rerun of a finished matrix ran a worker:\n%s", out)
+	}
+	if after := snapshotDir(t, outDir); after != before {
+		t.Errorf("rerun of a finished matrix changed its output directory:\n--- before\n%s--- after\n%s", before, after)
+	}
+}
+
+// snapshotDir lists every regular file under dir with its size and
+// modification time.
+func snapshotDir(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
 		}
+		fmt.Fprintf(&b, "%s %d %d\n", path, info.Size(), info.ModTime().UnixNano())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b.String()
 }

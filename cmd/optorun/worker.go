@@ -1,166 +1,46 @@
 package main
 
 import (
-	"errors"
-	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
-	"strconv"
 
 	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
-	"repro/internal/core"
-	"repro/internal/report"
+	"repro/internal/fleet"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // killTokenEnv names a file that arms a deterministic self-SIGKILL for the
-// crash-recovery harness: if the file exists when the worker starts, the
-// worker consumes (deletes) it and kills itself — no deferred writes, no
-// cleanup, exactly like an external SIGKILL — after writing the number of
-// checkpoints the file's content specifies. The retry never sees the
-// token, so it runs clean from the latest checkpoint.
+// crash-recovery harness (see fleet.ArmKill): a worker that finds it
+// consumes it and kills itself right after writing the number of
+// checkpoints the file holds. The retry never sees the token, so it runs
+// clean from the latest checkpoint.
 const killTokenEnv = "OPTORUN_TEST_KILL_TOKEN"
 
-// checkpointKeep is how many rotating checkpoints a worker retains; two,
-// so one unreadable file still leaves a valid fallback.
-const checkpointKeep = 2
-
-// runWorker executes one scenario to completion, checkpointing every
-// `every` cycles into ckptDir and resuming from the newest valid
-// checkpoint found there. The summary is written atomically to outPath,
-// so its existence alone proves the run finished.
+// runWorker executes one scenario to completion through
+// scenario.RunSummary, checkpointing every `every` cycles into ckptDir and
+// resuming from the newest valid checkpoint found there. The summary is
+// written atomically to outPath, so its existence alone proves the run
+// finished.
 func runWorker(scPath, ckptDir string, every int64, outPath string) error {
 	sc, err := scenario.LoadFile(scPath)
 	if err != nil {
 		return err
 	}
-	if sc.Run.Series {
-		// Series mode keeps per-bucket callbacks outside the snapshot
-		// surface; such runs execute non-resumably (a crash restarts them).
-		res, _, err := sc.Execute()
-		if err != nil {
-			return err
-		}
-		return writeResultSummary(outPath, scPath, sc, res)
-	}
-
-	sys, warmup, measure, err := sc.NewSystem()
+	sum, err := sc.RunSummary(scenarioName(scPath), scenario.Checkpoints{
+		Dir:       ckptDir,
+		Every:     every,
+		AfterSave: fleet.ArmKill(killTokenEnv),
+	})
 	if err != nil {
 		return err
 	}
-	defer sys.Net.Close()
-	end := warmup + measure
-
-	killAfter := int64(-1)
-	if token := os.Getenv(killTokenEnv); token != "" {
-		if b, err := os.ReadFile(token); err == nil {
-			os.Remove(token)
-			if n, err := strconv.ParseInt(string(b), 10, 64); err == nil {
-				killAfter = n
-			}
-		}
-	}
-
-	started := false
-	if ckptDir != "" {
-		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-			return err
-		}
-		var st core.State
-		info, err := checkpoint.LoadLatest(ckptDir, &st)
-		switch {
-		case err == nil:
-			if err := sys.RestoreState(&st); err != nil {
-				return fmt.Errorf("restoring checkpoint at cycle %d: %w", info.Cycle, err)
-			}
-			// A checkpoint taken at the warmup boundary is written after
-			// measurement starts, so >= is the correct test.
-			started = sim.Cycle(info.Cycle) >= warmup
-			fmt.Fprintf(os.Stderr, "optorun: resumed %s from checkpoint at cycle %d\n", scPath, info.Cycle)
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh run.
-		default:
-			return err
-		}
-	}
-
-	var saved int64
-	for {
-		if !started && sys.Now() >= warmup {
-			sys.StartMeasure()
-			started = true
-		}
-		now := sys.Now()
-		if now >= end {
-			break
-		}
-		next := end
-		if !started && warmup < next {
-			next = warmup
-		}
-		if every > 0 {
-			if nb := sim.Cycle((int64(now)/every + 1) * every); nb < next {
-				next = nb
-			}
-		}
-		sys.RunTo(next)
-		if !started && sys.Now() >= warmup {
-			sys.StartMeasure()
-			started = true
-		}
-		if ckptDir != "" && every > 0 && sys.Now() < end {
-			st, err := sys.ExportState()
-			if err != nil {
-				return err
-			}
-			if err := checkpoint.SaveRotating(ckptDir, int64(sys.Now()), st, checkpointKeep); err != nil {
-				return err
-			}
-			saved++
-			if killAfter >= 0 && saved >= killAfter {
-				p, _ := os.FindProcess(os.Getpid())
-				p.Kill()
-				select {} // unreachable: SIGKILL is not handleable
-			}
-		}
-	}
-
-	res := sys.ResultAt(end)
-	return writeSummary(outPath, scPath, sc, sys, res)
-}
-
-func scenarioName(scPath string) string {
-	base := filepath.Base(scPath)
-	return base[:len(base)-len(filepath.Ext(base))]
-}
-
-// writeSummary renders the full report.Summary — headline numbers plus the
-// fault, recovery, and telemetry blocks when those layers ran — and
-// publishes it atomically. The rendering itself is scenario.Summarize, the
-// path shared with the DSE trial evaluators.
-func writeSummary(outPath, scPath string, sc *scenario.Scenario, sys *core.System, res core.Result) error {
-	return publishSummary(outPath, scenario.Summarize(scenarioName(scPath), sys, res))
-}
-
-// writeResultSummary is the reduced form for non-resumable (series) runs.
-func writeResultSummary(outPath, scPath string, sc *scenario.Scenario, res core.Result) error {
-	sum := report.Summary{
-		Experiment:  scenarioName(scPath),
-		Seed:        sc.System.Seed,
-		MeanLatency: res.MeanLatencyCycles,
-		NormPower:   res.NormPower,
-		Delivered:   res.DeliveredPackets,
-	}
-	return publishSummary(outPath, sum)
-}
-
-func publishSummary(outPath string, sum report.Summary) error {
 	js, err := sum.JSON()
 	if err != nil {
 		return err
 	}
 	return atomicio.WriteFile(outPath, append(js, '\n'), 0o644)
+}
+
+func scenarioName(scPath string) string {
+	base := filepath.Base(scPath)
+	return base[:len(base)-len(filepath.Ext(base))]
 }

@@ -193,25 +193,8 @@ func registry() map[string]runner {
 				return output{}, err
 			}
 			out := output{tables: []*report.Table{experiments.FaultsReport(rows)}}
-			for i := range rows {
-				r := rows[i]
-				sum := report.Summary{
-					Experiment:     "faults/" + r.Label,
-					Seed:           s.Seed,
-					MeanLatency:    r.MeanLatency,
-					NormPower:      r.NormPower,
-					Delivered:      r.Delivered,
-					LevelHistogram: r.LevelHist,
-					OffLinks:       r.OffLinks,
-					TimeAtLevel:    r.TimeAtLevel,
-					Reliability:    &r.Rel,
-				}
-				// The registry instruments the injected run only.
-				if reg != nil && r.Label == "injected" {
-					d := reg.Digest()
-					sum.Telemetry = &d
-				}
-				out.summaries = append(out.summaries, sum)
+			for _, r := range rows {
+				out.summaries = append(out.summaries, r.Summary)
 			}
 			return out, exportTelemetry(reg)
 		},
@@ -220,24 +203,9 @@ func registry() map[string]runner {
 			if err != nil {
 				return output{}, err
 			}
-			rec := r.Recovery
-			sum := report.Summary{
-				Experiment:     "reroute",
-				Seed:           s.Seed,
-				MeanLatency:    r.LatencyFail,
-				Dropped:        rec.DroppedPackets,
-				LevelHistogram: r.LevelHist,
-				OffLinks:       r.OffLinks,
-				TimeAtLevel:    r.TimeAtLevel,
-				Recovery:       &rec,
-			}
-			if reg != nil {
-				d := reg.Digest()
-				sum.Telemetry = &d
-			}
 			return output{
 				tables:    []*report.Table{experiments.RerouteReport(r)},
-				summaries: []report.Summary{sum},
+				summaries: []report.Summary{r.Summary},
 			}, exportTelemetry(reg)
 		},
 		"policies": func(s experiments.Scale) (output, error) {
@@ -245,10 +213,11 @@ func registry() map[string]runner {
 			if err != nil {
 				return output{}, err
 			}
-			return output{
-				tables:    []*report.Table{experiments.PolicyStudyReport(rows)},
-				summaries: experiments.PolicySummaries(s.Seed, rows),
-			}, nil
+			out := output{tables: []*report.Table{experiments.PolicyStudyReport(rows)}}
+			for _, r := range rows {
+				out.summaries = append(out.summaries, r.Summary)
+			}
+			return out, nil
 		},
 		"throughput": func(s experiments.Scale) (output, error) {
 			rs, err := experiments.Throughput(s)

@@ -2,9 +2,9 @@
 // temporary file in the destination directory and renamed into place, so a
 // crash — or a supervisor SIGKILL — at any instant leaves either the
 // complete previous file or the complete new one, never a torn artifact.
-// Result summaries, flight-recorder dumps, and run manifests all go
-// through here; a resuming supervisor can therefore trust any file it
-// finds.
+// Result summaries, checkpoints, and flight-recorder dumps all go through
+// here; a resuming supervisor can therefore trust any file it finds, and
+// an existing summary file proves its run finished.
 package atomicio
 
 import (

@@ -10,8 +10,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/network"
-	"repro/internal/policy"
-	"repro/internal/report"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -62,8 +60,11 @@ const (
 )
 
 // finish drives a (possibly restored) network from its current cycle to
-// quiescence and renders the complete observable output.
-func finish(t *testing.T, n *network.Network, gen *traffic.Stoppable, seed uint64) []byte {
+// quiescence and renders the complete observable output: Network.Summary
+// (whose policy block carries the oracle energy and regret, so the resumed
+// run must reconstruct the same recorded trace) plus the whole-run link
+// energy.
+func finish(t *testing.T, n *network.Network, gen *traffic.Stoppable) []byte {
 	t.Helper()
 	n.RunTo(ckptRunTo)
 	gen.Stop()
@@ -73,39 +74,11 @@ func finish(t *testing.T, n *network.Network, gen *traffic.Stoppable, seed uint6
 	if err := n.Audit(); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	lv, off := n.LevelHistogram()
-	hist := make([]int64, len(lv))
-	for i, v := range lv {
-		hist[i] = int64(v)
+	sum := n.Summary("checkpoint-resume-equivalence")
+	if n.Config().Policy.RecordTrace && (sum.Policy == nil || sum.Policy.OracleEnergyJ <= 0) {
+		t.Fatalf("policy block %+v carries no oracle", sum.Policy)
 	}
-	rel := n.FaultStats()
-	rec := n.RecoveryStats()
-	ps := n.PolicyStats()
-	if tr := n.PolicyTrace(); tr != nil {
-		// The resumed run must reconstruct the same recorded trace, so the
-		// oracle energy and regret are part of the compared bytes.
-		o, err := policy.ComputeOracle(*tr, n.ControlledLinkModels())
-		if err != nil {
-			t.Fatalf("oracle: %v", err)
-		}
-		ps.SetOracle(o.EnergyJ)
-	}
-	d := n.Telemetry().Digest()
-	sum := report.Summary{
-		Experiment:     "checkpoint-resume-equivalence",
-		Seed:           seed,
-		MeanLatency:    n.MeanLatency(),
-		NormPower:      n.LinkEnergyJ(),
-		Delivered:      n.DeliveredPackets(),
-		Dropped:        n.DroppedPackets(),
-		LevelHistogram: hist,
-		OffLinks:       off,
-		TimeAtLevel:    n.TimeAtLevelHistogram(),
-		Reliability:    &rel,
-		Recovery:       &rec,
-		Policy:         &ps,
-		Telemetry:      &d,
-	}
+	sum.EnergyJ = n.LinkEnergyJ()
 	js, err := sum.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +99,7 @@ func runUninterrupted(t *testing.T, cfg network.Config, shards int) ([]byte, str
 	defer n.Close()
 	var dump bytes.Buffer
 	n.Telemetry().SetDumpWriter(&dump)
-	js := finish(t, n, gen, cfg.Seed)
+	js := finish(t, n, gen)
 	return js, dump.String()
 }
 
@@ -179,7 +152,7 @@ func runResumed(t *testing.T, cfg network.Config, shards int) ([]byte, string) {
 	if b.Now() != ckptAt {
 		t.Fatalf("restored network at cycle %d, want %d", b.Now(), ckptAt)
 	}
-	js := finish(t, b, genB, cfg.Seed)
+	js := finish(t, b, genB)
 	return js, dumpA.String() + dumpB.String()
 }
 

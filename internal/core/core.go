@@ -88,12 +88,9 @@ func (s *System) Config() network.Config { return s.cfg }
 // latency statistics are restricted to packets created afterwards, and the
 // energy meter is zeroed.
 func (s *System) Warmup(w sim.Cycle) {
-	s.Net.RunTo(w)
+	s.RunTo(w)
 	s.debugAudit()
-	s.Net.SetMeasureFrom(w)
-	s.measureFrom = w
-	s.warmupEnergy = s.Net.LinkEnergyJ()
-	s.warmupFabricEnergy = s.Net.FabricEnergyJ()
+	s.StartMeasure()
 }
 
 // Measure runs for m further cycles and returns the result.

@@ -6,22 +6,15 @@ import (
 )
 
 // ExecuteTrial runs one materialized trial to completion and renders its
-// summary — the same scenario.Summarize path the optorun worker uses, so
-// an in-process trial and a subprocess trial of the same point produce
-// byte-identical summaries. The trial's params echo is stamped into the
-// summary so a result file is self-describing.
+// summary through Scenario.RunSummary, the run the optorun worker uses
+// too, so an in-process trial and a subprocess trial of the same point
+// produce byte-identical summaries. The trial's params echo is stamped
+// into the summary so a result file is self-describing.
 func ExecuteTrial(p *Pending) (report.Summary, error) {
-	sys, warmup, measure, err := p.Scenario.NewSystem()
+	sum, err := p.Scenario.RunSummary(TrialName(p.ID), scenario.Checkpoints{})
 	if err != nil {
 		return report.Summary{}, err
 	}
-	defer sys.Net.Close()
-	if warmup > 0 {
-		sys.RunTo(warmup)
-	}
-	sys.StartMeasure()
-	sys.RunTo(warmup + measure)
-	sum := scenario.Summarize(TrialName(p.ID), sys, sys.ResultAt(warmup+measure))
 	params := p.Params
 	sum.Params = &params
 	return sum, nil

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -21,11 +22,9 @@ type FaultRow struct {
 	Delivered   int64
 	Rel         stats.Reliability
 
-	// End-of-run level residency (see RerouteResult): links per electrical
-	// level, links off, and whole-run time-at-level fractions.
-	LevelHist   []int64
-	OffLinks    int
-	TimeAtLevel []float64
+	// Summary is the run's machine-readable form, experiment
+	// "faults/<label>".
+	Summary report.Summary
 }
 
 // Faults extends the paper's evaluation with a degraded-mode study: the
@@ -64,11 +63,8 @@ func FaultsInstrumented(s Scale, fc fault.Config, tc telemetry.Config) ([]FaultR
 			NormPower:   r.NormPower,
 			Delivered:   r.DeliveredPackets,
 			Rel:         sys.Net.FaultStats(),
-			TimeAtLevel: sys.Net.TimeAtLevelHistogram(),
+			Summary:     scenario.Summarize("faults/"+label, sys, r),
 		}
-		lv, off := sys.Net.LevelHistogram()
-		row.LevelHist = levelsToInt64(lv)
-		row.OffLinks = off
 		return row, sys.Net.Telemetry(), nil
 	}
 

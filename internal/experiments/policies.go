@@ -8,6 +8,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -76,6 +77,10 @@ type PolicyRow struct {
 	Dropped     int64
 	Stats       stats.Policy
 	Rel         stats.Reliability
+
+	// Summary is the cell's machine-readable form, experiment
+	// "policies/<scenario>/<policy>".
+	Summary report.Summary
 }
 
 // PolicyStudy runs the full matrix. When s.Policy names a single kind only
@@ -159,6 +164,7 @@ func runPolicyCell(s Scale, sc PolicyScenario, kind policy.Kind, dvsOracle *poli
 		Dropped:     sys.Net.DroppedPackets(),
 		Stats:       ps,
 		Rel:         sys.Net.FaultStats(),
+		Summary:     scenario.Summarize("policies/"+sc.Name+"/"+kind.String(), sys, r),
 	}
 	return row, orc, nil
 }
@@ -176,26 +182,4 @@ func PolicyStudyReport(rows []PolicyRow) *report.Table {
 			r.Stats.EnergyJ, r.Stats.OracleEnergyJ, r.Stats.RegretFrac)
 	}
 	return t
-}
-
-// PolicySummaries renders the study as machine-readable report summaries,
-// one per cell, each carrying its policy/regret and reliability blocks.
-func PolicySummaries(seed uint64, rows []PolicyRow) []report.Summary {
-	sums := make([]report.Summary, 0, len(rows))
-	for i := range rows {
-		r := rows[i]
-		sum := report.Summary{
-			Experiment:  "policies/" + r.Scenario + "/" + r.Policy,
-			Seed:        seed,
-			MeanLatency: r.MeanLatency,
-			Delivered:   r.Delivered,
-			Dropped:     r.Dropped,
-			Policy:      &r.Stats,
-		}
-		if r.Rel != (stats.Reliability{}) {
-			sum.Reliability = &r.Rel
-		}
-		sums = append(sums, sum)
-	}
-	return sums
 }

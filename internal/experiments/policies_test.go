@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/policy"
-	"repro/internal/stats"
 )
 
 func sustainedBERScenario(t *testing.T) PolicyScenario {
@@ -46,13 +45,32 @@ func TestRulesReduceLossUnderSustainedBER(t *testing.T) {
 	if rules.Rel.Retransmits >= dvs.Rel.Retransmits {
 		t.Errorf("rules retransmits = %d, want < dvs's %d", rules.Rel.Retransmits, dvs.Rel.Retransmits)
 	}
-	for _, r := range []PolicyRow{dvs, rules} {
+	rows := []PolicyRow{dvs, rules}
+	for _, r := range rows {
 		if r.Stats.OracleEnergyJ <= 0 {
 			t.Errorf("%s: oracle energy %g, want > 0", r.Policy, r.Stats.OracleEnergyJ)
 		}
 		if r.Stats.RegretJ < 0 {
 			t.Errorf("%s: regret %g < 0 — the oracle is not a lower bound", r.Policy, r.Stats.RegretJ)
 		}
+	}
+	// Each cell's machine-readable form comes from Network.Summary: its
+	// policy block is the row's, oracle included, and the faulty cell
+	// carries its reliability counters.
+	for _, r := range rows {
+		sum := r.Summary
+		if want := "policies/sustained-ber/" + r.Policy; sum.Experiment != want || sum.Seed != s.Seed {
+			t.Errorf("%s: experiment %q seed %d, want %q seed %d", r.Policy, sum.Experiment, sum.Seed, want, s.Seed)
+		}
+		if sum.Policy == nil || *sum.Policy != r.Stats {
+			t.Errorf("%s: summary policy block %+v, want the row's %+v", r.Policy, sum.Policy, r.Stats)
+		}
+		if sum.Reliability == nil || *sum.Reliability != r.Rel {
+			t.Errorf("%s: summary reliability block %+v, want the row's %+v", r.Policy, sum.Reliability, r.Rel)
+		}
+	}
+	if out := PolicyStudyReport(rows).String(); !strings.Contains(out, "regret") || !strings.Contains(out, "rules") {
+		t.Errorf("report table missing expected columns:\n%s", out)
 	}
 	// Derating pays off in energy too: the rule engine ends closer to the
 	// oracle than the controller it degrades more gracefully than.
@@ -70,45 +88,5 @@ func TestOracleReplayNeedsDVSTrace(t *testing.T) {
 	sc := sustainedBERScenario(t)
 	if _, _, err := runPolicyCell(s, sc, policy.KindOracleReplay, nil); err == nil {
 		t.Error("oracle-replay cell without a DVS trace: want error")
-	}
-}
-
-// TestPolicySummariesShape: the machine-readable form carries one summary
-// per cell with the policy block attached and parseable experiment names.
-func TestPolicySummariesShape(t *testing.T) {
-	rows := []PolicyRow{
-		{Scenario: "clean", Policy: "dvs", MeanLatency: 10, Delivered: 100,
-			Stats: stats.Policy{Kind: "dvs", Windows: 5, EnergyJ: 0.1}},
-		{Scenario: "outage", Policy: "rules", MeanLatency: 20, Delivered: 90, Dropped: 3,
-			Stats: stats.Policy{Kind: "rules", Windows: 5, LossDerates: 2, EnergyJ: 0.2},
-			Rel:   stats.Reliability{CrcDrops: 7}},
-	}
-	sums := PolicySummaries(99, rows)
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2", len(sums))
-	}
-	for i, sum := range sums {
-		want := "policies/" + rows[i].Scenario + "/" + rows[i].Policy
-		if sum.Experiment != want {
-			t.Errorf("experiment %q, want %q", sum.Experiment, want)
-		}
-		if sum.Policy == nil || sum.Policy.Kind != rows[i].Stats.Kind {
-			t.Errorf("summary %d policy block = %+v, want kind %q", i, sum.Policy, rows[i].Stats.Kind)
-		}
-		if sum.Seed != 99 {
-			t.Errorf("summary %d seed = %d, want 99", i, sum.Seed)
-		}
-	}
-	if sums[0].Reliability != nil {
-		t.Error("clean cell got a reliability block")
-	}
-	if sums[1].Reliability == nil || sums[1].Reliability.CrcDrops != 7 {
-		t.Error("faulty cell's reliability block missing")
-	}
-
-	tbl := PolicyStudyReport(rows)
-	out := tbl.String()
-	if !strings.Contains(out, "regret") || !strings.Contains(out, "rules") {
-		t.Errorf("report table missing expected columns:\n%s", out)
 	}
 }

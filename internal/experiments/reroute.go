@@ -33,12 +33,9 @@ type RerouteResult struct {
 	LatencyFail float64
 	Recovery    stats.Recovery
 
-	// End-of-run level residency of the failed run: links per electrical
-	// level, links switched off, and the whole-run fraction of link-time at
-	// each level (the machine-readable level histogram for optosim -json).
-	LevelHist   []int64
-	OffLinks    int
-	TimeAtLevel []float64
+	// Summary is the failed run's machine-readable form, experiment
+	// "reroute".
+	Summary report.Summary
 }
 
 // Reroute runs the power-aware system with fault-aware routing enabled,
@@ -120,11 +117,8 @@ func RerouteInstrumented(s Scale, tc telemetry.Config) (RerouteResult, *telemetr
 		LatencyBase: base.MeanLatency(),
 		LatencyFail: failed.MeanLatency(),
 		Recovery:    failed.RecoveryStats(),
-		TimeAtLevel: failed.TimeAtLevelHistogram(),
+		Summary:     failed.Summary("reroute"),
 	}
-	lv, off := failed.LevelHistogram()
-	res.LevelHist = levelsToInt64(lv)
-	res.OffLinks = off
 	for _, pr := range probes {
 		li := base.MeshLinkIndex(pr.router, pr.dir)
 		if li < 0 {
@@ -142,15 +136,6 @@ func RerouteInstrumented(s Scale, tc telemetry.Config) (RerouteResult, *telemetr
 		})
 	}
 	return res, failed.Telemetry(), nil
-}
-
-// levelsToInt64 widens Network.LevelHistogram's counts for the JSON summary.
-func levelsToInt64(lv []int) []int64 {
-	out := make([]int64, len(lv))
-	for i, v := range lv {
-		out[i] = int64(v)
-	}
-	return out
 }
 
 // RerouteReport renders the reroute load-shift study.

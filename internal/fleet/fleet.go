@@ -5,6 +5,7 @@
 // signal / timeout), and fanning a batch of jobs over a bounded pool with
 // per-job retries — so a panic, OOM kill, or stray SIGKILL in one trial
 // never takes down the driver or the rest of the batch.
+// ArmKill is the self-SIGKILL hook their crash harnesses share.
 //
 // fleet is deliberately *not* a sim-core package: it starts goroutines,
 // sleeps real time between retries, and talks to the OS scheduler. Nothing
@@ -18,6 +19,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -43,7 +46,8 @@ type Config struct {
 // timeout the worker first gets SIGTERM; if it has not exited five seconds
 // later the kill escalates to SIGKILL. The returned error distinguishes a
 // crash ("worker killed by <signal>") from a worker-reported failure and
-// from a blown deadline, so supervisors can record what they survived.
+// from a blown deadline. A failed attempt also appends that classification
+// to the log, so the log keeps the record of every crash a run survived.
 func Attempt(timeout time.Duration, argv []string, logPath string) error {
 	ctx := context.Background()
 	if timeout > 0 {
@@ -65,18 +69,44 @@ func Attempt(timeout time.Duration, argv []string, logPath string) error {
 
 	err = cmd.Run()
 	if ctx.Err() == context.DeadlineExceeded {
-		return fmt.Errorf("worker exceeded deadline %s", timeout)
-	}
-	if err == nil {
-		return nil
-	}
-	if ee, isExit := err.(*exec.ExitError); isExit {
+		err = fmt.Errorf("worker exceeded deadline %s", timeout)
+	} else if ee, isExit := err.(*exec.ExitError); isExit {
 		if ws, isWait := ee.Sys().(syscall.WaitStatus); isWait && ws.Signaled() {
-			return fmt.Errorf("worker killed by %s", ws.Signal())
+			err = fmt.Errorf("worker killed by %s", ws.Signal())
+		} else {
+			err = fmt.Errorf("worker exited with %s (see %s)", ee, logPath)
 		}
-		return fmt.Errorf("worker exited with %s (see %s)", ee, logPath)
+	}
+	if err != nil {
+		fmt.Fprintf(logF, "fleet: %v\n", err)
 	}
 	return err
+}
+
+// ArmKill arms a deterministic self-SIGKILL for crash-recovery harnesses.
+// The environment variable env names a token file. If the file exists, it
+// is consumed (deleted) and its content, a count n, arms the returned
+// function: the first call with a count of at least n kills the process
+// with SIGKILL, which runs no deferred writes and no cleanup, exactly like
+// an external kill -9. Without a readable token the function does nothing.
+// Because the token is consumed, a retried or rerun process runs clean.
+func ArmKill(env string) func(count int) {
+	after := -1
+	if token := os.Getenv(env); token != "" {
+		if b, err := os.ReadFile(token); err == nil {
+			os.Remove(token)
+			if n, err := strconv.Atoi(strings.TrimSpace(string(b))); err == nil {
+				after = n
+			}
+		}
+	}
+	return func(count int) {
+		if after >= 0 && count >= after {
+			p, _ := os.FindProcess(os.Getpid())
+			p.Kill()
+			select {} // unreachable: SIGKILL is not handleable
+		}
+	}
 }
 
 // Run executes jobs 0..n-1 across cfg.Workers goroutines. Jobs are claimed

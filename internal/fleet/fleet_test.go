@@ -15,8 +15,8 @@ import (
 // TestAttemptClassifiesExits: a clean worker returns nil; a worker that
 // exits non-zero reports a worker error; a worker that dies to a signal
 // reports the signal; a worker that outlives its deadline reports the
-// deadline. These strings are what supervisors persist in manifests, so
-// they are contract, not cosmetics.
+// deadline. These strings are what Attempt appends to the worker logs as
+// the record of survived crashes, so they are contract, not cosmetics.
 func TestAttemptClassifiesExits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -45,6 +45,60 @@ func TestAttemptClassifiesExits(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Errorf("timeout misclassified: %v", err)
 	}
+}
+
+// TestAttemptLogsCrash: a worker that SIGKILLs itself mid-output leaves
+// its own output in the log followed by the crash classification as the
+// last line, so a retried run's log still shows what it survived.
+func TestAttemptLogsCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	logPath := filepath.Join(t.TempDir(), "worker.log")
+	err := Attempt(0, []string{"/bin/sh", "-c", "echo checkpoint 1; kill -9 $$"}, logPath)
+	if err == nil {
+		t.Fatal("self-killed worker reported success")
+	}
+	b, readErr := os.ReadFile(logPath)
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) != 2 || lines[0] != "checkpoint 1" {
+		t.Fatalf("log = %q, want the worker's line then the crash record", b)
+	}
+	if want := "fleet: " + err.Error(); lines[1] != want || !strings.Contains(want, "worker killed by killed") {
+		t.Errorf("last log line = %q, want %q naming the SIGKILL", lines[1], want)
+	}
+	// A clean attempt appends nothing beyond the worker's own output.
+	if err := Attempt(0, []string{"/bin/sh", "-c", "echo done"}, logPath); err != nil {
+		t.Fatal(err)
+	}
+	if b2, _ := os.ReadFile(logPath); string(b2) != string(b)+"done\n" {
+		t.Errorf("clean attempt log = %q, want the old log plus %q", b2, "done\n")
+	}
+}
+
+// TestArmKill: without a token the hook never fires; with one, the token
+// is consumed at arming, so a second arming (a retry) stays disarmed.
+// The firing path is covered end to end by the optorun and optodse
+// SIGKILL harnesses.
+func TestArmKill(t *testing.T) {
+	const env = "OPTORUN_TEST_KILL_TOKEN"
+	t.Setenv(env, "")
+	ArmKill(env)(1 << 20) // disarmed: must return
+
+	token := filepath.Join(t.TempDir(), "kill.token")
+	if err := os.WriteFile(token, []byte("1000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(env, token)
+	kill := ArmKill(env)
+	if _, err := os.Stat(token); !os.IsNotExist(err) {
+		t.Fatalf("token not consumed at arming: %v", err)
+	}
+	kill(999) // below the armed count: must return
+	ArmKill(env)(1 << 20)
 }
 
 // TestRunBoundedConcurrencyAndRetries: the pool never exceeds Workers

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/policy"
-	"repro/internal/report"
 	"repro/internal/traffic"
 )
 
@@ -46,9 +45,10 @@ func TestDVSBaselineGolden(t *testing.T) {
 	})
 }
 
-// runPolicyEquiv is runEquiv plus the policy block (with per-run regret
-// when the run recorded a trace), so policy counters and the oracle are
-// part of the bytes being compared across shard counts.
+// runPolicyEquiv is runEquiv rendered by Network.Summary, whose policy
+// block carries the per-run regret when the run recorded a trace, so
+// policy counters and the oracle are part of the bytes being compared
+// across shard counts. Whole-run link energy rides in EnergyJ.
 func runPolicyEquiv(t *testing.T, cfg Config, shards int) ([]byte, string) {
 	t.Helper()
 	cfg.Shards = shards
@@ -68,29 +68,11 @@ func runPolicyEquiv(t *testing.T, cfg Config, shards int) ([]byte, string) {
 	if err := n.Audit(); err != nil {
 		t.Fatalf("shards=%d: audit: %v", shards, err)
 	}
-	ps := n.PolicyStats()
-	if tr := n.PolicyTrace(); tr != nil {
-		o, err := policy.ComputeOracle(*tr, n.ControlledLinkModels())
-		if err != nil {
-			t.Fatalf("shards=%d: oracle: %v", shards, err)
-		}
-		ps.SetOracle(o.EnergyJ)
+	sum := n.Summary("policy-equivalence")
+	if sum.Policy == nil || sum.Policy.OracleEnergyJ <= 0 {
+		t.Fatalf("shards=%d: policy block %+v carries no oracle", shards, sum.Policy)
 	}
-	rel := n.FaultStats()
-	rec := n.RecoveryStats()
-	d := n.Telemetry().Digest()
-	sum := report.Summary{
-		Experiment:  "policy-equivalence",
-		Seed:        cfg.Seed,
-		MeanLatency: n.MeanLatency(),
-		NormPower:   n.LinkEnergyJ() / cfg.BaselinePowerW(),
-		Delivered:   n.DeliveredPackets(),
-		Dropped:     n.DroppedPackets(),
-		Reliability: &rel,
-		Recovery:    &rec,
-		Policy:      &ps,
-		Telemetry:   &d,
-	}
+	sum.EnergyJ = n.LinkEnergyJ()
 	js, err := sum.JSON()
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)

@@ -24,6 +24,12 @@ type Params struct {
 // Summary is a machine-readable digest of one experiment run: the headline
 // performance numbers plus, when the run exercised the fault or recovery
 // layers, their counter blocks. It is what `optosim -json` emits.
+//
+// network.Network.Summary fills it: it renders every network-derived
+// field and block, and scenario.Summarize adds the measured-window EnergyJ
+// and NormPower for core.System runs. Harnesses set Params, or name a
+// window's energy, on that output rather than assembling a Summary by
+// hand.
 type Summary struct {
 	Experiment  string  `json:"experiment"`
 	Seed        uint64  `json:"seed"`

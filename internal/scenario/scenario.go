@@ -439,17 +439,15 @@ func (s *Scenario) Execute() (core.Result, *core.TimeSeries, error) {
 	if err != nil {
 		return core.Result{}, nil, err
 	}
-	warmup, measure := s.Run.Window()
 	if s.Run.Series {
-		bucket := sim.Cycle(defaulted(s.Run.Bucket, 10_000))
-		total := warmup + measure
-		total -= total % bucket
-		if total <= 0 {
-			return core.Result{}, nil, fmt.Errorf("scenario: run too short for bucket %d", bucket)
+		total, bucket, err := s.Run.seriesSpan()
+		if err != nil {
+			return core.Result{}, nil, err
 		}
 		r, ts, err := core.RunSeries(cfg, gen, total, bucket)
 		return r, &ts, err
 	}
+	warmup, measure := s.Run.Window()
 	r, err := core.Run(cfg, gen, warmup, measure)
 	return r, nil, err
 }

@@ -2,56 +2,16 @@ package scenario
 
 import (
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/report"
 )
 
 // Summarize renders the full report.Summary for a finished run: the
-// headline numbers plus the fault, recovery, policy (with the regret
-// oracle when a trace was recorded) and telemetry blocks when those layers
-// ran. It is the one summary-building path, shared by the optorun worker
-// and the DSE trial evaluators, so an in-process trial and a subprocess
-// trial of the same scenario produce byte-identical summaries.
+// network's own summary (network.Network.Summary, the one place a summary
+// is assembled) plus the measured-window link energy and normalised power,
+// which only the system's warm-up bracket knows.
 func Summarize(name string, sys *core.System, res core.Result) report.Summary {
-	cfg := sys.Config()
-	n := sys.Net
-	lv, off := n.LevelHistogram()
-	hist := make([]int64, len(lv))
-	for i, v := range lv {
-		hist[i] = int64(v)
-	}
-	sum := report.Summary{
-		Experiment:     name,
-		Seed:           cfg.Seed,
-		MeanLatency:    res.MeanLatencyCycles,
-		NormPower:      res.NormPower,
-		EnergyJ:        res.EnergyJ,
-		Delivered:      n.DeliveredPackets(),
-		Dropped:        n.DroppedPackets(),
-		DeliveredFlits: n.DeliveredFlits(),
-		LevelHistogram: hist,
-		OffLinks:       off,
-		TimeAtLevel:    n.TimeAtLevelHistogram(),
-	}
-	if cfg.Fault.Enabled() {
-		rel := n.FaultStats()
-		sum.Reliability = &rel
-	}
-	if cfg.Recovery.Enabled {
-		rec := n.RecoveryStats()
-		sum.Recovery = &rec
-	}
-	if ps := n.PolicyStats(); ps.Windows > 0 {
-		if tr := n.PolicyTrace(); tr != nil {
-			if o, err := policy.ComputeOracle(*tr, n.ControlledLinkModels()); err == nil {
-				ps.SetOracle(o.EnergyJ)
-			}
-		}
-		sum.Policy = &ps
-	}
-	if cfg.Telemetry.Enabled {
-		d := n.Telemetry().Digest()
-		sum.Telemetry = &d
-	}
+	sum := sys.Net.Summary(name)
+	sum.EnergyJ = res.EnergyJ
+	sum.NormPower = res.NormPower
 	return sum
 }
