@@ -52,11 +52,14 @@ lint-mutation:
 
 # simdebug builds and tests with the runtime assertion layer compiled in:
 # wheel monotonicity and skip legality, router credit conservation, the
-# periodic network audit, and the core warmup/measure bracket audits.
+# periodic network audit, and the core warmup/measure bracket audits. It
+# covers every step of CI's simdebug-chaos job, including the invariance
+# matrix under the cross-shard scheduling assertions.
 simdebug:
 	$(GO) build -tags simdebug ./...
 	$(GO) test -tags simdebug ./internal/sim ./internal/router ./internal/core -count=1
 	$(GO) test -tags simdebug ./internal/network -run 'Chaos|Fault|Audit|Recovery' -count=1
+	$(GO) test -tags simdebug ./internal/network -run 'Invariance|Golden|Policy' -count=1
 
 # perfbench is a nested module, so `go test ./...` never compiles it; vet
 # and test it on its own so an API change cannot break the benchmark while

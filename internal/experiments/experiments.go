@@ -79,17 +79,20 @@ func QuickScale() Scale {
 	}
 }
 
-// baseConfig returns the paper's default system with this scale's seed.
+// checkPolicy reports a Policy spelling policy.ParseKind rejects. Every
+// harness calls it before it runs anything: baseConfig cannot return the
+// error, and a misspelled kind must not silently run the paper's DVS.
+func (s Scale) checkPolicy() error {
+	_, err := policy.ParseKind(s.Policy)
+	return err
+}
+
+// baseConfig returns the paper's default system with this scale's seed and
+// policy kind (already checked by checkPolicy).
 func (s Scale) baseConfig() network.Config {
 	cfg := network.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.Shards = s.Shards
-	if s.Policy != "" {
-		// Invalid spellings surface from each harness's network build via
-		// Config.Validate; ParseKind errors cannot be returned from here.
-		if k, err := policy.ParseKind(s.Policy); err == nil {
-			cfg.Policy.Kind = k
-		}
-	}
+	cfg.Policy.Kind, _ = policy.ParseKind(s.Policy)
 	return cfg
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -24,6 +25,50 @@ func tinyScale() Scale {
 		InjectionRates: []float64{1, 5},
 		PacketFlits:    5,
 		Seed:           1,
+	}
+}
+
+// errOf drops a harness's result and keeps its error.
+func errOf[T any](_ T, err error) error { return err }
+
+// TestMisspelledPolicyRejected: a Policy spelling policy.ParseKind rejects
+// fails every harness with an error naming it, instead of silently
+// running the paper's DVS controller.
+func TestMisspelledPolicyRejected(t *testing.T) {
+	s := Scale{Warmup: 10, Measure: 100, SeriesLength: 1_000, Bucket: 500,
+		Windows: []sim.Cycle{100}, Thresholds: []float64{0.5}, Rates3: []float64{0.1},
+		InjectionRates: []float64{0.1}, PacketFlits: 5, Seed: 1, Policy: "rulez"}
+	harnesses := []struct {
+		name string
+		run  func() error
+	}{
+		{"Fig5WindowSweep", func() error { return errOf(Fig5WindowSweep(s)) }},
+		{"Fig5ThresholdSweep", func() error { return errOf(Fig5ThresholdSweep(s)) }},
+		{"Fig5G", func() error { return errOf(Fig5G(s)) }},
+		{"Fig5H", func() error { return errOf(Fig5H(s)) }},
+		{"Fig6", func() error { return errOf(Fig6(s)) }},
+		{"Fig7", func() error { return errOf(Fig7(s, trace.FFT)) }},
+		{"Fig7NodeLinksFixed", func() error { return errOf(Fig7NodeLinksFixed(s, trace.FFT)) }},
+		{"Fig7All", func() error { return errOf(Fig7All(s)) }},
+		{"Fig7AllNodeLinksFixed", func() error { return errOf(Fig7AllNodeLinksFixed(s)) }},
+		{"AblationLuDef", func() error { return errOf(AblationLuDef(s)) }},
+		{"AblationSlidingN", func() error { return errOf(AblationSlidingN(s)) }},
+		{"AblationBu", func() error { return errOf(AblationBu(s)) }},
+		{"AblationLevels", func() error { return errOf(AblationLevels(s)) }},
+		{"AblationOnOff", func() error { return errOf(AblationOnOff(s)) }},
+		{"AblationPredictor", func() error { return errOf(AblationPredictor(s)) }},
+		{"AblationRouting", func() error { return errOf(AblationRouting(s)) }},
+		{"Throughput", func() error { return errOf(Throughput(s)) }},
+		{"Patterns", func() error { return errOf(Patterns(s)) }},
+		{"Replicate", func() error { return errOf(Replicate(s, 0.1, 2)) }},
+		{"Reroute", func() error { return errOf(Reroute(s)) }},
+		{"Faults", func() error { return errOf(Faults(s, fault.Config{BERFloor: 1e-4})) }},
+		{"PolicyStudy", func() error { return errOf(PolicyStudy(s)) }},
+	}
+	for _, h := range harnesses {
+		if err := h.run(); err == nil || !strings.Contains(err.Error(), `"rulez"`) {
+			t.Errorf("%s: error %v, want one naming \"rulez\"", h.name, err)
+		}
 	}
 }
 

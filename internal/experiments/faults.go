@@ -42,6 +42,9 @@ func Faults(s Scale, fc fault.Config) ([]FaultRow, error) {
 // the returned registry (nil when tc is disabled) carries its time series
 // and flight recorder. The fault-free baseline stays uninstrumented.
 func FaultsInstrumented(s Scale, fc fault.Config, tc telemetry.Config) ([]FaultRow, *telemetry.Registry, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, nil, err
+	}
 	const rate = 1.5 // light-moderate: leaves headroom for replay traffic
 
 	run := func(label string, f fault.Config, tc telemetry.Config) (FaultRow, *telemetry.Registry, error) {

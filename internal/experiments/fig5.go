@@ -33,6 +33,9 @@ func (s Scale) uniformAt(cfg network.Config, rate float64) traffic.Generator {
 // returns its mean latencies, the denominators for every normalised
 // metric in Fig. 5.
 func (s Scale) baselineLatencies(rates []float64) ([]float64, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	lats := make([]float64, len(rates))
 	errs := make([]error, len(rates))
 	forEach(len(rates), func(i int) {
@@ -172,6 +175,9 @@ type Fig5GPoint struct {
 // Fig5G reproduces Fig. 5(g): average latency versus injection rate for
 // the four systems, exposing the saturation points.
 func Fig5G(s Scale) ([]Fig5GPoint, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	configs := Fig5GConfigs()
 	points := make([]Fig5GPoint, len(configs)*len(s.InjectionRates))
 	errs := make([]error, len(points))
@@ -223,6 +229,9 @@ func Fig5HConfigs() []Fig5GConfig {
 // non-power-aware network versus injection rate, for VCSEL- and
 // modulator-based links over both ranges.
 func Fig5H(s Scale) ([]Fig5GPoint, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	configs := Fig5HConfigs()
 	points := make([]Fig5GPoint, len(configs)*len(s.InjectionRates))
 	errs := make([]error, len(points))

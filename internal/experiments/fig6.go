@@ -74,6 +74,9 @@ type Fig6Result struct {
 
 // Fig6 reproduces Fig. 6 under the time-varying hot-spot trace.
 func Fig6(s Scale) (*Fig6Result, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	type job struct {
 		name string
 		cfg  network.Config

@@ -64,6 +64,9 @@ func Fig7NodeLinksFixed(s Scale, b trace.Benchmark) (*Fig7Result, error) {
 }
 
 func fig7Run(s Scale, b trace.Benchmark, cfgPA network.Config, fabricPower bool) (*Fig7Result, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	length := s.splashLength()
 	cfgNon := cfgPA
 	cfgNon.PowerAware = false

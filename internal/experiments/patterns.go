@@ -26,6 +26,9 @@ type PatternRow struct {
 // same offered load — spatial variance is the second of the paper's two
 // motivating observations.
 func Patterns(s Scale) ([]PatternRow, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	type pat struct {
 		name string
 		mk   func(nodes int, rate float64, size int) (traffic.Generator, error)

@@ -60,6 +60,9 @@ func Replicate(s Scale, rate float64, seeds int) (ReplicatedResult, error) {
 	if seeds <= 0 {
 		return ReplicatedResult{}, fmt.Errorf("experiments: seeds must be positive, got %d", seeds)
 	}
+	if err := s.checkPolicy(); err != nil {
+		return ReplicatedResult{}, err
+	}
 	type run struct {
 		nl, np float64
 		err    error

@@ -54,6 +54,9 @@ func Reroute(s Scale) (RerouteResult, error) {
 // and flight recorder for trace export. The fault-free baseline stays
 // uninstrumented — it exists only for the controller-stat comparison.
 func RerouteInstrumented(s Scale, tc telemetry.Config) (RerouteResult, *telemetry.Registry, error) {
+	if err := s.checkPolicy(); err != nil {
+		return RerouteResult{}, nil, err
+	}
 	const rate = 3.3 // the paper's medium load: enough to make detours visible
 
 	cfg := s.baseConfig()

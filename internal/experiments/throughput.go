@@ -25,6 +25,9 @@ const throughputResolution = 0.125
 // systems by bisecting the injection-rate axis against the 2× zero-load
 // criterion.
 func Throughput(s Scale) ([]ThroughputResult, error) {
+	if err := s.checkPolicy(); err != nil {
+		return nil, err
+	}
 	configs := Fig5GConfigs()
 	out := make([]ThroughputResult, len(configs))
 	errs := make([]error, len(configs))

@@ -35,8 +35,8 @@ type LinkFailure struct {
 	RepairAt sim.Cycle
 }
 
-// Config parameterises the injector and the link-level retransmission
-// protocol that recovers from it.
+// Config parameterises the injector. The link-level retransmission
+// protocol that recovers from it runs with the fixed parameters below.
 type Config struct {
 	// BERScale multiplies the margin-derived bit error rate of each link
 	// (powerlink.ProjectedBER at the current level). 0 disables
@@ -49,57 +49,35 @@ type Config struct {
 	BERFloor float64
 	// RelockFailProb is the probability that a CDR relock attempt after a
 	// frequency switch fails, extending the Tbr disable with bounded
-	// exponential backoff (0 disables).
+	// exponential backoff (0 disables; at most MaxRelockRetries in a row).
 	RelockFailProb float64
-	// MaxRelockRetries bounds consecutive relock failures per transition
-	// (default 4): after that many the relock is forced to succeed.
-	MaxRelockRetries int
 	// LinkFailures are scheduled hard failure/repair windows.
 	LinkFailures []LinkFailure
-
-	// Retransmission protocol knobs (defaults applied by WithDefaults):
-	// WindowSize is the go-back-N sender window in flits (default 16).
-	WindowSize int
-	// AckDelay is the receiver's ACK/NACK feedback latency (default 4).
-	AckDelay sim.Cycle
-	// RetxTimeout is the sender watchdog: replay fires this many cycles
-	// after the last forward progress (default 256).
-	RetxTimeout sim.Cycle
-	// MaxRetries bounds watchdog-driven replays without progress before the
-	// link escalates to a reset (default 8).
-	MaxRetries int
-	// ResetCycles is the link-down retrain time after retry exhaustion
-	// (default 1000).
-	ResetCycles sim.Cycle
 }
+
+// The link-level retransmission protocol's fixed parameters.
+const (
+	// WindowSize is the go-back-N sender window in flits.
+	WindowSize = 16
+	// AckDelay is the receiver's ACK/NACK feedback latency.
+	AckDelay sim.Cycle = 4
+	// RetxTimeout is the sender watchdog: replay fires this many cycles
+	// after the last forward progress.
+	RetxTimeout sim.Cycle = 256
+	// MaxRetries bounds watchdog-driven replays without progress before the
+	// link escalates to a reset.
+	MaxRetries = 8
+	// ResetCycles is the link-down retrain time after retry exhaustion.
+	ResetCycles sim.Cycle = 1000
+	// MaxRelockRetries bounds consecutive relock failures per transition:
+	// after that many the relock is forced to succeed.
+	MaxRelockRetries = 4
+)
 
 // Enabled reports whether any fault class is configured. A disabled config
 // wires no injector and changes nothing.
 func (c Config) Enabled() bool {
 	return c.BERScale > 0 || c.BERFloor > 0 || c.RelockFailProb > 0 || len(c.LinkFailures) > 0
-}
-
-// WithDefaults returns c with zero protocol knobs replaced by defaults.
-func (c Config) WithDefaults() Config {
-	if c.WindowSize <= 0 {
-		c.WindowSize = 16
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 4
-	}
-	if c.RetxTimeout <= 0 {
-		c.RetxTimeout = 256
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.ResetCycles <= 0 {
-		c.ResetCycles = 1000
-	}
-	if c.MaxRelockRetries <= 0 {
-		c.MaxRelockRetries = 4
-	}
-	return c
 }
 
 // Validate reports configuration errors.
@@ -176,17 +154,15 @@ type Injector struct {
 }
 
 // NewInjector builds an injector for a network of numLinks links from cfg
-// (protocol defaults applied) and a dedicated fault seed — derive it from
-// the scenario seed via sim.NewStream(seed, sim.StreamFault) so traffic
-// draws are untouched. Link k draws from streams 2k+1 (corruption) and 2k+2
-// (relock) of the seed, so no two links — and no two fault classes — ever
-// share a draw sequence. A failure window on a link outside [0, numLinks)
-// is an error.
+// and a dedicated fault seed — derive it from the scenario seed via
+// sim.NewStream(seed, sim.StreamFault) so traffic draws are untouched.
+// Link k draws from streams 2k+1 (corruption) and 2k+2 (relock) of the
+// seed, so no two links — and no two fault classes — ever share a draw
+// sequence. A failure window on a link outside [0, numLinks) is an error.
 func NewInjector(cfg Config, seed uint64, numLinks int) (*Injector, error) {
 	if err := cfg.ValidateFor(numLinks); err != nil {
 		return nil, err
 	}
-	cfg = cfg.WithDefaults()
 	in := &Injector{cfg: cfg, links: make([]linkState, numLinks)}
 	for _, w := range cfg.LinkFailures {
 		in.links[w.Link].failures = append(in.links[w.Link].failures, w)
@@ -200,7 +176,7 @@ func NewInjector(cfg Config, seed uint64, numLinks int) (*Injector, error) {
 	return in, nil
 }
 
-// Config returns the injector's configuration with defaults applied.
+// Config returns the injector's configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
 // Bind registers the powerlink behind link index link as the margin source

@@ -82,20 +82,6 @@ func TestNewInjectorRejectsForeignFailureLink(t *testing.T) {
 	}
 }
 
-func TestWithDefaults(t *testing.T) {
-	d := Config{}.WithDefaults()
-	if d.WindowSize != 16 || d.AckDelay != 4 || d.RetxTimeout != 256 ||
-		d.MaxRetries != 8 || d.ResetCycles != 1000 || d.MaxRelockRetries != 4 {
-		t.Errorf("defaults: %+v", d)
-	}
-	// Explicit values survive.
-	c := Config{WindowSize: 4, AckDelay: 2, RetxTimeout: 50, MaxRetries: 1, ResetCycles: 10, MaxRelockRetries: 1}.WithDefaults()
-	if c.WindowSize != 4 || c.AckDelay != 2 || c.RetxTimeout != 50 ||
-		c.MaxRetries != 1 || c.ResetCycles != 10 || c.MaxRelockRetries != 1 {
-		t.Errorf("explicit knobs overwritten: %+v", c)
-	}
-}
-
 // TestMaskDeterminism: the same seed produces the same per-link mask
 // sequence; a different seed diverges.
 func TestMaskDeterminism(t *testing.T) {

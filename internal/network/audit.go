@@ -68,10 +68,10 @@ func (n *Network) audit() error {
 	for r := range n.routers {
 		x, y := cfg.routerXY(r)
 		neigh := [][3]int{
-			{DirE, DirW, cfg.RouterAt(minInt(x+1, cfg.MeshW-1), y)},
-			{DirW, DirE, cfg.RouterAt(maxInt(x-1, 0), y)},
-			{DirS, DirN, cfg.RouterAt(x, minInt(y+1, cfg.MeshH-1))},
-			{DirN, DirS, cfg.RouterAt(x, maxInt(y-1, 0))},
+			{DirE, DirW, cfg.RouterAt(min(x+1, cfg.MeshW-1), y)},
+			{DirW, DirE, cfg.RouterAt(max(x-1, 0), y)},
+			{DirS, DirN, cfg.RouterAt(x, min(y+1, cfg.MeshH-1))},
+			{DirN, DirS, cfg.RouterAt(x, max(y-1, 0))},
 		}
 		for _, h := range neigh {
 			if h[2] == r {
@@ -104,11 +104,4 @@ func (n *Network) audit() error {
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -131,8 +131,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.MeshW <= 0 || c.MeshH <= 0:
 		return fmt.Errorf("network: mesh %dx%d invalid", c.MeshW, c.MeshH)
-	case c.MeshW*c.MeshH > 1 && (c.MeshW < 1 || c.MeshH < 1):
-		return fmt.Errorf("network: mesh %dx%d invalid", c.MeshW, c.MeshH)
 	case c.NodesPerRack <= 0:
 		return fmt.Errorf("network: NodesPerRack must be positive, got %d", c.NodesPerRack)
 	case c.VCs <= 0:
@@ -200,15 +198,21 @@ func (c Config) BaselinePowerW() float64 {
 	return per * float64(c.TotalLinks())
 }
 
-// nonPowerAware returns a copy of the link config pinned to its top level
-// (for !PowerAware runs).
+// linkConfigFor returns the link config, pinned to its top level for
+// !PowerAware runs.
 func (c Config) linkConfigFor() powerlink.Config {
-	lc := c.Link
 	if !c.PowerAware {
-		lc.LevelRates = []float64{c.Link.LevelRates[len(c.Link.LevelRates)-1]}
-		lc.Optical = nil
-		lc.OffEnabled = false
+		return pinnedTop(c.Link)
 	}
+	return c.Link
+}
+
+// pinnedTop returns lc pinned to its top level: one electrical rate, no
+// optical ladder, never off.
+func pinnedTop(lc powerlink.Config) powerlink.Config {
+	lc.LevelRates = []float64{lc.LevelRates[len(lc.LevelRates)-1]}
+	lc.Optical = nil
+	lc.OffEnabled = false
 	return lc
 }
 

@@ -5,99 +5,7 @@ import (
 
 	"repro/internal/powerlink"
 	"repro/internal/router"
-	"repro/internal/traffic"
 )
-
-// ffStats is everything the equivalence test compares between a
-// fast-forwarded and a cycle-by-cycle run. Float fields are compared with
-// == on purpose: fast-forward must be bit-identical, not merely close.
-type ffStats struct {
-	injected  int64
-	delivered int64
-	meanLat   float64
-	energyJ   float64
-	levels    []int
-	off       int
-}
-
-func runWithFF(t *testing.T, cfg Config, rate float64, ff bool) (ffStats, int64) {
-	t.Helper()
-	gen := traffic.NewUniform(cfg.Nodes(), rate, 5)
-	n := MustNew(cfg, gen)
-	n.SetFastForward(ff)
-	n.RunTo(60_000)
-	levels, off := n.LevelHistogram()
-	skips, _ := n.FastForwardStats()
-	return ffStats{
-		injected:  n.InjectedPackets(),
-		delivered: n.DeliveredPackets(),
-		meanLat:   n.MeanLatency(),
-		energyJ:   n.LinkEnergyJ(),
-		levels:    levels,
-		off:       off,
-	}, skips
-}
-
-// TestFastForwardEquivalence runs the same seeded config with fast-forward
-// forced off and on, across all three routing modes and both power-aware
-// settings, and requires bit-identical statistics.
-func TestFastForwardEquivalence(t *testing.T) {
-	routings := []struct {
-		name string
-		r    Routing
-	}{
-		{"XY", RoutingXY},
-		{"YX", RoutingYX},
-		{"WestFirst", RoutingWestFirst},
-	}
-	for _, rt := range routings {
-		for _, pa := range []bool{true, false} {
-			name := rt.name + map[bool]string{true: "/PA", false: "/nonPA"}[pa]
-			t.Run(name, func(t *testing.T) {
-				cfg := smallConfig()
-				cfg.Routing = rt.r
-				cfg.PowerAware = pa
-				// Light load: the regime where idle gaps (and therefore
-				// skips) actually occur.
-				slow, offSkips := runWithFF(t, cfg, 0.02, false)
-				fast, onSkips := runWithFF(t, cfg, 0.02, true)
-
-				if offSkips != 0 {
-					t.Errorf("disabled fast-forward still skipped %d times", offSkips)
-				}
-				if onSkips == 0 {
-					t.Error("fast-forward never engaged at light load")
-				}
-				if slow.injected != fast.injected {
-					t.Errorf("InjectedPackets: stepped %d, fast-forward %d", slow.injected, fast.injected)
-				}
-				if slow.delivered != fast.delivered {
-					t.Errorf("DeliveredPackets: stepped %d, fast-forward %d", slow.delivered, fast.delivered)
-				}
-				if slow.meanLat != fast.meanLat {
-					t.Errorf("MeanLatency: stepped %v, fast-forward %v", slow.meanLat, fast.meanLat)
-				}
-				if slow.energyJ != fast.energyJ {
-					t.Errorf("LinkEnergyJ: stepped %v, fast-forward %v", slow.energyJ, fast.energyJ)
-				}
-				if slow.off != fast.off {
-					t.Errorf("LevelHistogram off: stepped %d, fast-forward %d", slow.off, fast.off)
-				}
-				if len(slow.levels) != len(fast.levels) {
-					t.Fatalf("LevelHistogram lengths differ: %v vs %v", slow.levels, fast.levels)
-				}
-				for lv := range slow.levels {
-					if slow.levels[lv] != fast.levels[lv] {
-						t.Errorf("LevelHistogram[%d]: stepped %d, fast-forward %d", lv, slow.levels[lv], fast.levels[lv])
-					}
-				}
-				if slow.delivered == 0 {
-					t.Error("equivalence run delivered nothing — vacuous comparison")
-				}
-			})
-		}
-	}
-}
 
 // TestFastForwardSkipsPolicyBounded: on a quiet power-aware network the
 // fast path must still execute every policy window tick — skips are

@@ -132,39 +132,6 @@ func TestFaultQuiescentCreditsRestored(t *testing.T) {
 	}
 }
 
-// TestFaultFastForwardEquivalence: a faulty run must be bit-identical with
-// fast-forward on and off. This is the skip-legality check for the
-// reliability layer — every retransmit timeout, feedback event, and replay
-// pump must be a wheel event, or skipping idle cycles would miss it.
-func TestFaultFastForwardEquivalence(t *testing.T) {
-	run := func(ff bool) (inj, del int64, end sim.Cycle, energy float64, rel interface{}) {
-		cfg := faultyConfig()
-		gen := traffic.NewStoppable(traffic.NewUniform(cfg.Nodes(), 0.25, 5))
-		n := MustNew(cfg, gen)
-		n.SetFastForward(ff)
-		n.RunTo(20_000)
-		gen.Stop()
-		if !n.RunUntilQuiescent(n.Now() + 400_000) {
-			t.Fatalf("ff=%v: not quiescent by cycle %d", ff, n.Now())
-		}
-		return n.InjectedPackets(), n.DeliveredPackets(), n.Now(), n.LinkEnergyJ(), n.FaultStats()
-	}
-	inj1, del1, end1, e1, r1 := run(true)
-	inj2, del2, end2, e2, r2 := run(false)
-	if inj1 != inj2 || del1 != del2 {
-		t.Errorf("packet counts diverge: ff-on %d/%d, ff-off %d/%d", inj1, del1, inj2, del2)
-	}
-	if end1 != end2 {
-		t.Errorf("quiescence time diverges: ff-on %d, ff-off %d", end1, end2)
-	}
-	if e1 != e2 {
-		t.Errorf("link energy diverges: ff-on %g, ff-off %g", e1, e2)
-	}
-	if r1 != r2 {
-		t.Errorf("fault stats diverge:\nff-on  %+v\nff-off %+v", r1, r2)
-	}
-}
-
 // TestFaultDisabledIsIdentical: a zero fault.Config must leave the
 // simulation bit-identical to a build that never heard of faults — same
 // packet counts, same energy, same quiescence cycle.

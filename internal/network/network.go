@@ -169,11 +169,11 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	route := func(routerID int, p *router.Packet, inVC int) (int, uint32) {
 		return n.baseRoute(routerID, p), router.AllVCs(cfg.VCs)
 	}
-	escapeVCs := 0
+	escVCs := 0
 	recCfg := cfg.Recovery
 	if recCfg.Enabled {
 		recCfg = recCfg.WithDefaults()
-		escapeVCs = recCfg.EscapeVCs
+		escVCs = escapeVCs
 		route = n.recoveryRoute
 	}
 	n.routers = make([]*router.Router, cfg.Routers())
@@ -184,7 +184,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 			VCs:       cfg.VCs,
 			BufDepth:  cfg.BufDepth,
 			Route:     route,
-			EscapeVCs: escapeVCs,
+			EscapeVCs: escVCs,
 			Actor:     n.routerActor(r),
 		}, n.shards[n.shardOfRouter(r)])
 	}
@@ -202,9 +202,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	nodeAware := cfg.PowerAware && cfg.NodeLinksPowerAware
 	nodeLinkCfg := linkCfg
 	if !nodeAware {
-		nodeLinkCfg.LevelRates = []float64{linkCfg.LevelRates[len(linkCfg.LevelRates)-1]}
-		nodeLinkCfg.Optical = nil
-		nodeLinkCfg.OffEnabled = false
+		nodeLinkCfg = pinnedTop(linkCfg)
 	}
 	newNodeLink := func() (*powerlink.Link, error) { return powerlink.New(nodeLinkCfg) }
 
@@ -351,8 +349,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	// Fault injection + link-level reliability. The injector draws from
 	// its own seed stream, so a disabled config leaves every other draw —
 	// and therefore every result — bit-identical.
-	if cfg.Fault.Enabled() {
-		fc := cfg.Fault.WithDefaults()
+	if fc := cfg.Fault; fc.Enabled() {
 		inj, err := fault.NewInjector(fc, sim.NewStream(cfg.Seed, sim.StreamFault).Uint64(), len(n.channels))
 		if err != nil {
 			return nil, err
@@ -363,14 +360,14 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 			ch.EnableReliability(router.ReliabilityConfig{
 				Source:      inj,
 				Link:        i,
-				Window:      fc.WindowSize,
-				AckDelay:    fc.AckDelay,
-				Timeout:     fc.RetxTimeout,
-				MaxRetries:  fc.MaxRetries,
-				ResetCycles: fc.ResetCycles,
+				Window:      fault.WindowSize,
+				AckDelay:    fault.AckDelay,
+				Timeout:     fault.RetxTimeout,
+				MaxRetries:  fault.MaxRetries,
+				ResetCycles: fault.ResetCycles,
 			})
 			if fc.RelockFailProb > 0 {
-				ch.PLink().SetRelockFaults(inj.Relock(i), fc.MaxRelockRetries)
+				ch.PLink().SetRelockFaults(inj.Relock(i), fault.MaxRelockRetries)
 			}
 			// Watchdog escalations are spooled by the owning shard and
 			// drained at the cycle barrier in link order, where the recovery
@@ -389,7 +386,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	if recCfg.Enabled {
 		n.rec = newRecovery(n, recCfg)
 		for _, nc := range n.nics {
-			nc.minVC = recCfg.EscapeVCs
+			nc.minVC = escapeVCs
 		}
 	}
 
@@ -1176,12 +1173,10 @@ func (n *Network) TimeAtLevelHistogram() []float64 {
 	var total float64
 	for _, ch := range n.channels {
 		st := ch.PLink().Stats(n.now)
-		if len(st.TimeAtLevel) == 1 {
-			out[len(out)-1] += float64(st.TimeAtLevel[0])
-			total += float64(st.TimeAtLevel[0])
-			continue
-		}
 		for lv, c := range st.TimeAtLevel {
+			if len(st.TimeAtLevel) == 1 {
+				lv = len(out) - 1 // a link pinned to one rate runs at the top
+			}
 			if lv < len(out) {
 				out[lv] += float64(c)
 			}

@@ -24,7 +24,7 @@ type descQueue struct {
 
 func (q *descQueue) push(d pktDesc) {
 	if q.n == len(q.buf) {
-		grown := make([]pktDesc, maxInt(16, 2*len(q.buf)))
+		grown := make([]pktDesc, max(16, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
@@ -40,13 +40,6 @@ func (q *descQueue) pop() pktDesc {
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NIC is a processing node's network interface: it segments queued packets

@@ -20,11 +20,6 @@ import (
 type RecoveryConfig struct {
 	// Enabled switches the subsystem on.
 	Enabled bool
-	// EscapeVCs is the number of VCs (indices [0, EscapeVCs)) reserved as
-	// the escape network, which runs strict XY routing — acyclic, so
-	// packets on it can always drain. Default 1; must leave at least one
-	// adaptive VC (EscapeVCs < Config.VCs).
-	EscapeVCs int
 	// ScanEvery is the stall-watchdog scan period in cycles (default 256).
 	// The scan is a wheel event, so event-driven fast-forward stays legal.
 	ScanEvery sim.Cycle
@@ -36,16 +31,21 @@ type RecoveryConfig struct {
 	// stalled this long is dropped and counted (default 8192). Must be
 	// greater than StallHorizon.
 	DropHorizon sim.Cycle
-	// MaxMisroutes bounds non-minimal hops per packet when every minimal
-	// candidate is dead (default 8) — the livelock bound.
-	MaxMisroutes int
 }
+
+const (
+	// escapeVCs is the number of VCs (indices [0, escapeVCs)) recovery
+	// reserves as the escape network, which runs strict XY routing —
+	// acyclic, so packets on it can always drain. Config.VCs must leave at
+	// least one adaptive VC above them.
+	escapeVCs = 1
+	// maxMisroutes bounds non-minimal hops per packet when every minimal
+	// candidate is dead — the livelock bound.
+	maxMisroutes = 8
+)
 
 // WithDefaults returns c with zero knobs replaced by defaults.
 func (c RecoveryConfig) WithDefaults() RecoveryConfig {
-	if c.EscapeVCs <= 0 {
-		c.EscapeVCs = 1
-	}
 	if c.ScanEvery <= 0 {
 		c.ScanEvery = 256
 	}
@@ -54,9 +54,6 @@ func (c RecoveryConfig) WithDefaults() RecoveryConfig {
 	}
 	if c.DropHorizon <= 0 {
 		c.DropHorizon = 8192
-	}
-	if c.MaxMisroutes <= 0 {
-		c.MaxMisroutes = 8
 	}
 	return c
 }
@@ -67,8 +64,8 @@ func (c RecoveryConfig) validateFor(vcs int) error {
 		return nil
 	}
 	c = c.WithDefaults()
-	if c.EscapeVCs >= vcs {
-		return fmt.Errorf("network: recovery needs at least one adaptive VC: EscapeVCs %d with %d VCs", c.EscapeVCs, vcs)
+	if escapeVCs >= vcs {
+		return fmt.Errorf("network: recovery needs at least one adaptive VC: %d escape VC with %d VCs", escapeVCs, vcs)
 	}
 	if c.DropHorizon <= c.StallHorizon {
 		return fmt.Errorf("network: recovery DropHorizon %d must exceed StallHorizon %d", c.DropHorizon, c.StallHorizon)
@@ -82,9 +79,8 @@ type recovery struct {
 	n   *Network
 	cfg RecoveryConfig
 
-	esc       int    // escape VC count
-	escMask   uint32 // VC bits [0, esc)
-	adaptMask uint32 // VC bits [esc, VCs)
+	escMask   uint32 // VC bits [0, escapeVCs)
+	adaptMask uint32 // VC bits [escapeVCs, VCs)
 	allMask   uint32
 
 	// live[r][dir] is false while the mesh link leaving router r in
@@ -112,9 +108,8 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 	rec := &recovery{
 		n:         n,
 		cfg:       cfg,
-		esc:       cfg.EscapeVCs,
-		escMask:   router.AllVCs(cfg.EscapeVCs),
-		adaptMask: router.AllVCs(n.cfg.VCs) &^ router.AllVCs(cfg.EscapeVCs),
+		escMask:   router.AllVCs(escapeVCs),
+		adaptMask: router.AllVCs(n.cfg.VCs) &^ router.AllVCs(escapeVCs),
 		allMask:   router.AllVCs(n.cfg.VCs),
 		live:      make([][4]bool, R),
 		reach:     make([]bool, R*R),
@@ -310,7 +305,7 @@ func (n *Network) recoveryRoute(routerID int, p *router.Packet, inVC int) (int, 
 	if p.DstRouter == routerID {
 		return p.DstLocal, rec.allMask
 	}
-	if inVC < rec.esc {
+	if inVC < escapeVCs {
 		return n.routeXY(routerID, p), rec.escMask
 	}
 	x, y := n.cfg.routerXY(routerID)
@@ -374,7 +369,7 @@ func (n *Network) recoveryRoute(routerID int, p *router.Packet, inVC int) (int, 
 	}
 	// Every minimal direction is dead: misroute around the fault region
 	// while the per-packet budget lasts.
-	if p.Misroutes < rec.cfg.MaxMisroutes {
+	if p.Misroutes < maxMisroutes {
 		if mp, ok := rec.misroutePort(routerID); ok {
 			p.Misroutes++
 			n.shards[n.shardOfRouter(routerID)].misroutes++

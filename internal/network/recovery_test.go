@@ -101,6 +101,7 @@ func TestRecoveryChaosExactDrain(t *testing.T) {
 // the watchdog must keep escalating — delivery never stops, the audit
 // holds, and nothing wedges.
 func TestRecoveryDeadlockFreedomPermanentFailure(t *testing.T) {
+	t.Parallel() // the package's longest single-threaded test: overlap it with TestInvariance
 	cfg := recoveryConfig()
 	center := cfg.RouterAt(1, 1)
 	cfg.Fault = fault.Config{
@@ -128,55 +129,6 @@ func TestRecoveryDeadlockFreedomPermanentFailure(t *testing.T) {
 	}
 	if rs.Reroutes == 0 {
 		t.Errorf("traffic never rerouted around the permanent failure: %+v", rs)
-	}
-}
-
-// TestRecoveryFastForwardEquivalence proves the watchdog and liveness
-// machinery are pure wheel events: a fast-forwarded run with recovery,
-// failures, and watchdog escalations is bit-identical to cycle stepping.
-func TestRecoveryFastForwardEquivalence(t *testing.T) {
-	build := func() *Network {
-		cfg := recoveryConfig()
-		center := cfg.RouterAt(1, 1)
-		cfg.Fault = fault.Config{
-			LinkFailures: []fault.LinkFailure{
-				{Link: meshLinkIndex(t, cfg, center, DirE), At: 3_000, RepairAt: 40_000},
-				{Link: meshLinkIndex(t, cfg, center, DirN), At: 5_000, RepairAt: 45_000},
-			},
-		}
-		// Light load so idle gaps (and therefore skips) actually occur,
-		// with long enough stalls for both watchdog escalation tiers.
-		return MustNew(cfg, traffic.NewUniform(cfg.Nodes(), 0.02, 5))
-	}
-	slow := build()
-	slow.SetFastForward(false)
-	slow.RunTo(60_000)
-	fast := build()
-	fast.RunTo(60_000)
-
-	if skips, _ := fast.FastForwardStats(); skips == 0 {
-		t.Error("fast-forward never engaged")
-	}
-	if a, b := slow.InjectedPackets(), fast.InjectedPackets(); a != b {
-		t.Errorf("InjectedPackets: stepped %d, fast-forward %d", a, b)
-	}
-	if a, b := slow.DeliveredPackets(), fast.DeliveredPackets(); a != b {
-		t.Errorf("DeliveredPackets: stepped %d, fast-forward %d", a, b)
-	}
-	if a, b := slow.DroppedPackets(), fast.DroppedPackets(); a != b {
-		t.Errorf("DroppedPackets: stepped %d, fast-forward %d", a, b)
-	}
-	if a, b := slow.MeanLatency(), fast.MeanLatency(); a != b {
-		t.Errorf("MeanLatency: stepped %v, fast-forward %v", a, b)
-	}
-	if a, b := slow.LinkEnergyJ(), fast.LinkEnergyJ(); a != b {
-		t.Errorf("LinkEnergyJ: stepped %v, fast-forward %v", a, b)
-	}
-	if a, b := slow.RecoveryStats(), fast.RecoveryStats(); a != b {
-		t.Errorf("RecoveryStats: stepped %+v, fast-forward %+v", a, b)
-	}
-	if slow.DeliveredPackets() == 0 {
-		t.Error("equivalence run delivered nothing — vacuous comparison")
 	}
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/router"
@@ -152,6 +153,34 @@ func TestLevelHistograms(t *testing.T) {
 	}
 	if total < 0.99 || total > 1.01 {
 		t.Errorf("time fractions sum to %g", total)
+	}
+}
+
+// TestTimeAtLevelCountsOffTime: link-time spent off is part of the
+// histogram's denominator for single-level links too, so an on/off link
+// that sleeps most of the run does not report all of its time at the top
+// level.
+func TestTimeAtLevelCountsOffTime(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MeshW, cfg.MeshH = 4, 4
+	cfg.Link.LevelRates = []float64{10}
+	cfg.Link.OffEnabled = true
+	cfg.Link.OffPowerW = 0.005
+	cfg.Link.OffWakeCycles = 625
+	n := MustNew(cfg, traffic.NewUniform(cfg.Nodes(), 0.02, 5))
+	n.RunTo(50_000)
+	var on, off float64
+	for _, ch := range n.Channels() {
+		st := ch.PLink().Stats(n.Now())
+		on += float64(st.TimeAtLevel[0])
+		off += float64(st.TimeOff)
+	}
+	if off == 0 {
+		t.Fatal("setup: no link ever switched off")
+	}
+	frac := n.TimeAtLevelHistogram()
+	if want := on / (on + off); len(frac) != 1 || math.Abs(frac[0]-want) > 1e-9 {
+		t.Errorf("time-at-level %v, want [%g] (links off %.0f%% of link-time)", frac, want, 100*off/(on+off))
 	}
 }
 

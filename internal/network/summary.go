@@ -13,9 +13,10 @@ import (
 // policy block carries the regret oracle when the run recorded a trace.
 //
 // It is the one place a run's summary is assembled: the harnesses, the
-// workers and the checkpoint and policy equivalence tests call it, so the
-// same run renders the same bytes wherever it is summarised. Measured-window energy and normalised power need the
-// warm-up bracket core.System keeps; scenario.Summarize adds them.
+// workers and the invariance matrix call it, so the same run renders the
+// same bytes wherever it is summarised. Measured-window energy and
+// normalised power need the warm-up bracket core.System keeps;
+// scenario.Summarize adds them.
 func (n *Network) Summary(experiment string) report.Summary {
 	lv, off := n.LevelHistogram()
 	hist := make([]int64, len(lv))

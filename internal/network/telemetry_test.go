@@ -26,78 +26,6 @@ func telemetryConfig(t *testing.T) Config {
 	return cfg
 }
 
-// TestTelemetryFastForwardEquivalence is the tentpole invariant: with
-// telemetry, faults, recovery, and watchdog escalations all active, a
-// fast-forwarded run must be bit-identical to cycle stepping — in the
-// simulation statistics AND in every telemetry series and flight-recorder
-// event. The sampler is a wheel event, so NextEventAt bounds every skip.
-func TestTelemetryFastForwardEquivalence(t *testing.T) {
-	run := func(ff bool) *Network {
-		n := MustNew(telemetryConfig(t), traffic.NewUniform(telemetryConfig(t).Nodes(), 0.02, 5))
-		n.SetFastForward(ff)
-		n.RunTo(60_000)
-		return n
-	}
-	slow := run(false)
-	fast := run(true)
-
-	if skips, _ := fast.FastForwardStats(); skips == 0 {
-		t.Error("fast-forward never engaged with telemetry enabled")
-	}
-	if a, b := slow.DeliveredPackets(), fast.DeliveredPackets(); a != b {
-		t.Errorf("DeliveredPackets: stepped %d, fast-forward %d", a, b)
-	}
-	if a, b := slow.MeanLatency(), fast.MeanLatency(); a != b {
-		t.Errorf("MeanLatency: stepped %v, fast-forward %v", a, b)
-	}
-	if a, b := slow.LinkEnergyJ(), fast.LinkEnergyJ(); a != b {
-		t.Errorf("LinkEnergyJ: stepped %v, fast-forward %v", a, b)
-	}
-	if a, b := slow.RecoveryStats(), fast.RecoveryStats(); a != b {
-		t.Errorf("RecoveryStats: stepped %+v, fast-forward %+v", a, b)
-	}
-
-	// Every series: same points at same cycles with same values.
-	sSer, fSer := slow.Telemetry().Series(), fast.Telemetry().Series()
-	if len(sSer) != len(fSer) {
-		t.Fatalf("series count: stepped %d, fast-forward %d", len(sSer), len(fSer))
-	}
-	for i := range sSer {
-		a, b := sSer[i], fSer[i]
-		if a.Name != b.Name || a.Stride != b.Stride || len(a.Points) != len(b.Points) {
-			t.Fatalf("series %q: stride/len mismatch (%d/%d vs %d/%d)",
-				a.Name, a.Stride, len(a.Points), b.Stride, len(b.Points))
-		}
-		for j := range a.Points {
-			if a.Points[j] != b.Points[j] {
-				t.Fatalf("series %q point %d: stepped %+v, fast-forward %+v",
-					a.Name, j, a.Points[j], b.Points[j])
-			}
-		}
-	}
-	if slow.Telemetry().Samples() != fast.Telemetry().Samples() {
-		t.Errorf("samples: stepped %d, fast-forward %d",
-			slow.Telemetry().Samples(), fast.Telemetry().Samples())
-	}
-
-	// Flight recorders: identical event timelines.
-	sEv, fEv := slow.Telemetry().Flight().Events(), fast.Telemetry().Flight().Events()
-	if len(sEv) != len(fEv) {
-		t.Fatalf("flight events: stepped %d, fast-forward %d", len(sEv), len(fEv))
-	}
-	for i := range sEv {
-		if sEv[i] != fEv[i] {
-			t.Errorf("flight event %d: stepped %+v, fast-forward %+v", i, sEv[i], fEv[i])
-		}
-	}
-	if len(sEv) == 0 {
-		t.Error("no flight events recorded — vacuous comparison")
-	}
-	if slow.DeliveredPackets() == 0 {
-		t.Error("equivalence run delivered nothing — vacuous comparison")
-	}
-}
-
 // TestTelemetryNoPerturbation: enabling telemetry must not change any
 // simulation result — the directly testable form of "telemetry disabled is
 // byte-identical to the pre-PR baseline" (probes only read state).

@@ -240,7 +240,7 @@ type Recovery struct {
 	// dead link while staying minimal.
 	Reroutes int64 `json:"reroutes"`
 	// Misroutes counts non-minimal hops taken because every minimal
-	// candidate was dead (bounded per packet by MaxMisroutes).
+	// candidate was dead (at most 8 per packet).
 	Misroutes int64 `json:"misroutes"`
 	// EscapeGrants counts flits granted onto escape virtual channels.
 	EscapeGrants int64 `json:"escape_grants"`

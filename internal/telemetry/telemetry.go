@@ -47,14 +47,15 @@ type Config struct {
 	// compacts: every other point is dropped and the series' stride
 	// doubles, preserving whole-run coverage at halved resolution.
 	RingCap int
-	// FlightCap bounds the flight recorder's event ring (default 512);
-	// older events are evicted and counted as dropped.
-	FlightCap int
 	// FlightDumpPath, when non-empty, is the file the flight recorder dumps
 	// to (as JSON) on the first watchdog escalation, drop-horizon kill, or
 	// audit failure. Tests and examples can use SetDumpWriter instead.
 	FlightDumpPath string
 }
+
+// flightCap bounds the flight recorder's event ring; older events are
+// evicted and counted as dropped.
+const flightCap = 512
 
 // WithDefaults returns c with zero knobs replaced by defaults.
 func (c Config) WithDefaults() Config {
@@ -63,9 +64,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RingCap <= 0 {
 		c.RingCap = 512
-	}
-	if c.FlightCap <= 0 {
-		c.FlightCap = 512
 	}
 	return c
 }
@@ -198,7 +196,7 @@ func NewRegistry(cfg Config, w *sim.Wheel) *Registry {
 		wheel:  w,
 		byName: make(map[string]*series),
 		hists:  make(map[string]*stats.Histogram),
-		flight: NewFlightRecorder(cfg.FlightCap),
+		flight: NewFlightRecorder(flightCap),
 	}
 	r.sampleEvt = func(now sim.Cycle) {
 		r.pending--

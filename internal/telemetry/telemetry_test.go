@@ -27,7 +27,7 @@ func drive(w *sim.Wheel, end sim.Cycle) {
 
 func TestConfigDefaultsAndValidate(t *testing.T) {
 	c := Config{Enabled: true}.WithDefaults()
-	if c.SampleEvery != 1024 || c.RingCap != 512 || c.FlightCap != 512 {
+	if c.SampleEvery != 1024 || c.RingCap != 512 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if err := (Config{}).Validate(); err != nil {
