@@ -19,8 +19,8 @@ import (
 // them must reproduce the same bytes. TestInvariance generates the matrix
 // as a cross product of axis lists instead of enumerating it test by test.
 // Each case runs one reference (K = 1, fast-forward off, no checkpoint);
-// every variant (each K in invarianceShards that divides MeshW, straight
-// and resumed, fast-forward on) must match it byte for byte.
+// every variant (straight and resumed, each K in invarianceShards that
+// divides MeshW, fast-forward on) must match it byte for byte.
 
 // invarianceShards is the shard-count axis; a case runs the counts that
 // divide its MeshW.
@@ -28,8 +28,12 @@ var invarianceShards = []int{1, 2, 4, 8}
 
 // invCase is one configuration of the matrix.
 type invCase struct {
-	name string
-	cfg  Config
+	// family, when set, names the subtest that groups the case with its
+	// kin: "policy" holds the policy kinds at the drain load, "light" the
+	// light-load cases of equivConfig, "small" the 2×2-mesh cases.
+	family string
+	name   string
+	cfg    Config
 	// rate is the uniform offered load in packets per cycle.
 	rate float64
 	// stopAt is the cycle traffic stops; the run then drains to quiescence.
@@ -55,7 +59,7 @@ func invarianceCases(t *testing.T) []invCase {
 		r    Routing
 	}{{"xy", RoutingXY}, {"yx", RoutingYX}, {"westfirst", RoutingWestFirst}}
 	drain := invCase{rate: 0.3, stopAt: 10_000, resumeAt: 5_000}
-	light := invCase{name: "light/", rate: 0.05, stopAt: 6_000, resumeAt: 5_000, light: true}
+	light := invCase{family: "light", rate: 0.05, stopAt: 6_000, resumeAt: 5_000, light: true}
 	withPolicy := func(kind policy.Kind) Config {
 		cfg := equivConfig(RoutingXY, true, true)
 		cfg.Policy.Kind = kind
@@ -76,7 +80,7 @@ func invarianceCases(t *testing.T) []invCase {
 
 	var cases []invCase
 	add := func(base invCase, name string, cfg Config) {
-		base.name += name
+		base.name = name
 		base.cfg = cfg
 		cases = append(cases, base)
 	}
@@ -88,7 +92,9 @@ func invarianceCases(t *testing.T) []invCase {
 		}
 	}
 	add(light, "xy/pa=true/faults=true", equivConfig(RoutingXY, true, true))
-	for _, ld := range []invCase{drain, light} {
+	policies := drain
+	policies.family = "policy"
+	for _, ld := range []invCase{policies, light} {
 		for _, kind := range []policy.Kind{policy.KindRules, policy.KindPID, policy.KindOracleReplay} {
 			cfg := withPolicy(kind)
 			if kind == policy.KindOracleReplay {
@@ -98,7 +104,7 @@ func invarianceCases(t *testing.T) []invCase {
 		}
 	}
 
-	small := invCase{name: "small/", rate: 0.02, stopAt: 60_000, resumeAt: 30_000, light: true}
+	small := invCase{family: "small", rate: 0.02, stopAt: 60_000, resumeAt: 30_000, light: true}
 	for _, rt := range routings {
 		for _, pa := range []bool{true, false} {
 			cfg := smallConfig()
@@ -107,13 +113,13 @@ func invarianceCases(t *testing.T) []invCase {
 			add(small, fmt.Sprintf("%s/pa=%v", rt.name, pa), cfg)
 		}
 	}
-	add(invCase{name: "small/", rate: 0.25, stopAt: 20_000, resumeAt: 8_000}, "faults", faultyConfig())
+	add(invCase{family: "small", rate: 0.25, stopAt: 20_000, resumeAt: 8_000}, "faults", faultyConfig())
 
-	recovery := invCase{name: "recovery", rate: 0.02, stopAt: 60_000, resumeAt: 20_000, light: true}
+	recovery := invCase{rate: 0.02, stopAt: 60_000, resumeAt: 20_000, light: true}
 	cfg := telemetryConfig(t)
-	add(recovery, "/telemetry", cfg)
+	add(recovery, "recovery/telemetry", cfg)
 	cfg.Telemetry = telemetry.Config{}
-	add(recovery, "", cfg)
+	add(recovery, "recovery", cfg)
 
 	for i := range cases {
 		cases[i].cfg.Seed = *faultSeed
@@ -122,10 +128,33 @@ func invarianceCases(t *testing.T) []invCase {
 }
 
 // TestInvariance runs the invariance matrix. A failing subtest is named
-// <case>/K=<k>/straight or <case>/K=<k>/resume=<cycle>.
+// [<family>/]<case>/straight/K=<k> or [<family>/]<case>/resume=<cycle>/K=<k>.
 func TestInvariance(t *testing.T) {
 	t.Parallel()
+	var families []string
+	byFamily := map[string][]invCase{}
 	for _, c := range invarianceCases(t) {
+		if _, ok := byFamily[c.family]; !ok {
+			families = append(families, c.family)
+		}
+		byFamily[c.family] = append(byFamily[c.family], c)
+	}
+	for _, f := range families {
+		if f == "" {
+			runInvCases(t, byFamily[f])
+			continue
+		}
+		t.Run(f, func(t *testing.T) {
+			t.Parallel()
+			runInvCases(t, byFamily[f])
+		})
+	}
+}
+
+// runInvCases runs each case as a parallel subtest: its reference, then
+// every variant against it.
+func runInvCases(t *testing.T, cases []invCase) {
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			ref, n := c.run(t, 1, false, 0)
@@ -138,27 +167,30 @@ func TestInvariance(t *testing.T) {
 			if reg := n.Telemetry(); reg != nil && len(c.cfg.Fault.LinkFailures) > 0 && len(reg.Flight().Events()) == 0 {
 				t.Error("no flight events recorded across a link failure — vacuous comparison")
 			}
-			for _, k := range invarianceShards {
-				if c.cfg.MeshW%k != 0 {
-					continue
+			for _, at := range []sim.Cycle{0, c.resumeAt} {
+				mode := "straight"
+				if at > 0 {
+					mode = fmt.Sprintf("resume=%d", at)
 				}
-				for _, at := range []sim.Cycle{0, c.resumeAt} {
-					name := fmt.Sprintf("K=%d/straight", k)
-					if at > 0 {
-						name = fmt.Sprintf("K=%d/resume=%d", k, at)
+				t.Run(mode, func(t *testing.T) {
+					t.Parallel()
+					for _, k := range invarianceShards {
+						if c.cfg.MeshW%k != 0 {
+							continue
+						}
+						t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+							t.Parallel()
+							got, n := c.run(t, k, true, at)
+							if skips, _ := n.FastForwardStats(); c.light && skips == 0 {
+								t.Error("fast-forward never engaged at light load")
+							}
+							if got != ref {
+								line, want, have := firstDiff(ref, got)
+								t.Errorf("diverges from the K=1 fast-forward-off reference at fingerprint line %d:\n  want %s\n  got  %s", line, want, have)
+							}
+						})
 					}
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						got, n := c.run(t, k, true, at)
-						if skips, _ := n.FastForwardStats(); c.light && skips == 0 {
-							t.Error("fast-forward never engaged at light load")
-						}
-						if got != ref {
-							line, want, have := firstDiff(ref, got)
-							t.Errorf("diverges from the K=1 fast-forward-off reference at fingerprint line %d:\n  want %s\n  got  %s", line, want, have)
-						}
-					})
-				}
+				})
 			}
 		})
 	}
