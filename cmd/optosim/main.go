@@ -43,6 +43,10 @@ import (
 	"repro/internal/trace"
 )
 
+// policyName is -policy as given; "" leaves the policies experiment
+// unfiltered.
+var policyName = flag.String("policy", "", "adaptive link policy for every harness: dvs (default), rules, or pid; the policies experiment also accepts it as a column filter")
+
 // Fault-injection knobs for the "faults" experiment (see internal/fault).
 var (
 	faultBERScale = flag.Float64("fault.berscale", 1, "scale factor on each link's margin-derived bit error rate")
@@ -86,22 +90,14 @@ func registry() map[string]runner {
 		"table2": func(s experiments.Scale) (output, error) {
 			return output{tables: []*report.Table{experiments.Table2Report()}}, nil
 		},
-		"fig5window": func(s experiments.Scale) (output, error) {
-			pts, err := experiments.Fig5WindowSweep(s)
-			if err != nil {
-				return output{}, err
-			}
-			return output{tables: []*report.Table{experiments.Fig5PointsReport(
-				"Fig 5(a,b,c): normalised latency/power/PLP vs window size Tw", "Tw (cycles)", pts)}}, nil
-		},
-		"fig5threshold": func(s experiments.Scale) (output, error) {
-			pts, err := experiments.Fig5ThresholdSweep(s)
-			if err != nil {
-				return output{}, err
-			}
-			return output{tables: []*report.Table{experiments.Fig5PointsReport(
-				"Fig 5(d,e,f): normalised latency/power/PLP vs avg utilisation threshold", "avg threshold", pts)}}, nil
-		},
+		"fig5window": table(experiments.Fig5WindowSweep, func(pts []experiments.Fig5Point) *report.Table {
+			return experiments.Fig5PointsReport(
+				"Fig 5(a,b,c): normalised latency/power/PLP vs window size Tw", "Tw (cycles)", pts)
+		}),
+		"fig5threshold": table(experiments.Fig5ThresholdSweep, func(pts []experiments.Fig5Point) *report.Table {
+			return experiments.Fig5PointsReport(
+				"Fig 5(d,e,f): normalised latency/power/PLP vs avg utilisation threshold", "avg threshold", pts)
+		}),
 		"fig5g": func(s experiments.Scale) (output, error) {
 			pts, err := experiments.Fig5G(s)
 			if err != nil {
@@ -142,22 +138,12 @@ func registry() map[string]runner {
 			out.tables = append(out.tables, experiments.Table3(rs))
 			return out, nil
 		},
-		"table3": func(s experiments.Scale) (output, error) {
-			rs, err := experiments.Fig7All(s)
-			if err != nil {
-				return output{}, err
-			}
-			return output{tables: []*report.Table{experiments.Table3(rs)}}, nil
-		},
-		"table3-nodefixed": func(s experiments.Scale) (output, error) {
-			rs, err := experiments.Fig7AllNodeLinksFixed(s)
-			if err != nil {
-				return output{}, err
-			}
+		"table3": table(experiments.Fig7All, experiments.Table3),
+		"table3-nodefixed": table(experiments.Fig7AllNodeLinksFixed, func(rs []*experiments.Fig7Result) *report.Table {
 			tb := experiments.Table3(rs)
 			tb.Title = "Table 3 variant: node links pinned at 10 Gb/s (power over fabric links)"
-			return output{tables: []*report.Table{tb}}, nil
-		},
+			return tb
+		}),
 		"ablation-lu": ablation("Ablation: Lu definition", experiments.AblationLuDef),
 		"ablation-n":  ablation("Ablation: sliding-average depth N", experiments.AblationSlidingN),
 		"ablation-bu": ablation("Ablation: Bu-conditioned thresholds", experiments.AblationBu),
@@ -169,24 +155,18 @@ func registry() map[string]runner {
 			experiments.AblationPredictor),
 		"ablation-routing": ablation("Ablation: XY vs YX dimension order",
 			experiments.AblationRouting),
-		"patterns": func(s experiments.Scale) (output, error) {
-			rows, err := experiments.Patterns(s)
-			if err != nil {
-				return output{}, err
-			}
-			return output{tables: []*report.Table{experiments.PatternsReport(rows)}}, nil
-		},
-		"seeds": func(s experiments.Scale) (output, error) {
+		"patterns": table(experiments.Patterns, experiments.PatternsReport),
+		"seeds": table(func(s experiments.Scale) ([]experiments.ReplicatedResult, error) {
 			var rs []experiments.ReplicatedResult
 			for _, rate := range s.Rates3 {
 				r, err := experiments.Replicate(s, rate, 5)
 				if err != nil {
-					return output{}, err
+					return nil, err
 				}
 				rs = append(rs, r)
 			}
-			return output{tables: []*report.Table{experiments.ReplicateReport(rs)}}, nil
-		},
+			return rs, nil
+		}, experiments.ReplicateReport),
 		"faults": func(s experiments.Scale) (output, error) {
 			rows, reg, err := experiments.FaultsInstrumented(s, faultConfigFromFlags(), telemetryConfigFromFlags())
 			if err != nil {
@@ -209,7 +189,11 @@ func registry() map[string]runner {
 			}, exportTelemetry(reg)
 		},
 		"policies": func(s experiments.Scale) (output, error) {
-			rows, err := experiments.PolicyStudy(s)
+			var only []policy.Kind
+			if *policyName != "" {
+				only = append(only, s.Policy)
+			}
+			rows, err := experiments.PolicyStudy(s, only...)
 			if err != nil {
 				return output{}, err
 			}
@@ -219,24 +203,26 @@ func registry() map[string]runner {
 			}
 			return out, nil
 		},
-		"throughput": func(s experiments.Scale) (output, error) {
-			rs, err := experiments.Throughput(s)
-			if err != nil {
-				return output{}, err
-			}
-			return output{tables: []*report.Table{experiments.ThroughputReport(rs)}}, nil
-		},
+		"throughput": table(experiments.Throughput, experiments.ThroughputReport),
 	}
 }
 
-func ablation(title string, f func(experiments.Scale) ([]experiments.AblationRow, error)) runner {
+// table adapts a harness whose result renders as a single table.
+func table[T any](run func(experiments.Scale) (T, error), render func(T) *report.Table) runner {
 	return func(s experiments.Scale) (output, error) {
-		rows, err := f(s)
+		v, err := run(s)
 		if err != nil {
 			return output{}, err
 		}
-		return output{tables: []*report.Table{experiments.AblationReport(title, rows)}}, nil
+		return output{tables: []*report.Table{render(v)}}, nil
 	}
+}
+
+// ablation adapts an ablation harness, rendered under title.
+func ablation(title string, f func(experiments.Scale) ([]experiments.AblationRow, error)) runner {
+	return table(f, func(rows []experiments.AblationRow) *report.Table {
+		return experiments.AblationReport(title, rows)
+	})
 }
 
 func main() {
@@ -246,7 +232,6 @@ func main() {
 	svgDir := flag.String("svg", "", "also write figure charts as SVG files into this directory")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	shards := flag.Int("shards", 0, "parallel-core shard count; must divide the mesh width (0 = sequential, results identical)")
-	policyKind := flag.String("policy", "", "adaptive link policy for every harness: dvs (default), rules, or pid; the policies experiment also accepts it as a column filter")
 	list := flag.Bool("list", false, "list available experiments")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: optosim [-full] [-csv] [-seed N] <experiment>...|all\n")
@@ -282,11 +267,12 @@ func main() {
 	}
 	scale.Seed = *seed
 	scale.Shards = *shards
-	if _, err := policy.ParseKind(*policyKind); err != nil {
+	kind, err := policy.ParseKind(*policyName)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	scale.Policy = *policyKind
+	scale.Policy = kind
 
 	if !*jsonOut {
 		// Fig 7 depends on trace synthesis; mention the substitution once.

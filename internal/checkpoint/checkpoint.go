@@ -154,31 +154,6 @@ func Load(path string, state any) (Info, error) {
 	return info, nil
 }
 
-// Peek reads only a checkpoint's header, verifying magic and version but
-// not the payload.
-func Peek(path string) (Info, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Info{}, err
-	}
-	defer f.Close()
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return Info{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if string(hdr[:8]) != Magic {
-		return Info{}, ErrNotCheckpoint
-	}
-	info := Info{
-		Version: binary.BigEndian.Uint32(hdr[8:]),
-		Cycle:   int64(binary.BigEndian.Uint64(hdr[12:])),
-	}
-	if info.Version != Version {
-		return info, fmt.Errorf("%w: file is v%d, reader is v%d", ErrVersion, info.Version, Version)
-	}
-	return info, nil
-}
-
 // pattern is the cycle-stamped file name used by rotating auto-checkpoints.
 const pattern = "ckpt-%016d.ckpt"
 

@@ -43,9 +43,6 @@ func TestRoundTrip(t *testing.T) {
 	if got.Name != want.Name || len(got.Floats) != len(want.Floats) || got.Nested["a"][2] != 3 {
 		t.Errorf("payload round trip mismatch: %+v", got)
 	}
-	if pi, err := Peek(path); err != nil || pi.Cycle != want.Cycle {
-		t.Errorf("Peek = %+v, %v", pi, err)
-	}
 	// A leftover temp file would mean the atomic-rename path leaks staging
 	// files on success.
 	entries, _ := os.ReadDir(dir)

@@ -20,38 +20,31 @@ type AblationRow struct {
 }
 
 // runAblation measures every variant at the scale's three rates against
-// the non-power-aware baseline.
+// the non-power-aware baseline: the one normalised sweep behind Fig. 5(a-f)
+// and every ablation.
 func (s Scale) runAblation(variants []Fig5GConfig) ([]AblationRow, error) {
 	base, err := s.baselineLatencies(s.Rates3)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationRow, len(variants)*len(s.Rates3))
-	errs := make([]error, len(rows))
-	forEach(len(rows), func(k int) {
-		vi, ri := k/len(s.Rates3), k%len(s.Rates3)
-		cfg := variants[vi].Make(s)
+	n := len(s.Rates3)
+	return sweep(len(variants)*n, func(k int) (AblationRow, error) {
+		v, ri := variants[k/n], k%n
+		cfg := v.Make(s)
 		r, err := core.Run(cfg, s.uniformAt(cfg, s.Rates3[ri]), s.Warmup, s.Measure)
 		if err != nil {
-			errs[k] = err
-			return
+			return AblationRow{}, err
 		}
 		nl := r.MeanLatencyCycles / base[ri]
-		rows[k] = AblationRow{
-			Variant:     variants[vi].Name,
+		return AblationRow{
+			Variant:     v.Name,
 			Rate:        s.Rates3[ri],
 			NormLatency: nl,
 			NormPower:   r.NormPower,
 			PLP:         stats.PowerLatencyProduct(r.NormPower, nl),
 			Throughput:  r.AvgThroughputPktsPerCycle,
-		}
+		}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
 }
 
 // AblationLuDef compares the busy-fraction Lu definition (our default,

@@ -10,9 +10,13 @@
 package experiments
 
 import (
+	"fmt"
+
+	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // Scale sets run lengths and sweep densities.
@@ -41,10 +45,9 @@ type Scale struct {
 	// byte-identical across shard counts (DESIGN.md §6g), so this is
 	// purely a wall-clock knob.
 	Shards int
-	// Policy selects the adaptive link policy every harness runs with
-	// ("" or "dvs" = the paper's controller; "rules", "pid"). The policy
-	// study additionally accepts it as a column filter.
-	Policy string
+	// Policy selects the adaptive link policy every harness runs with; the
+	// zero value is the paper's DVS controller.
+	Policy policy.Kind
 }
 
 // FullScale reproduces the paper's sweeps at full length.
@@ -79,20 +82,35 @@ func QuickScale() Scale {
 	}
 }
 
-// checkPolicy reports a Policy spelling policy.ParseKind rejects. Every
-// harness calls it before it runs anything: baseConfig cannot return the
-// error, and a misspelled kind must not silently run the paper's DVS.
-func (s Scale) checkPolicy() error {
-	_, err := policy.ParseKind(s.Policy)
-	return err
-}
-
 // baseConfig returns the paper's default system with this scale's seed and
-// policy kind (already checked by checkPolicy).
+// policy kind.
 func (s Scale) baseConfig() network.Config {
 	cfg := network.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.Shards = s.Shards
-	cfg.Policy.Kind, _ = policy.ParseKind(s.Policy)
+	cfg.Policy.Kind = s.Policy
 	return cfg
+}
+
+// normalisedPair runs the power-aware cfg and its non-power-aware twin,
+// each on a fresh generator from mk, and returns the power-aware run's
+// latency normalised against the twin's and its normalised power. label
+// names the pair in the error when either run delivers nothing.
+func (s Scale) normalisedPair(cfg network.Config, mk func(nodes int) (traffic.Generator, error), label string) (normLatency, normPower float64, err error) {
+	non := cfg
+	non.PowerAware = false
+	var rs [2]core.Result
+	for i, c := range []network.Config{cfg, non} {
+		gen, err := mk(c.Nodes())
+		if err != nil {
+			return 0, 0, err
+		}
+		if rs[i], err = core.Run(c, gen, s.Warmup, s.Measure); err != nil {
+			return 0, 0, err
+		}
+		if rs[i].Packets == 0 {
+			return 0, 0, fmt.Errorf("experiments: %s delivered nothing", label)
+		}
+	}
+	return rs[0].MeanLatencyCycles / rs[1].MeanLatencyCycles, rs[0].NormPower, nil
 }

@@ -27,24 +27,16 @@ type FaultRow struct {
 	Summary report.Summary
 }
 
-// Faults extends the paper's evaluation with a degraded-mode study: the
-// same power-aware system is run fault-free and under the given fault
-// configuration (margin-derived flit corruption, CDR relock failures,
+// FaultsInstrumented extends the paper's evaluation with a degraded-mode
+// study: the same power-aware system is run fault-free and under the given
+// fault configuration (margin-derived flit corruption, CDR relock failures,
 // scheduled hard link failures). Link-level go-back-N retransmission
 // recovers every fault, so the interesting output is the price paid — the
-// latency and power deltas alongside the raw recovery counters.
-func Faults(s Scale, fc fault.Config) ([]FaultRow, error) {
-	rows, _, err := FaultsInstrumented(s, fc, telemetry.Config{})
-	return rows, err
-}
-
-// FaultsInstrumented is Faults with telemetry wired into the injected run:
-// the returned registry (nil when tc is disabled) carries its time series
-// and flight recorder. The fault-free baseline stays uninstrumented.
+// latency and power deltas alongside the raw recovery counters. Telemetry
+// is wired into the injected run: the returned registry (nil when tc is
+// disabled) carries its time series and flight recorder. The fault-free
+// baseline stays uninstrumented.
 func FaultsInstrumented(s Scale, fc fault.Config, tc telemetry.Config) ([]FaultRow, *telemetry.Registry, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, nil, err
-	}
 	const rate = 1.5 // light-moderate: leaves headroom for replay traffic
 
 	run := func(label string, f fault.Config, tc telemetry.Config) (FaultRow, *telemetry.Registry, error) {

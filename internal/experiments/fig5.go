@@ -9,7 +9,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/powerlink"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -33,100 +32,63 @@ func (s Scale) uniformAt(cfg network.Config, rate float64) traffic.Generator {
 // returns its mean latencies, the denominators for every normalised
 // metric in Fig. 5.
 func (s Scale) baselineLatencies(rates []float64) ([]float64, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, err
-	}
-	lats := make([]float64, len(rates))
-	errs := make([]error, len(rates))
-	forEach(len(rates), func(i int) {
+	return sweep(len(rates), func(i int) (float64, error) {
 		cfg := s.baseConfig()
 		cfg.PowerAware = false
 		r, err := core.Run(cfg, s.uniformAt(cfg, rates[i]), s.Warmup, s.Measure)
 		if err != nil {
-			errs[i] = err
-			return
+			return 0, err
 		}
 		if r.Packets == 0 {
-			errs[i] = fmt.Errorf("experiments: baseline at rate %g delivered nothing", rates[i])
-			return
+			return 0, fmt.Errorf("experiments: baseline at rate %g delivered nothing", rates[i])
 		}
-		lats[i] = r.MeanLatencyCycles
+		return r.MeanLatencyCycles, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return lats, nil
 }
 
 // Fig5WindowSweep reproduces Fig. 5(a,b,c): normalised latency, power and
 // power-latency product versus the policy window size Tw, at light, medium
 // and heavy uniform injection.
 func Fig5WindowSweep(s Scale) ([]Fig5Point, error) {
-	base, err := s.baselineLatencies(s.Rates3)
-	if err != nil {
-		return nil, err
+	xs := make([]float64, len(s.Windows))
+	for i, w := range s.Windows {
+		xs[i] = float64(w)
 	}
-	points := make([]Fig5Point, len(s.Windows)*len(s.Rates3))
-	errs := make([]error, len(points))
-	forEach(len(points), func(k int) {
-		wi, ri := k/len(s.Rates3), k%len(s.Rates3)
-		cfg := s.baseConfig()
-		cfg.Policy.Window = s.Windows[wi]
-		r, err := core.Run(cfg, s.uniformAt(cfg, s.Rates3[ri]), s.Warmup, s.Measure)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		nl := r.MeanLatencyCycles / base[ri]
-		points[k] = Fig5Point{
-			X:           float64(s.Windows[wi]),
-			Rate:        s.Rates3[ri],
-			NormLatency: nl,
-			NormPower:   r.NormPower,
-			PLP:         stats.PowerLatencyProduct(r.NormPower, nl),
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
+	return s.fig5Sweep(xs, func(cfg *network.Config, i int) { cfg.Policy.Window = s.Windows[i] })
 }
 
 // Fig5ThresholdSweep reproduces Fig. 5(d,e,f): normalised latency, power
 // and power-latency product versus the average link-utilisation threshold
 // (TH − TL fixed at 0.1).
 func Fig5ThresholdSweep(s Scale) ([]Fig5Point, error) {
-	base, err := s.baselineLatencies(s.Rates3)
+	return s.fig5Sweep(s.Thresholds, func(cfg *network.Config, i int) {
+		cfg.Policy.Thresholds = policy.ThresholdsAround(s.Thresholds[i])
+	})
+}
+
+// fig5Sweep runs the paper's system, with set applied for each swept value
+// xs[i], through the normalised sweep at the scale's three rates.
+func (s Scale) fig5Sweep(xs []float64, set func(cfg *network.Config, i int)) ([]Fig5Point, error) {
+	variants := make([]Fig5GConfig, len(xs))
+	for i := range xs {
+		variants[i].Make = func(s Scale) network.Config {
+			cfg := s.baseConfig()
+			set(&cfg, i)
+			return cfg
+		}
+	}
+	rows, err := s.runAblation(variants)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]Fig5Point, len(s.Thresholds)*len(s.Rates3))
-	errs := make([]error, len(points))
-	forEach(len(points), func(k int) {
-		ti, ri := k/len(s.Rates3), k%len(s.Rates3)
-		cfg := s.baseConfig()
-		cfg.Policy.Thresholds = policy.ThresholdsAround(s.Thresholds[ti])
-		r, err := core.Run(cfg, s.uniformAt(cfg, s.Rates3[ri]), s.Warmup, s.Measure)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		nl := r.MeanLatencyCycles / base[ri]
+	points := make([]Fig5Point, len(rows))
+	for k, r := range rows {
 		points[k] = Fig5Point{
-			X:           s.Thresholds[ti],
-			Rate:        s.Rates3[ri],
-			NormLatency: nl,
+			X:           xs[k/len(s.Rates3)],
+			Rate:        r.Rate,
+			NormLatency: r.NormLatency,
 			NormPower:   r.NormPower,
-			PLP:         stats.PowerLatencyProduct(r.NormPower, nl),
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			PLP:         r.PLP,
 		}
 	}
 	return points, nil
@@ -175,35 +137,27 @@ type Fig5GPoint struct {
 // Fig5G reproduces Fig. 5(g): average latency versus injection rate for
 // the four systems, exposing the saturation points.
 func Fig5G(s Scale) ([]Fig5GPoint, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, err
-	}
-	configs := Fig5GConfigs()
-	points := make([]Fig5GPoint, len(configs)*len(s.InjectionRates))
-	errs := make([]error, len(points))
-	forEach(len(points), func(k int) {
-		ci, ri := k/len(s.InjectionRates), k%len(s.InjectionRates)
-		cfg := configs[ci].Make(s)
-		rate := s.InjectionRates[ri]
+	return s.rateSweep(Fig5GConfigs())
+}
+
+// rateSweep runs every config at each of the scale's injection rates.
+func (s Scale) rateSweep(configs []Fig5GConfig) ([]Fig5GPoint, error) {
+	n := len(s.InjectionRates)
+	return sweep(len(configs)*n, func(k int) (Fig5GPoint, error) {
+		c, rate := configs[k/n], s.InjectionRates[k%n]
+		cfg := c.Make(s)
 		r, err := core.Run(cfg, s.uniformAt(cfg, rate), s.Warmup, s.Measure)
 		if err != nil {
-			errs[k] = err
-			return
+			return Fig5GPoint{}, err
 		}
-		points[k] = Fig5GPoint{
-			Config:     configs[ci].Name,
+		return Fig5GPoint{
+			Config:     c.Name,
 			Rate:       rate,
 			LatencyCyc: r.MeanLatencyCycles,
 			Throughput: r.AvgThroughputPktsPerCycle,
 			NormPower:  r.NormPower,
-		}
+		}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
 }
 
 // Fig5HConfigs returns the four power curves of Fig. 5(h): both
@@ -229,35 +183,7 @@ func Fig5HConfigs() []Fig5GConfig {
 // non-power-aware network versus injection rate, for VCSEL- and
 // modulator-based links over both ranges.
 func Fig5H(s Scale) ([]Fig5GPoint, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, err
-	}
-	configs := Fig5HConfigs()
-	points := make([]Fig5GPoint, len(configs)*len(s.InjectionRates))
-	errs := make([]error, len(points))
-	forEach(len(points), func(k int) {
-		ci, ri := k/len(s.InjectionRates), k%len(s.InjectionRates)
-		cfg := configs[ci].Make(s)
-		rate := s.InjectionRates[ri]
-		r, err := core.Run(cfg, s.uniformAt(cfg, rate), s.Warmup, s.Measure)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		points[k] = Fig5GPoint{
-			Config:     configs[ci].Name,
-			Rate:       rate,
-			LatencyCyc: r.MeanLatencyCycles,
-			Throughput: r.AvgThroughputPktsPerCycle,
-			NormPower:  r.NormPower,
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
+	return s.rateSweep(Fig5HConfigs())
 }
 
 // Fig5PointsReport renders Fig5Point sweeps as a table.

@@ -72,15 +72,11 @@ type Fig6Result struct {
 	Power []Fig6Series
 }
 
-// Fig6 reproduces Fig. 6 under the time-varying hot-spot trace.
+// Fig6 reproduces Fig. 6 under the time-varying hot-spot trace. It runs
+// each distinct system once: the Tbr=20, Tv=100 modulator system (1)
+// supplies panel (b)'s curve of that name, panel (c)'s single-optical-level
+// curve and panel (d)'s modulator curve.
 func Fig6(s Scale) (*Fig6Result, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, err
-	}
-	type job struct {
-		name string
-		cfg  network.Config
-	}
 	mkPA := func(scheme linkmodel.Scheme, tbr, tv sim.Cycle, multiOptical bool) network.Config {
 		cfg := s.baseConfig()
 		cfg.Link.Scheme = scheme
@@ -95,45 +91,40 @@ func Fig6(s Scale) (*Fig6Result, error) {
 	}
 	nonPA := s.baseConfig()
 	nonPA.PowerAware = false
-
-	jobs := []job{
-		{"non-power-aware", nonPA}, // 0: panels b, c reference
-		{"PA (Tbr=20, Tv=100)", mkPA(linkmodel.SchemeModulator, 20, 100, false)},             // 1: panel b
-		{"PA (Tbr=0, Tv=100)", mkPA(linkmodel.SchemeModulator, 0, 100, false)},               // 2: panel b
-		{"PA (Tbr=0, Tv=0)", mkPA(linkmodel.SchemeModulator, 0, 0, false)},                   // 3: panel b
-		{"modulator, single optical level", mkPA(linkmodel.SchemeModulator, 20, 100, false)}, // 4: panel c (same sim as 1, kept for labelling)
-		{"modulator, 3 optical levels", mkPA(linkmodel.SchemeModulator, 20, 100, true)},      // 5: panel c
-		{"VCSEL-based PA", mkPA(linkmodel.SchemeVCSEL, 20, 100, false)},                      // 6: panel d
+	systems := []network.Config{
+		nonPA, // 0
+		mkPA(linkmodel.SchemeModulator, 20, 100, false), // 1
+		mkPA(linkmodel.SchemeModulator, 0, 100, false),  // 2
+		mkPA(linkmodel.SchemeModulator, 0, 0, false),    // 3
+		mkPA(linkmodel.SchemeModulator, 20, 100, true),  // 4
+		mkPA(linkmodel.SchemeVCSEL, 20, 100, false),     // 5
 	}
-
-	results := make([]core.Result, len(jobs))
-	seriesBundle := make([]core.TimeSeries, len(jobs))
-	errs := make([]error, len(jobs))
-	forEach(len(jobs), func(i int) {
-		gen := s.hotspotGen(jobs[i].cfg, s.SeriesLength)
-		r, ts, err := core.RunSeries(jobs[i].cfg, gen, s.SeriesLength, s.Bucket)
-		results[i], seriesBundle[i], errs[i] = r, ts, err
+	ts, err := sweep(len(systems), func(i int) (core.TimeSeries, error) {
+		gen := s.hotspotGen(systems[i], s.SeriesLength)
+		_, ts, err := core.RunSeries(systems[i], gen, s.SeriesLength, s.Bucket)
+		return ts, err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	out := &Fig6Result{Injection: seriesBundle[0].InjectionRate}
-	for _, i := range []int{0, 1, 2, 3} {
-		out.LatencyDelays = append(out.LatencyDelays, Fig6Series{jobs[i].name, seriesBundle[i].MeanLatency})
-	}
-	for _, i := range []int{0, 4, 5} {
-		out.LatencyOptical = append(out.LatencyOptical, Fig6Series{jobs[i].name, seriesBundle[i].MeanLatency})
-	}
-	for _, i := range []int{6, 1} {
-		name := "modulator-based PA"
-		if i == 6 {
-			name = "VCSEL-based PA"
-		}
-		out.Power = append(out.Power, Fig6Series{name, seriesBundle[i].NormPower})
-	}
-	return out, nil
+	return &Fig6Result{
+		Injection: ts[0].InjectionRate,
+		LatencyDelays: []Fig6Series{
+			{"non-power-aware", ts[0].MeanLatency},
+			{"PA (Tbr=20, Tv=100)", ts[1].MeanLatency},
+			{"PA (Tbr=0, Tv=100)", ts[2].MeanLatency},
+			{"PA (Tbr=0, Tv=0)", ts[3].MeanLatency},
+		},
+		LatencyOptical: []Fig6Series{
+			{"non-power-aware", ts[0].MeanLatency},
+			{"modulator, single optical level", ts[1].MeanLatency},
+			{"modulator, 3 optical levels", ts[4].MeanLatency},
+		},
+		Power: []Fig6Series{
+			{"VCSEL-based PA", ts[5].NormPower},
+			{"modulator-based PA", ts[1].NormPower},
+		},
+	}, nil
 }
 
 // Fig6Report renders the four panels as tables with sparkline summaries.

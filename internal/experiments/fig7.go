@@ -64,73 +64,59 @@ func Fig7NodeLinksFixed(s Scale, b trace.Benchmark) (*Fig7Result, error) {
 }
 
 func fig7Run(s Scale, b trace.Benchmark, cfgPA network.Config, fabricPower bool) (*Fig7Result, error) {
-	if err := s.checkPolicy(); err != nil {
+	length := s.splashLength()
+	cfgs := [2]network.Config{cfgPA, cfgPA}
+	cfgs[1].PowerAware = false
+	type run struct {
+		r  core.Result
+		ts core.TimeSeries
+	}
+	runs, err := sweep(len(cfgs), func(i int) (run, error) {
+		gen := trace.Generator(b, cfgs[i].Nodes(), length)
+		r, ts, err := core.RunSeries(cfgs[i], gen, length, s.Bucket)
+		return run{r, ts}, err
+	})
+	if err != nil {
 		return nil, err
 	}
-	length := s.splashLength()
-	cfgNon := cfgPA
-	cfgNon.PowerAware = false
-
-	var rPA, rNon core.Result
-	var tsPA core.TimeSeries
-	errs := make([]error, 2)
-	forEach(2, func(i int) {
-		if i == 0 {
-			gen := trace.Generator(b, cfgPA.Nodes(), length)
-			rPA, tsPA, errs[0] = core.RunSeries(cfgPA, gen, length, s.Bucket)
-		} else {
-			gen := trace.Generator(b, cfgNon.Nodes(), length)
-			rNon, _, errs[1] = core.RunSeries(cfgNon, gen, length, s.Bucket)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if rNon.Packets == 0 || rPA.Packets == 0 {
+	pa, non := runs[0], runs[1]
+	if non.r.Packets == 0 || pa.r.Packets == 0 {
 		return nil, fmt.Errorf("experiments: %v trace delivered no packets", b)
 	}
-	normLat := rPA.MeanLatencyCycles / rNon.MeanLatencyCycles
-	power := rPA.NormPower
+	normLat := pa.r.MeanLatencyCycles / non.r.MeanLatencyCycles
+	power := pa.r.NormPower
 	if fabricPower {
-		power = rPA.FabricNormPower
+		power = pa.r.FabricNormPower
 	}
 	return &Fig7Result{
 		Benchmark:       b,
-		Injection:       tsPA.InjectionRate,
-		NormPower:       tsPA.NormPower,
+		Injection:       pa.ts.InjectionRate,
+		NormPower:       pa.ts.NormPower,
 		NormLatency:     normLat,
 		AvgNormPower:    power,
 		PowerLatencyPrd: stats.PowerLatencyProduct(power, normLat),
 	}, nil
 }
 
+// Fig7All runs all three benchmarks.
+func Fig7All(s Scale) ([]*Fig7Result, error) {
+	return fig7Each(s, Fig7)
+}
+
 // Fig7AllNodeLinksFixed runs the sensitivity variant for all benchmarks.
 func Fig7AllNodeLinksFixed(s Scale) ([]*Fig7Result, error) {
+	return fig7Each(s, Fig7NodeLinksFixed)
+}
+
+// fig7Each runs f for every benchmark. Each run parallelises internally
+// (PA vs non-PA); the benchmarks run one after another to bound memory.
+func fig7Each(s Scale, f func(Scale, trace.Benchmark) (*Fig7Result, error)) ([]*Fig7Result, error) {
 	bs := trace.Benchmarks()
 	out := make([]*Fig7Result, len(bs))
 	for i, b := range bs {
 		var err error
-		out[i], err = Fig7NodeLinksFixed(s, b)
-		if err != nil {
+		if out[i], err = f(s, b); err != nil {
 			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Fig7All runs all three benchmarks.
-func Fig7All(s Scale) ([]*Fig7Result, error) {
-	bs := trace.Benchmarks()
-	out := make([]*Fig7Result, len(bs))
-	errs := make([]error, len(bs))
-	// Each Fig7 call parallelises internally (PA vs non-PA); run the
-	// benchmarks sequentially to bound memory.
-	for i, b := range bs {
-		out[i], errs[i] = Fig7(s, b)
-		if errs[i] != nil {
-			return nil, errs[i]
 		}
 	}
 	return out, nil

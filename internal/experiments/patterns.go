@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -26,9 +23,6 @@ type PatternRow struct {
 // same offered load — spatial variance is the second of the paper's two
 // motivating observations.
 func Patterns(s Scale) ([]PatternRow, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, err
-	}
 	type pat struct {
 		name string
 		mk   func(nodes int, rate float64, size int) (traffic.Generator, error)
@@ -52,51 +46,21 @@ func Patterns(s Scale) ([]PatternRow, error) {
 	}
 	const rate = 1.5 // light-moderate, below every pattern's saturation
 
-	rows := make([]PatternRow, len(pats))
-	errs := make([]error, len(pats))
-	forEach(len(pats), func(i int) {
-		cfgPA := s.baseConfig()
-		cfgNon := s.baseConfig()
-		cfgNon.PowerAware = false
-		genPA, err := pats[i].mk(cfgPA.Nodes(), rate, s.PacketFlits)
+	return sweep(len(pats), func(i int) (PatternRow, error) {
+		nl, np, err := s.normalisedPair(s.baseConfig(), func(nodes int) (traffic.Generator, error) {
+			return pats[i].mk(nodes, rate, s.PacketFlits)
+		}, "pattern "+pats[i].name)
 		if err != nil {
-			errs[i] = err
-			return
+			return PatternRow{}, err
 		}
-		genNon, err := pats[i].mk(cfgNon.Nodes(), rate, s.PacketFlits)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		pa, err := core.Run(cfgPA, genPA, s.Warmup, s.Measure)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		non, err := core.Run(cfgNon, genNon, s.Warmup, s.Measure)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if non.Packets == 0 || pa.Packets == 0 {
-			errs[i] = fmt.Errorf("experiments: pattern %s delivered nothing", pats[i].name)
-			return
-		}
-		nl := pa.MeanLatencyCycles / non.MeanLatencyCycles
-		rows[i] = PatternRow{
+		return PatternRow{
 			Pattern:     pats[i].name,
 			Rate:        rate,
 			NormLatency: nl,
-			NormPower:   pa.NormPower,
-			PLP:         stats.PowerLatencyProduct(pa.NormPower, nl),
-		}
+			NormPower:   np,
+			PLP:         stats.PowerLatencyProduct(np, nl),
+		}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
 }
 
 // PatternsReport renders the pattern comparison.

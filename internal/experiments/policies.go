@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -83,26 +84,24 @@ type PolicyRow struct {
 	Summary report.Summary
 }
 
-// PolicyStudy runs the full matrix. When s.Policy names a single kind only
-// that column runs (no oracle-replay row, since it needs the DVS trace).
-func PolicyStudy(s Scale) ([]PolicyRow, error) {
+// PolicyStudy runs the full matrix, or only the policy columns given. An
+// oracle-replay column brings along the DVS column whose trace it replays.
+// Scenarios run in parallel; the cells of one scenario run in order, since
+// oracle replay needs the DVS cell's oracle.
+func PolicyStudy(s Scale, only ...policy.Kind) ([]PolicyRow, error) {
 	kinds := []policy.Kind{policy.KindDVS, policy.KindRules, policy.KindPID, policy.KindOracleReplay}
-	if s.Policy != "" {
-		k, err := policy.ParseKind(s.Policy)
-		if err != nil {
-			return nil, err
-		}
-		kinds = []policy.Kind{k}
-		if k == policy.KindOracleReplay {
-			kinds = []policy.Kind{policy.KindDVS, policy.KindOracleReplay}
+	if len(only) > 0 {
+		kinds = only
+		if slices.Contains(only, policy.KindOracleReplay) && !slices.Contains(only, policy.KindDVS) {
+			kinds = append([]policy.Kind{policy.KindDVS}, only...)
 		}
 	}
-
-	var rows []PolicyRow
-	for _, sc := range PolicyScenarios() {
+	scenarios := PolicyScenarios()
+	perScenario, err := sweep(len(scenarios), func(i int) ([]PolicyRow, error) {
+		var rows []PolicyRow
 		var dvsOracle *policy.Oracle
 		for _, k := range kinds {
-			row, orc, err := runPolicyCell(s, sc, k, dvsOracle)
+			row, orc, err := runPolicyCell(s, scenarios[i], k, dvsOracle)
 			if err != nil {
 				return nil, err
 			}
@@ -111,8 +110,12 @@ func PolicyStudy(s Scale) ([]PolicyRow, error) {
 			}
 			rows = append(rows, row)
 		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return slices.Concat(perScenario...), nil
 }
 
 // runPolicyCell runs one (scenario, kind) cell: the run records its trace,

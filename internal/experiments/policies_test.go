@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,5 +89,27 @@ func TestOracleReplayNeedsDVSTrace(t *testing.T) {
 	sc := sustainedBERScenario(t)
 	if _, _, err := runPolicyCell(s, sc, policy.KindOracleReplay, nil); err == nil {
 		t.Error("oracle-replay cell without a DVS trace: want error")
+	}
+}
+
+// TestPolicyStudyReplayBringsDVS: a study filtered to oracle replay runs the
+// DVS column before it in every scenario, since replay needs that cell's
+// oracle, and the rows come out in scenario order.
+func TestPolicyStudyReplayBringsDVS(t *testing.T) {
+	s := tinyScale()
+	s.Warmup, s.Measure = 200, 2_000
+	rows, err := PolicyStudy(s, policy.KindOracleReplay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, r := range rows {
+		got = append(got, r.Scenario+"/"+r.Policy)
+	}
+	for _, sc := range PolicyScenarios() {
+		want = append(want, sc.Name+"/dvs", sc.Name+"/oracle-replay")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("cells %v, want %v", got, want)
 	}
 }

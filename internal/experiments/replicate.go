@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/report"
 	"repro/internal/traffic"
 )
@@ -60,45 +58,21 @@ func Replicate(s Scale, rate float64, seeds int) (ReplicatedResult, error) {
 	if seeds <= 0 {
 		return ReplicatedResult{}, fmt.Errorf("experiments: seeds must be positive, got %d", seeds)
 	}
-	if err := s.checkPolicy(); err != nil {
+	type run struct{ nl, np float64 }
+	runs, err := sweep(seeds, func(i int) (run, error) {
+		seed := s.Seed + uint64(i)
+		cfg := s.baseConfig()
+		cfg.Seed = seed
+		nl, np, err := s.normalisedPair(cfg, func(nodes int) (traffic.Generator, error) {
+			return traffic.NewUniform(nodes, rate, s.PacketFlits), nil
+		}, fmt.Sprintf("seed %d", seed))
+		return run{nl, np}, err
+	})
+	if err != nil {
 		return ReplicatedResult{}, err
 	}
-	type run struct {
-		nl, np float64
-		err    error
-	}
-	runs := make([]run, seeds)
-	forEach(seeds, func(i int) {
-		seed := s.Seed + uint64(i)
-		cfgPA := s.baseConfig()
-		cfgPA.Seed = seed
-		cfgNon := cfgPA
-		cfgNon.PowerAware = false
-		mk := func(cfg network.Config) traffic.Generator {
-			return traffic.NewUniform(cfg.Nodes(), rate, s.PacketFlits)
-		}
-		pa, err := core.Run(cfgPA, mk(cfgPA), s.Warmup, s.Measure)
-		if err != nil {
-			runs[i].err = err
-			return
-		}
-		non, err := core.Run(cfgNon, mk(cfgNon), s.Warmup, s.Measure)
-		if err != nil {
-			runs[i].err = err
-			return
-		}
-		if non.Packets == 0 {
-			runs[i].err = fmt.Errorf("experiments: seed %d delivered nothing", seed)
-			return
-		}
-		runs[i].nl = pa.MeanLatencyCycles / non.MeanLatencyCycles
-		runs[i].np = pa.NormPower
-	})
 	var nls, nps, plps []float64
 	for _, r := range runs {
-		if r.err != nil {
-			return ReplicatedResult{}, r.err
-		}
 		nls = append(nls, r.nl)
 		nps = append(nps, r.np)
 		plps = append(plps, r.nl*r.np)

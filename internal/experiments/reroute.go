@@ -38,25 +38,17 @@ type RerouteResult struct {
 	Summary report.Summary
 }
 
-// Reroute runs the power-aware system with fault-aware routing enabled,
-// fails the central router's eastbound link for the whole measurement
-// window, and reports how the policy controllers on the neighbouring mesh
-// links respond. The interaction under study: rerouting concentrates the
-// diverted load onto the detour links, whose controllers answer by
-// climbing the bit-rate ladder — the power knock-on cost of self-healing.
-func Reroute(s Scale) (RerouteResult, error) {
-	r, _, err := RerouteInstrumented(s, telemetry.Config{})
-	return r, err
-}
-
-// RerouteInstrumented is Reroute with telemetry wired into the failed run:
-// the returned registry (nil when tc is disabled) carries its time series
-// and flight recorder for trace export. The fault-free baseline stays
-// uninstrumented — it exists only for the controller-stat comparison.
+// RerouteInstrumented runs the power-aware system with fault-aware routing
+// enabled, fails the central router's eastbound link for the whole
+// measurement window, and reports how the policy controllers on the
+// neighbouring mesh links respond. The interaction under study: rerouting
+// concentrates the diverted load onto the detour links, whose controllers
+// answer by climbing the bit-rate ladder — the power knock-on cost of
+// self-healing. Telemetry is wired into the failed run: the returned
+// registry (nil when tc is disabled) carries its time series and flight
+// recorder for trace export. The fault-free baseline stays uninstrumented —
+// it exists only for the controller-stat comparison.
 func RerouteInstrumented(s Scale, tc telemetry.Config) (RerouteResult, *telemetry.Registry, error) {
-	if err := s.checkPolicy(); err != nil {
-		return RerouteResult{}, nil, err
-	}
 	const rate = 3.3 // the paper's medium load: enough to make detours visible
 
 	cfg := s.baseConfig()

@@ -25,21 +25,10 @@ const throughputResolution = 0.125
 // systems by bisecting the injection-rate axis against the 2× zero-load
 // criterion.
 func Throughput(s Scale) ([]ThroughputResult, error) {
-	if err := s.checkPolicy(); err != nil {
-		return nil, err
-	}
 	configs := Fig5GConfigs()
-	out := make([]ThroughputResult, len(configs))
-	errs := make([]error, len(configs))
-	forEach(len(configs), func(i int) {
-		out[i], errs[i] = throughputOf(s, configs[i])
+	return sweep(len(configs), func(i int) (ThroughputResult, error) {
+		return throughputOf(s, configs[i])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 func throughputOf(s Scale, c Fig5GConfig) (ThroughputResult, error) {

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,5 +297,26 @@ func TestSuiteCleanOnRepoSimdebug(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("finding: %s", d)
+	}
+}
+
+// TestLoadSubsetSharesOneCheck: a matched package reached both directly and
+// through an unmatched one (network imports sim, and router, which imports
+// sim too) must see a single sim, so the subset type-checks; the unmatched
+// router is checked but not returned.
+func TestLoadSubsetSharesOneCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks part of the module")
+	}
+	pkgs, err := lint.Load("../..", "./internal/network", "./internal/sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if want := []string{"repro/internal/sim", "repro/internal/network"}; !slices.Equal(got, want) {
+		t.Fatalf("loaded %v, want %v", got, want)
 	}
 }

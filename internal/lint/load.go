@@ -35,27 +35,32 @@ type Package struct {
 	Generated map[string]bool
 }
 
-// listedPackage is the subset of `go list -json` output the loader needs.
-// Deps (the transitive import closure) drives the topological analysis
-// order that the facts model requires: a package's analyzers run only after
-// the analyzers of everything it imports have exported their facts.
+// listedPackage is the subset of `go list -deps -json` output the loader
+// needs. Deps (the transitive import closure) drives the topological
+// analysis order that the facts model requires: a package's analyzers run
+// only after the analyzers of everything it imports have exported their
+// facts. DepOnly marks a package listed only because a matched package
+// imports it.
 type listedPackage struct {
 	ImportPath string
 	Name       string
 	Dir        string
 	GoFiles    []string
 	Deps       []string
+	Standard   bool
+	DepOnly    bool
 }
 
 // Load resolves patterns (e.g. "./...") via the go command, then parses and
 // type-checks each matched package, returning them in dependency order
 // (imported packages before their importers — the order Run needs so
-// cross-package facts flow downstream). Type checking uses the standard
-// library's source importer, so no pre-built export data — and no module
-// dependency beyond the toolchain itself — is required. dir is the module
-// directory to resolve patterns in ("" = current directory; the source
-// importer resolves module-internal import paths relative to the process
-// working directory, so callers outside the module root should chdir first).
+// cross-package facts flow downstream). Every non-standard package in the
+// patterns' import closure is type-checked exactly once, dependencies
+// first, and its importers resolve it to that one check; packages listed
+// only as dependencies are checked but not returned. Standard-library
+// imports go to the source importer, so no pre-built export data — and no
+// module dependency beyond the toolchain itself — is required. dir is the
+// module directory to resolve patterns in ("" = current directory).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	return LoadTags(dir, nil, patterns...)
 }
@@ -71,7 +76,7 @@ func LoadTags(dir string, tags []string, patterns ...string) ([]*Package, error)
 	if len(tags) > 0 {
 		args = append(args, "-tags", strings.Join(tags, ","))
 	}
-	args = append(args, "-json", "--")
+	args = append(args, "-deps", "-json", "--")
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -88,14 +93,17 @@ func LoadTags(dir string, tags []string, patterns ...string) ([]*Package, error)
 		if err := dec.Decode(&lp); err != nil {
 			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
 		}
-		if len(lp.GoFiles) > 0 {
+		if !lp.Standard && len(lp.GoFiles) > 0 {
 			listed = append(listed, lp)
 		}
 	}
 	topoSort(listed)
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := &chainImporter{
+		base:   importer.ForCompiler(fset, "source", nil),
+		loaded: make(map[string]*types.Package),
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
 		files := make([]string, len(lp.GoFiles))
@@ -106,7 +114,10 @@ func LoadTags(dir string, tags []string, patterns ...string) ([]*Package, error)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		imp.loaded[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
@@ -232,8 +243,8 @@ func matchDirFiles(ctx *build.Context, dir string) ([]string, error) {
 	return files, nil
 }
 
-// chainImporter resolves previously loaded DirSpec packages by their
-// assigned paths and defers everything else to the source importer.
+// chainImporter resolves previously loaded packages by their import (or
+// assigned DirSpec) paths and defers everything else to the source importer.
 type chainImporter struct {
 	base   types.Importer
 	loaded map[string]*types.Package

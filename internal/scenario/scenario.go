@@ -45,7 +45,7 @@ type System struct {
 	NodesPerRack int     `json:"nodesPerRack"`
 	VCs          int     `json:"vcs"`
 	BufDepth     int     `json:"bufDepth"`
-	Routing      string  `json:"routing"` // "xy" (default) or "yx"
+	Routing      string  `json:"routing"` // "xy" (default), "yx" or "westfirst"
 	Scheme       string  `json:"scheme"`  // "vcsel" (default) or "modulator"
 	MinRateGbps  float64 `json:"minRateGbps"`
 	MaxRateGbps  float64 `json:"maxRateGbps"`

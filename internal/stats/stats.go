@@ -1,7 +1,6 @@
 // Package stats provides the measurement primitives used to reproduce the
-// paper's evaluation: streaming latency aggregation, bucketed time series
-// (injection rate, latency, and power over time for Figs. 6 and 7), and the
-// power-latency product metric.
+// paper's evaluation: bucketed time series (injection rate, latency, and
+// power over time for Figs. 6 and 7), and the power-latency product metric.
 package stats
 
 import (
@@ -9,49 +8,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// Latency is a streaming aggregate of packet latencies.
-type Latency struct {
-	Count int64
-	Sum   float64
-	Min   sim.Cycle
-	Max   sim.Cycle
-}
-
-// Record adds one observation.
-func (l *Latency) Record(lat sim.Cycle) {
-	if l.Count == 0 || lat < l.Min {
-		l.Min = lat
-	}
-	if lat > l.Max {
-		l.Max = lat
-	}
-	l.Count++
-	l.Sum += float64(lat)
-}
-
-// Mean returns the mean latency in cycles (0 when empty).
-func (l *Latency) Mean() float64 {
-	if l.Count == 0 {
-		return 0
-	}
-	return l.Sum / float64(l.Count)
-}
-
-// Merge folds other into l.
-func (l *Latency) Merge(other Latency) {
-	if other.Count == 0 {
-		return
-	}
-	if l.Count == 0 || other.Min < l.Min {
-		l.Min = other.Min
-	}
-	if other.Max > l.Max {
-		l.Max = other.Max
-	}
-	l.Count += other.Count
-	l.Sum += other.Sum
-}
 
 // Bucketed accumulates per-bucket observations over time: bucket i covers
 // cycles [i·Width, (i+1)·Width).

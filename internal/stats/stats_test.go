@@ -3,75 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/sim"
 )
-
-func TestLatencyAggregate(t *testing.T) {
-	var l Latency
-	for _, v := range []sim.Cycle{10, 20, 30} {
-		l.Record(v)
-	}
-	if l.Count != 3 || l.Min != 10 || l.Max != 30 {
-		t.Errorf("aggregate %+v", l)
-	}
-	if l.Mean() != 20 {
-		t.Errorf("mean = %g, want 20", l.Mean())
-	}
-}
-
-func TestLatencyEmptyMean(t *testing.T) {
-	var l Latency
-	if l.Mean() != 0 {
-		t.Errorf("empty mean = %g", l.Mean())
-	}
-}
-
-func TestLatencyMerge(t *testing.T) {
-	var a, b Latency
-	a.Record(5)
-	a.Record(15)
-	b.Record(100)
-	a.Merge(b)
-	if a.Count != 3 || a.Min != 5 || a.Max != 100 {
-		t.Errorf("merged %+v", a)
-	}
-	var empty Latency
-	a.Merge(empty)
-	if a.Count != 3 {
-		t.Error("merging empty changed the aggregate")
-	}
-	empty.Merge(a)
-	if empty.Count != 3 || empty.Min != 5 {
-		t.Errorf("merge into empty: %+v", empty)
-	}
-}
-
-// TestLatencyMergeEquivalence (property): merging two halves equals
-// recording everything into one aggregate.
-func TestLatencyMergeEquivalence(t *testing.T) {
-	f := func(xs []uint16, split uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		k := int(split) % len(xs)
-		var whole, a, b Latency
-		for i, x := range xs {
-			whole.Record(sim.Cycle(x))
-			if i < k {
-				a.Record(sim.Cycle(x))
-			} else {
-				b.Record(sim.Cycle(x))
-			}
-		}
-		a.Merge(b)
-		return a == whole
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestBucketed(t *testing.T) {
 	b := NewBucketed(100)

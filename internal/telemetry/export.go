@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -105,17 +106,23 @@ func WriteChromeTrace(w io.Writer, r *Registry) error {
 }
 
 // WriteCSV renders every series in long form: series,kind,cycle,value —
-// one row per retained sample, series in registration order.
+// one row per retained sample, series in registration order, each value in
+// %g's shortest form. The rows are built in memory and written with one
+// Write, since w may be an unbuffered file.
 func WriteCSV(w io.Writer, r *Registry) error {
-	if _, err := fmt.Fprintln(w, "series,kind,cycle,value"); err != nil {
-		return err
-	}
+	buf := []byte("series,kind,cycle,value\n")
 	for _, s := range r.Series() {
 		for _, p := range s.Points {
-			if _, err := fmt.Fprintf(w, "%s,%s,%d,%g\n", s.Name, s.Kind, int64(p.T), p.V); err != nil {
-				return err
-			}
+			buf = append(buf, s.Name...)
+			buf = append(buf, ',')
+			buf = append(buf, s.Kind...)
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(p.T), 10)
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, p.V, 'g', -1, 64)
+			buf = append(buf, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -245,6 +247,38 @@ func TestCSVExport(t *testing.T) {
 	}
 	if len(lines) != 3 || lines[1] != "a,gauge,0,1.5" || lines[2] != "a,gauge,16,1.5" {
 		t.Fatalf("rows: %q", lines[1:])
+	}
+}
+
+// TestCSVExportMatchesFormat pins WriteCSV's bytes to the fmt rendering
+// it replaces, across two series and the values %g spells unusually.
+func TestCSVExportMatchesFormat(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		5e-324, 1e21, 0, 3, -42, 1e20, 123456789, 0.1, 1e-5, 2.5}
+	w := sim.NewWheel(64)
+	r := NewRegistry(Config{Enabled: true, SampleEvery: 1, RingCap: 64}, w)
+	var gi int
+	r.Gauge("g", func(now sim.Cycle) float64 { v := vals[gi%len(vals)]; gi++; return v })
+	var ci int64
+	r.Counter("c", func() int64 { ci += 1 << 40; return ci })
+	r.Start(0)
+	drive(w, sim.Cycle(len(vals)-1))
+
+	want := "series,kind,cycle,value\n"
+	for _, s := range r.Series() {
+		if len(s.Points) != len(vals) {
+			t.Fatalf("series %s has %d points, want %d", s.Name, len(s.Points), len(vals))
+		}
+		for _, p := range s.Points {
+			want += fmt.Sprintf("%s,%s,%d,%g\n", s.Name, s.Kind, int64(p.T), p.V)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Fatalf("WriteCSV output differs from fmt's:\ngot:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
