@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race shuffle lint vet staticcheck optolint lint-mutation simdebug perfbench ci bench-snapshot dse-smoke
+.PHONY: all build test race shuffle lint vet staticcheck optolint lint-mutation simdebug perfbench ci bench-snapshot dse-smoke identity
 
 all: build test
 
@@ -96,3 +96,32 @@ dse-smoke:
 		grep -q '8 trials (0 fresh, 8 cached)'
 	cmp $(DSE_SMOKE_DIR)/trials.jsonl.before $(DSE_SMOKE_DIR)/trials.jsonl
 	cmp $(DSE_SMOKE_DIR)/frontier.json internal/dse/testdata/smoke-frontier.json
+
+# identity checks that the working tree prints byte for byte what BASE
+# (default HEAD) prints: it builds optosim from `git archive $(BASE)` and
+# from the working tree, runs the fault, reroute and policy studies as JSON
+# and the Lu and predictor ablations under every adaptive policy, drops the
+# `# ... done in` timing lines, and stops at the first difference.
+#   make identity BASE=<rev>
+BASE ?= HEAD
+IDENTITY_RUNS = '-json -seed 7 faults reroute policies' \
+	'-policy dvs ablation-lu ablation-predictor' \
+	'-policy rules ablation-lu ablation-predictor' \
+	'-policy pid ablation-lu ablation-predictor'
+
+identity:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/optosim-base" ./cmd/optosim) && \
+	$(GO) build -o "$$tmp/optosim-work" ./cmd/optosim && \
+	for run in $(IDENTITY_RUNS); do \
+		echo "identity: optosim $$run"; \
+		for side in base work; do \
+			"$$tmp/optosim-$$side" $$run > "$$tmp/$$side.raw" || exit 1; \
+			grep -v '^# .* done in ' "$$tmp/$$side.raw" > "$$tmp/$$side.out"; \
+		done; \
+		if ! cmp -s "$$tmp/base.out" "$$tmp/work.out"; then \
+			diff "$$tmp/base.out" "$$tmp/work.out" | head -20; \
+			echo "identity: optosim $$run differs from $(BASE)"; exit 1; \
+		fi; \
+	done && echo "identity: byte-identical to $(BASE)"

@@ -33,7 +33,10 @@ const Magic = "OPTOCKPT"
 // checkpoints are process-lifetime artifacts, not archival data, so there
 // is no cross-version migration. Version 2: controller state became the
 // kind-tagged policy union and the snapshot may carry an oracle trace.
-const Version uint32 = 2
+// Version 3: every policy kind's state is one flat record; gob would
+// decode a version-2 union into a zeroed record without error, so the
+// bump is what rejects it.
+const Version uint32 = 3
 
 // headerLen is the fixed prefix: magic(8) + version(4) + cycle(8) +
 // payload length(8) + payload CRC(4).

@@ -607,7 +607,7 @@ func (n *Network) Step() {
 	if now == n.nextPolicyTick {
 		if n.policyRec != nil {
 			for i, c := range n.controllers {
-				n.policyRec.Observe(i, n.ctrlChans[i].Flits(), n.maxSafeLevel(now, c.Link()))
+				n.policyRec.Observe(i, n.ctrlChans[i].Flits(), policy.MaxSafeLevel(now, c.Link(), n.cfg.Policy.MaxBER))
 			}
 		}
 		for _, c := range n.controllers {
@@ -1056,22 +1056,6 @@ func (n *Network) policyTimerEvt(ordinal int) sim.Event {
 	}
 }
 
-// maxSafeLevel returns the highest electrical level whose margin-projected
-// BER is within the policy's MaxBER at now: -1 when no level qualifies,
-// the ladder top when the guard is disabled (MaxBER <= 0).
-func (n *Network) maxSafeLevel(now sim.Cycle, pl *powerlink.Link) int {
-	nl := pl.NumLevels()
-	if n.cfg.Policy.MaxBER <= 0 {
-		return nl - 1
-	}
-	for lv := nl - 1; lv >= 0; lv-- {
-		if pl.ProjectedBER(now, lv) <= n.cfg.Policy.MaxBER {
-			return lv
-		}
-	}
-	return -1
-}
-
 // PolicyStats aggregates every controller's counters into one report block
 // (zero value when the network runs without power awareness).
 func (n *Network) PolicyStats() stats.Policy {
@@ -1081,17 +1065,7 @@ func (n *Network) PolicyStats() stats.Policy {
 	}
 	p.Kind = n.cfg.Policy.Kind.String()
 	for _, c := range n.controllers {
-		s := c.Stats()
-		p.Windows += s.Windows
-		p.Ups += s.Ups
-		p.Downs += s.Downs
-		p.Holds += s.Holds
-		p.Rejected += s.Rejected
-		p.Guarded += s.Guarded
-		p.PdecCount += s.PdecCount
-		p.LossDerates += s.LossDerates
-		p.StormBackoffs += s.StormBackoffs
-		p.GradualUps += s.GradualUps
+		p.Add(c.Stats())
 	}
 	p.EnergyJ = n.ControlledLinkEnergyJ()
 	return p

@@ -9,10 +9,13 @@ import (
 
 // This file is the pluggable policy engine: the LinkPolicy interface every
 // control policy implements, the sensor/actuator surfaces the network hands
-// a policy at construction, and the factory that builds one from a Config.
-// The paper's history-window DVS controller (policy.go) is the default
-// implementation; rules.go, pid.go, and oracle.go add the self-adaptive
-// family of ROADMAP item 4.
+// a policy at construction, the factory that builds one from a Config, and
+// base, the skeleton every kind embeds. base senses a window (Eq. 10),
+// averages it (Eq. 11), guards step-ups against MaxBER, applies and counts
+// a decision, and holds the policy's whole mutable state as one
+// PolicyState record; each kind adds only its decision rule. The paper's
+// history-window DVS controller (policy.go) is the default kind; rules.go,
+// pid.go, and oracle.go add the self-adaptive family of ROADMAP item 4.
 
 // Kind selects a link-policy implementation.
 type Kind int
@@ -151,4 +154,136 @@ func New(cfg Config, d Deps) (LinkPolicy, error) {
 	default:
 		return nil, fmt.Errorf("policy: unknown kind %d", int(cfg.Kind))
 	}
+}
+
+// base is the skeleton every link policy embeds: the controlled link, its
+// sensors and configuration, and st, the policy's whole mutable state.
+// Everything a kind changes while running lives in st, so a checkpoint
+// is one record copy (snapshot.go).
+type base struct {
+	cfg  Config
+	link *powerlink.Link
+	util UtilizationSource
+	loss LossSource
+	st   PolicyState
+}
+
+// newBase validates cfg and builds the skeleton of a kind's policy.
+func newBase(kind Kind, cfg Config, d Deps) (base, error) {
+	if err := cfg.Validate(); err != nil {
+		return base{}, err
+	}
+	return base{
+		cfg:  cfg,
+		link: d.Link,
+		util: d.Util,
+		loss: d.Loss,
+		st:   PolicyState{Kind: kind, History: make([]float64, cfg.SlidingN)},
+	}, nil
+}
+
+// Link returns the controlled link.
+func (b *base) Link() *powerlink.Link { return b.link }
+
+// Kind identifies the implementation.
+func (b *base) Kind() Kind { return b.st.Kind }
+
+// Stats returns the policy's activity counters.
+func (b *base) Stats() Stats { return b.st.Stats }
+
+// Window returns the policy's Tw.
+func (b *base) Window() sim.Cycle { return b.cfg.Window }
+
+// busyFrac returns the window's Lu as the fraction of Tw the link spent
+// serialising (Eq. 10, relative to the current bit rate), capped at 1.
+func (b *base) busyFrac() float64 {
+	busy := b.util.BusyCycles()
+	lu := (busy - b.st.LastBusy) / float64(b.cfg.Window)
+	b.st.LastBusy = busy
+	return capUnit(lu)
+}
+
+// flitDelta returns the number of flits the link sent in the window.
+func (b *base) flitDelta() int64 {
+	flits := b.util.FlitCount()
+	d := flits - b.st.LastFlits
+	b.st.LastFlits = flits
+	return d
+}
+
+// bufferUtil returns the window's Bu, the downstream buffer's mean fill
+// over Tw, capped at 1. A link into an always-ready sink reads 0.
+func (b *base) bufferUtil(now sim.Cycle) float64 {
+	cap := b.util.BufferCapacity()
+	if cap <= 0 {
+		return 0
+	}
+	occ := b.util.BufferOccupancyIntegral(now)
+	bu := (occ - b.st.LastOccInt) / (float64(cap) * float64(b.cfg.Window))
+	b.st.LastOccInt = occ
+	return capUnit(bu)
+}
+
+// capUnit caps a window fraction at 1: fractional carry-over can put more
+// than Tw of busy time or buffer fill into one window.
+func capUnit(x float64) float64 {
+	if x > 1 {
+		return 1
+	}
+	return x
+}
+
+// slidingMean pushes lu into the history ring and returns the mean of the
+// last SlidingN windows (Eq. 11).
+func (b *base) slidingMean(lu float64) float64 {
+	h := b.st.History
+	h[b.st.HIdx] = lu
+	b.st.HIdx = (b.st.HIdx + 1) % len(h)
+	if b.st.HCount < len(h) {
+		b.st.HCount++
+	}
+	var sum float64
+	for _, v := range h[:b.st.HCount] {
+		sum += v
+	}
+	return sum / float64(b.st.HCount)
+}
+
+// upGuarded is the MaxBER reliability guard: it reports whether a step up
+// at now would land on a level whose margin-projected BER exceeds the
+// configured ceiling. Waking an off link is never blocked (level 0 is the
+// most robust operating point), and out-of-range targets are left for the
+// link to reject. With MaxBER zero the guard is off and reads nothing.
+// Level is idempotent at a fixed now, so a caller that read it already
+// (the rule engine) sees the same level here.
+func (b *base) upGuarded(now sim.Cycle) bool {
+	if b.cfg.MaxBER <= 0 {
+		return false
+	}
+	lv := b.link.Level(now)
+	if lv < 0 || lv+1 >= b.link.NumLevels() {
+		return false
+	}
+	return b.link.ProjectedBER(now, lv+1) > b.cfg.MaxBER
+}
+
+// apply is the one actuator: it counts d as an Up, Down or Hold, requests
+// the step from the link, and counts a step the link refuses (extreme
+// level or mid-transition) as Rejected. A Hold never reads the link.
+func (b *base) apply(now sim.Cycle, d Decision) Decision {
+	dir := +1
+	switch d {
+	case StepUp:
+		b.st.Stats.Ups++
+	case StepDown:
+		b.st.Stats.Downs++
+		dir = -1
+	default:
+		b.st.Stats.Holds++
+		return d
+	}
+	if !b.link.RequestStep(now, dir) {
+		b.st.Stats.Rejected++
+	}
+	return d
 }

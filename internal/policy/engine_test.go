@@ -366,7 +366,7 @@ func TestPolicyStateKindMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pidState := PolicyState{Kind: KindPID, PID: &PIDState{}}
+	pidState := PolicyState{Kind: KindPID, History: make([]float64, cfg.SlidingN)}
 	if err := p.RestorePolicy(pidState); err == nil {
 		t.Error("restoring a PID snapshot into the rule engine: want error")
 	}

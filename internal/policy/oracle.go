@@ -63,6 +63,23 @@ func (r *Recorder) Observe(ordinal int, flits int64, maxSafe int) {
 	lt.MaxSafe = append(lt.MaxSafe, int8(maxSafe))
 }
 
+// MaxSafeLevel is the reliability ceiling the recorder logs: the highest
+// electrical level of link whose margin-projected BER is within maxBER at
+// now, -1 when no level qualifies, and the ladder top when the guard is
+// disabled (maxBER <= 0).
+func MaxSafeLevel(now sim.Cycle, link *powerlink.Link, maxBER float64) int {
+	nl := link.NumLevels()
+	if maxBER <= 0 {
+		return nl - 1
+	}
+	for lv := nl - 1; lv >= 0; lv-- {
+		if link.ProjectedBER(now, lv) <= maxBER {
+			return lv
+		}
+	}
+	return -1
+}
+
 // Trace returns the recording so far (shared slices; callers must not
 // mutate while the run continues).
 func (r *Recorder) Trace() Trace { return r.trace }
@@ -144,75 +161,43 @@ func ComputeOracle(tr Trace, links []LinkModel) (Oracle, error) {
 	return o, nil
 }
 
-// LinkModels adapts a slice of powerlinks to the oracle's view.
-func LinkModels(links []*powerlink.Link) []LinkModel {
-	out := make([]LinkModel, len(links))
-	for i, l := range links {
-		out[i] = l
-	}
-	return out
-}
-
 // Replay is the KindOracleReplay policy: at every window boundary it steps
 // the link one level toward the oracle schedule's prescription for that
 // window. Past the end of the schedule it holds the last prescription.
 type Replay struct {
-	cfg   Config
-	link  *powerlink.Link
+	base
 	sched []int8
-	stats Stats
 }
 
 // NewReplay builds the replay policy for the link at d.Ordinal from
 // cfg.Oracle's schedule.
 func NewReplay(cfg Config, d Deps) (*Replay, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(KindOracleReplay, cfg, d)
+	if err != nil {
 		return nil, err
 	}
 	if d.Ordinal >= len(cfg.Oracle.Levels) {
 		return nil, fmt.Errorf("policy: oracle schedule has %d links, replay needs ordinal %d", len(cfg.Oracle.Levels), d.Ordinal)
 	}
-	return &Replay{cfg: cfg, link: d.Link, sched: cfg.Oracle.Levels[d.Ordinal]}, nil
+	return &Replay{base: b, sched: cfg.Oracle.Levels[d.Ordinal]}, nil
 }
 
-// Link returns the controlled link.
-func (p *Replay) Link() *powerlink.Link { return p.link }
-
-// Kind identifies the replay policy.
-func (p *Replay) Kind() Kind { return KindOracleReplay }
-
-// Stats returns the replay's activity counters.
-func (p *Replay) Stats() Stats { return p.stats }
-
-// Tick steps the link one level toward the schedule's prescription.
+// Tick steps the link one level toward the schedule's prescription. An
+// empty schedule holds without reading the link.
 func (p *Replay) Tick(now sim.Cycle) Decision {
-	w := p.stats.Windows
-	p.stats.Windows++
+	w := p.st.Stats.Windows
+	p.st.Stats.Windows++
 	if len(p.sched) == 0 {
-		p.stats.Holds++
-		return Hold
+		return p.apply(now, Hold)
 	}
-	if w >= len(p.sched) {
-		w = len(p.sched) - 1
-	}
-	target := int(p.sched[w])
+	target := int(p.sched[min(w, len(p.sched)-1)])
 	lv := p.link.Level(now)
 	decision := Hold
 	switch {
 	case lv < target:
 		decision = StepUp
-		p.stats.Ups++
-		if !p.link.RequestStep(now, +1) {
-			p.stats.Rejected++
-		}
 	case lv > target:
 		decision = StepDown
-		p.stats.Downs++
-		if !p.link.RequestStep(now, -1) {
-			p.stats.Rejected++
-		}
-	default:
-		p.stats.Holds++
 	}
-	return decision
+	return p.apply(now, decision)
 }

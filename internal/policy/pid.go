@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 
-	"repro/internal/powerlink"
 	"repro/internal/sim"
 )
 
@@ -63,104 +62,53 @@ func (c PIDConfig) Validate() error {
 
 // PIDTracker is the PID utilisation policy for one link.
 type PIDTracker struct {
-	cfg  Config
-	link *powerlink.Link
-	util UtilizationSource
-
-	lastBusy float64
-	integ    float64
-	lastErr  float64
-	primed   bool // lastErr holds a real observation
-
-	stats Stats
+	base
 }
 
 // NewPIDTracker builds the PID policy for one link. cfg.PID must be fully
 // populated (New substitutes defaults for the zero value).
 func NewPIDTracker(cfg Config, d Deps) (*PIDTracker, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(KindPID, cfg, d)
+	if err != nil {
 		return nil, err
 	}
-	return &PIDTracker{cfg: cfg, link: d.Link, util: d.Util}, nil
+	return &PIDTracker{base: b}, nil
 }
-
-// Link returns the controlled link.
-func (p *PIDTracker) Link() *powerlink.Link { return p.link }
-
-// Kind identifies the PID tracker.
-func (p *PIDTracker) Kind() Kind { return KindPID }
-
-// Stats returns the tracker's activity counters.
-func (p *PIDTracker) Stats() Stats { return p.stats }
 
 // Tick runs one PID update at a window boundary.
 func (p *PIDTracker) Tick(now sim.Cycle) Decision {
-	p.stats.Windows++
+	p.st.Stats.Windows++
 	c := p.cfg.PID
 
-	busy := p.util.BusyCycles()
-	lu := (busy - p.lastBusy) / float64(p.cfg.Window)
-	p.lastBusy = busy
-	if lu > 1 {
-		lu = 1
-	}
-
-	err := lu - c.Setpoint
-	p.integ += err
-	if p.integ > c.IntegralClamp {
-		p.integ = c.IntegralClamp
-	} else if p.integ < -c.IntegralClamp {
-		p.integ = -c.IntegralClamp
+	err := p.busyFrac() - c.Setpoint
+	p.st.Integ += err
+	if p.st.Integ > c.IntegralClamp {
+		p.st.Integ = c.IntegralClamp
+	} else if p.st.Integ < -c.IntegralClamp {
+		p.st.Integ = -c.IntegralClamp
 	}
 	deriv := 0.0
-	if p.primed {
-		deriv = err - p.lastErr
+	if p.st.Primed {
+		deriv = err - p.st.LastErr
 	}
-	p.lastErr = err
-	p.primed = true
+	p.st.LastErr = err
+	p.st.Primed = true
 
-	u := c.Kp*err + c.Ki*p.integ + c.Kd*deriv
+	u := c.Kp*err + c.Ki*p.st.Integ + c.Kd*deriv
 
 	decision := Hold
 	switch {
 	case u >= c.StepThreshold:
-		if p.upGuardBlocks(now) {
-			p.stats.Guarded++
+		if p.upGuarded(now) {
+			p.st.Stats.Guarded++
 			break
 		}
 		decision = StepUp
 	case u <= -c.StepThreshold:
 		decision = StepDown
 	}
-
-	switch decision {
-	case StepUp:
-		p.stats.Ups++
-		p.integ = 0
-		if !p.link.RequestStep(now, +1) {
-			p.stats.Rejected++
-		}
-	case StepDown:
-		p.stats.Downs++
-		p.integ = 0
-		if !p.link.RequestStep(now, -1) {
-			p.stats.Rejected++
-		}
-	default:
-		p.stats.Holds++
+	if decision != Hold {
+		p.st.Integ = 0 // the next step must be re-earned
 	}
-	return decision
-}
-
-// upGuardBlocks is the MaxBER guard on the step-up target, mirroring the
-// DVS controller's berGuardBlocks.
-func (p *PIDTracker) upGuardBlocks(now sim.Cycle) bool {
-	if p.cfg.MaxBER <= 0 {
-		return false
-	}
-	lv := p.link.Level(now)
-	if lv < 0 || lv+1 >= p.link.NumLevels() {
-		return false
-	}
-	return p.link.ProjectedBER(now, lv+1) > p.cfg.MaxBER
+	return p.apply(now, decision)
 }

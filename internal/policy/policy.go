@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/powerlink"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Thresholds holds the Bu-conditioned link-utilisation thresholds of
@@ -271,132 +272,59 @@ func (d Decision) String() string {
 	}
 }
 
-// Stats counts policy activity. The loss-adaptation counters (LossDerates,
+// Stats counts one policy's activity; the counting rule per kind is on
+// stats.PolicyCounts. The loss-adaptation counters (LossDerates,
 // StormBackoffs, GradualUps) are maintained only by the rule engine and
 // stay zero for other kinds.
-type Stats struct {
-	Windows   int
-	Ups       int
-	Downs     int
-	Holds     int
-	Rejected  int // steps the link refused (extreme level or mid-transition)
-	Guarded   int // StepUps refused by the MaxBER reliability guard
-	PdecCount int
-
-	LossDerates   int // R2/R3 step-downs taken under measured loss or projected BER
-	StormBackoffs int // R1 step-downs toward the safe level during relock storms
-	GradualUps    int // hysteresis-gated recovery step-ups after clean windows
-}
+type Stats = stats.PolicyCounts
 
 // Controller is the per-link policy controller of Fig. 4(b). Tick must be
 // called exactly once per window boundary with a monotonically increasing
 // time.
 type Controller struct {
-	cfg  Config
-	link *powerlink.Link
-	src  UtilizationSource
-
-	lastBusy   float64
-	lastFlits  int64
-	lastOccInt float64
-
-	history []float64 // ring of the last SlidingN window utilisations
-	hIdx    int
-	hCount  int
-	ewma    float64
-	ewmaSet bool
-
-	// External laser controller state.
-	epochEnd      sim.Cycle
-	epochAllLower bool // whole epoch so far could run on a lower optical level
-
-	stats Stats
+	base
 }
 
 // NewController builds a controller for one link.
 func NewController(cfg Config, link *powerlink.Link, src UtilizationSource) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(KindDVS, cfg, Deps{Link: link, Util: src})
+	if err != nil {
 		return nil, err
 	}
-	return &Controller{
-		cfg:           cfg,
-		link:          link,
-		src:           src,
-		history:       make([]float64, cfg.SlidingN),
-		epochEnd:      cfg.LaserEpoch,
-		epochAllLower: true,
-	}, nil
+	b.st.EpochEnd = cfg.LaserEpoch
+	b.st.EpochAllLower = true
+	return &Controller{base: b}, nil
 }
-
-// MustNewController is NewController but panics on error.
-func MustNewController(cfg Config, link *powerlink.Link, src UtilizationSource) *Controller {
-	c, err := NewController(cfg, link, src)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Link returns the controlled link.
-func (c *Controller) Link() *powerlink.Link { return c.link }
-
-// Window returns the controller's Tw.
-func (c *Controller) Window() sim.Cycle { return c.cfg.Window }
 
 // Tick evaluates the policy at a window boundary. It returns the decision
-// taken (which the link may still have rejected; see Stats.Rejected).
+// taken (which the link may still have rejected; see Stats.Rejected). A
+// step up refused by the MaxBER guard is still returned as StepUp but
+// counted only as Guarded.
 func (c *Controller) Tick(now sim.Cycle) Decision {
-	c.stats.Windows++
+	c.st.Stats.Windows++
 
 	// Window statistics (Eq. 10), differenced from cumulative counters.
 	var lu float64
-	switch c.cfg.Lu {
-	case LuFlitFraction:
-		flits := c.src.FlitCount()
-		lu = float64(flits-c.lastFlits) / float64(c.cfg.Window)
-		c.lastFlits = flits
-	default:
-		busy := c.src.BusyCycles()
-		lu = (busy - c.lastBusy) / float64(c.cfg.Window)
-		c.lastBusy = busy
+	if c.cfg.Lu == LuFlitFraction {
+		lu = capUnit(float64(c.flitDelta()) / float64(c.cfg.Window))
+	} else {
+		lu = c.busyFrac()
 	}
-	if lu > 1 {
-		lu = 1
-	}
-
-	bu := 0.0
-	if cap := c.src.BufferCapacity(); cap > 0 {
-		occ := c.src.BufferOccupancyIntegral(now)
-		bu = (occ - c.lastOccInt) / (float64(cap) * float64(c.cfg.Window))
-		c.lastOccInt = occ
-		if bu > 1 {
-			bu = 1
-		}
-	}
+	bu := c.bufferUtil(now)
 
 	// Predict Lu,a from history: the paper's sliding-window mean (Eq. 11)
 	// or an EWMA (ablation).
 	var lua float64
-	switch c.cfg.Predictor {
-	case PredictEWMA:
-		if !c.ewmaSet {
-			c.ewma = lu
-			c.ewmaSet = true
+	if c.cfg.Predictor == PredictEWMA {
+		if !c.st.EWMASet {
+			c.st.EWMA = lu
+			c.st.EWMASet = true
 		} else {
-			c.ewma = c.cfg.EWMAAlpha*lu + (1-c.cfg.EWMAAlpha)*c.ewma
+			c.st.EWMA = c.cfg.EWMAAlpha*lu + (1-c.cfg.EWMAAlpha)*c.st.EWMA
 		}
-		lua = c.ewma
-	default:
-		c.history[c.hIdx] = lu
-		c.hIdx = (c.hIdx + 1) % len(c.history)
-		if c.hCount < len(c.history) {
-			c.hCount++
-		}
-		var sum float64
-		for i := 0; i < c.hCount; i++ {
-			sum += c.history[i]
-		}
-		lua = sum / float64(c.hCount)
+		lua = c.st.EWMA
+	} else {
+		lua = c.slidingMean(lu)
 	}
 
 	tl, th := c.cfg.Thresholds.Select(bu)
@@ -408,45 +336,16 @@ func (c *Controller) Tick(now sim.Cycle) Decision {
 		decision = StepDown
 	}
 
-	switch decision {
-	case StepUp:
-		if c.berGuardBlocks(now) {
-			// The next level's projected BER is unacceptable: running
-			// faster would trade energy for retransmissions. Hold.
-			c.stats.Guarded++
-			break
-		}
-		c.stats.Ups++
-		if !c.link.RequestStep(now, +1) {
-			c.stats.Rejected++
-		}
-	case StepDown:
-		c.stats.Downs++
-		if !c.link.RequestStep(now, -1) {
-			c.stats.Rejected++
-		}
-	default:
-		c.stats.Holds++
+	if decision == StepUp && c.upGuarded(now) {
+		// The next level's projected BER is unacceptable: running faster
+		// would trade energy for retransmissions. Hold the level.
+		c.st.Stats.Guarded++
+	} else {
+		c.apply(now, decision)
 	}
 
 	c.laserTick(now)
 	return decision
-}
-
-// berGuardBlocks reports whether the MaxBER reliability guard refuses a
-// step up at now: the target level's margin-projected BER is worse than the
-// configured ceiling. Waking an off link is never blocked (level 0 is the
-// most robust operating point), and out-of-range targets are left for the
-// link to reject.
-func (c *Controller) berGuardBlocks(now sim.Cycle) bool {
-	if c.cfg.MaxBER <= 0 {
-		return false
-	}
-	lv := c.link.Level(now)
-	if lv < 0 || lv+1 >= c.link.NumLevels() {
-		return false
-	}
-	return c.link.ProjectedBER(now, lv+1) > c.cfg.MaxBER
 }
 
 // laserTick implements the external laser source controller: every
@@ -462,20 +361,14 @@ func (c *Controller) laserTick(now sim.Cycle) {
 	// optical level; one observation per window is sufficient since rates
 	// only change on window boundaries.
 	if !c.link.CouldUseLowerOptical(now) {
-		c.epochAllLower = false
+		c.st.EpochAllLower = false
 	}
-	if now < c.epochEnd {
+	if now < c.st.EpochEnd {
 		return
 	}
-	if c.epochAllLower && c.link.LowerOptical(now) {
-		c.stats.PdecCount++
+	if c.st.EpochAllLower && c.link.LowerOptical(now) {
+		c.st.Stats.PdecCount++
 	}
-	c.epochAllLower = true
-	c.epochEnd = now + c.cfg.LaserEpoch
+	c.st.EpochAllLower = true
+	c.st.EpochEnd = now + c.cfg.LaserEpoch
 }
-
-// Stats returns the controller's activity counters.
-func (c *Controller) Stats() Stats { return c.stats }
-
-// Kind identifies the controller as the history-window DVS policy.
-func (c *Controller) Kind() Kind { return KindDVS }

@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 
-	"repro/internal/powerlink"
 	"repro/internal/sim"
 )
 
@@ -85,97 +84,41 @@ func (c RulesConfig) Validate() error {
 
 // RuleEngine is the loss-aware self-adaptive policy for one link.
 type RuleEngine struct {
-	cfg     Config
-	link    *powerlink.Link
-	util    UtilizationSource
-	loss    LossSource
+	base
 	timers  TimerSink
 	ordinal int
-
-	// Differenced sensor baselines.
-	lastBusy   float64
-	lastOccInt float64
-	lastFlits  int64
-	lastRetx   int64
-	lastCrc    int64
-	lastEsc    int64
-	lastRelock int64
-
-	// Sliding utilisation history (Eq. 11, shared with DVS).
-	history []float64
-	hIdx    int
-	hCount  int
-
-	// Hysteresis state.
-	holding     bool
-	timerAt     sim.Cycle // newest armed hold timer; older firings are stale
-	cleanStreak int
-
-	stats Stats
 }
 
 // NewRuleEngine builds the rule engine for one link. cfg.Rules must be
 // fully populated (New substitutes defaults for the zero value).
 func NewRuleEngine(cfg Config, d Deps) (*RuleEngine, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(KindRules, cfg, d)
+	if err != nil {
 		return nil, err
 	}
-	return &RuleEngine{
-		cfg:     cfg,
-		link:    d.Link,
-		util:    d.Util,
-		loss:    d.Loss,
-		timers:  d.Timers,
-		ordinal: d.Ordinal,
-		history: make([]float64, cfg.SlidingN),
-	}, nil
+	return &RuleEngine{base: b, timers: d.Timers, ordinal: d.Ordinal}, nil
 }
-
-// Link returns the controlled link.
-func (e *RuleEngine) Link() *powerlink.Link { return e.link }
-
-// Kind identifies the rule engine.
-func (e *RuleEngine) Kind() Kind { return KindRules }
-
-// Stats returns the engine's activity counters.
-func (e *RuleEngine) Stats() Stats { return e.stats }
 
 // Tick evaluates the rule table at a window boundary.
 func (e *RuleEngine) Tick(now sim.Cycle) Decision {
-	e.stats.Windows++
+	e.st.Stats.Windows++
 	r := e.cfg.Rules
 
 	// Sensors, differenced per window.
-	busy := e.util.BusyCycles()
-	lu := (busy - e.lastBusy) / float64(e.cfg.Window)
-	e.lastBusy = busy
-	if lu > 1 {
-		lu = 1
-	}
-	flits := e.util.FlitCount()
-	dFlits := flits - e.lastFlits
-	e.lastFlits = flits
-
-	bu := 0.0
-	if cap := e.util.BufferCapacity(); cap > 0 {
-		occ := e.util.BufferOccupancyIntegral(now)
-		bu = (occ - e.lastOccInt) / (float64(cap) * float64(e.cfg.Window))
-		e.lastOccInt = occ
-		if bu > 1 {
-			bu = 1
-		}
-	}
+	lu := e.busyFrac()
+	dFlits := e.flitDelta()
+	bu := e.bufferUtil(now)
 
 	var dRetx, dCrc, dEsc, dRelock int64
 	if e.loss != nil {
 		retx := e.loss.Retransmits()
-		dRetx, e.lastRetx = retx-e.lastRetx, retx
+		dRetx, e.st.LastRetx = retx-e.st.LastRetx, retx
 		crc := e.loss.CrcDrops()
-		dCrc, e.lastCrc = crc-e.lastCrc, crc
+		dCrc, e.st.LastCrc = crc-e.st.LastCrc, crc
 		esc := e.loss.Escalations()
-		dEsc, e.lastEsc = esc-e.lastEsc, esc
+		dEsc, e.st.LastEsc = esc-e.st.LastEsc, esc
 		rl := e.loss.RelockFailures(now)
-		dRelock, e.lastRelock = rl-e.lastRelock, rl
+		dRelock, e.st.LastRelock = rl-e.st.LastRelock, rl
 	}
 	lossRatio := 0.0
 	if dFlits > 0 {
@@ -185,23 +128,12 @@ func (e *RuleEngine) Tick(now sim.Cycle) Decision {
 
 	// Clean-window streak for R5.
 	if lossRatio <= r.LossLow && relockEvents == 0 {
-		e.cleanStreak++
+		e.st.CleanStreak++
 	} else {
-		e.cleanStreak = 0
+		e.st.CleanStreak = 0
 	}
 
-	// Predicted utilisation: sliding-window mean over SlidingN windows.
-	e.history[e.hIdx] = lu
-	e.hIdx = (e.hIdx + 1) % len(e.history)
-	if e.hCount < len(e.history) {
-		e.hCount++
-	}
-	var sum float64
-	for i := 0; i < e.hCount; i++ {
-		sum += e.history[i]
-	}
-	lua := sum / float64(e.hCount)
-
+	lua := e.slidingMean(lu) // predicted utilisation (Eq. 11)
 	lv := e.link.Level(now)
 	tl, th := e.cfg.Thresholds.Select(bu)
 
@@ -211,18 +143,18 @@ func (e *RuleEngine) Tick(now sim.Cycle) Decision {
 		// R1: relock storm — back off one level per window toward the safe
 		// level and hold there until the storm demonstrably passed.
 		decision = StepDown
-		e.stats.StormBackoffs++
+		e.st.Stats.StormBackoffs++
 		e.armHold(now)
 	case lossRatio > r.LossHigh && lv > 0:
 		// R2: sustained measured loss — trade bit rate for optical margin.
 		decision = StepDown
-		e.stats.LossDerates++
+		e.st.Stats.LossDerates++
 		e.armHold(now)
 	case e.cfg.MaxBER > 0 && lv > 0 && e.link.ProjectedBER(now, lv) > e.cfg.MaxBER:
 		// R3: the margin projection already condemns the current level —
 		// derate before the errors arrive.
 		decision = StepDown
-		e.stats.LossDerates++
+		e.st.Stats.LossDerates++
 		e.armHold(now)
 	case lua < tl:
 		// R4: the DVS energy-saving rule.
@@ -230,42 +162,18 @@ func (e *RuleEngine) Tick(now sim.Cycle) Decision {
 	case lua > th:
 		// R5: recovery — gradual and hysteresis-gated.
 		switch {
-		case e.holding || e.cleanStreak < r.RecoverWindows:
+		case e.st.Holding || e.st.CleanStreak < r.RecoverWindows:
 			// Not yet: still holding after a derate, or the link has not
 			// proven clean for long enough.
-		case e.upGuardBlocks(now, lv):
-			e.stats.Guarded++
+		case e.upGuarded(now):
+			e.st.Stats.Guarded++
 		default:
 			decision = StepUp
-			e.stats.GradualUps++
-			e.cleanStreak = 0
+			e.st.Stats.GradualUps++
+			e.st.CleanStreak = 0
 		}
 	}
-
-	switch decision {
-	case StepUp:
-		e.stats.Ups++
-		if !e.link.RequestStep(now, +1) {
-			e.stats.Rejected++
-		}
-	case StepDown:
-		e.stats.Downs++
-		if !e.link.RequestStep(now, -1) {
-			e.stats.Rejected++
-		}
-	default:
-		e.stats.Holds++
-	}
-	return decision
-}
-
-// upGuardBlocks is the MaxBER guard on R5's target level, mirroring the
-// DVS controller's berGuardBlocks.
-func (e *RuleEngine) upGuardBlocks(now sim.Cycle, lv int) bool {
-	if e.cfg.MaxBER <= 0 || lv < 0 || lv+1 >= e.link.NumLevels() {
-		return false
-	}
-	return e.link.ProjectedBER(now, lv+1) > e.cfg.MaxBER
+	return e.apply(now, decision)
 }
 
 // armHold starts (or extends) the post-derate hold via a wheel timer, so
@@ -275,19 +183,19 @@ func (e *RuleEngine) armHold(now sim.Cycle) {
 		return
 	}
 	at := now + e.cfg.Rules.HoldCycles
-	if e.holding && at <= e.timerAt {
+	if e.st.Holding && at <= e.st.TimerAt {
 		return // an armed timer already covers this hold
 	}
-	e.holding = true
-	e.timerAt = at
+	e.st.Holding = true
+	e.st.TimerAt = at
 	e.timers.ArmPolicyTimer(at, e.ordinal)
 }
 
 // OnTimer ends the hold. Re-arming leaves stale wheel entries behind; only
 // the newest armed deadline releases the hold.
 func (e *RuleEngine) OnTimer(now sim.Cycle) {
-	if !e.holding || now != e.timerAt {
+	if !e.st.Holding || now != e.st.TimerAt {
 		return
 	}
-	e.holding = false
+	e.st.Holding = false
 }

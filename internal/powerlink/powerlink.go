@@ -420,13 +420,6 @@ func (l *Link) Level(now sim.Cycle) int {
 	return l.level
 }
 
-// TargetLevel returns the level the link is transitioning toward (equal to
-// Level when steady).
-func (l *Link) TargetLevel(now sim.Cycle) int {
-	l.advance(now)
-	return l.target
-}
-
 // Transitioning reports whether a level transition is in progress.
 func (l *Link) Transitioning(now sim.Cycle) bool {
 	l.advance(now)

@@ -53,17 +53,19 @@ func sampleSummary() Summary {
 			ReachRecomputes:  4,
 		},
 		Policy: &stats.Policy{
-			Kind:          "rules",
-			Windows:       950,
-			Ups:           12,
-			Downs:         48,
-			Holds:         890,
-			Rejected:      3,
-			Guarded:       2,
-			PdecCount:     1,
-			LossDerates:   31,
-			StormBackoffs: 4,
-			GradualUps:    12,
+			Kind: "rules",
+			PolicyCounts: stats.PolicyCounts{
+				Windows:       950,
+				Ups:           12,
+				Downs:         48,
+				Holds:         890,
+				Rejected:      3,
+				Guarded:       2,
+				PdecCount:     1,
+				LossDerates:   31,
+				StormBackoffs: 4,
+				GradualUps:    12,
+			},
 			EnergyJ:       0.0051,
 			OracleEnergyJ: 0.0036,
 			RegretJ:       0.0015,

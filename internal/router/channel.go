@@ -257,12 +257,6 @@ func (c *Channel) ReliabilityEnabled() bool { return c.rel != nil }
 // PLink returns the channel's power-aware link state machine.
 func (c *Channel) PLink() *powerlink.Link { return c.plink }
 
-// Busy reports whether the channel is mid-serialisation at the start of
-// cycle now.
-func (c *Channel) Busy(now sim.Cycle) bool {
-	return c.busyUntilMC > int64(now)*1000
-}
-
 // physUsable is the lossless-channel availability check: the previous flit
 // finishes some time within this cycle (fractional flit times at rates like
 // 6 Gb/s must not round up to whole cycles, or the link would lose real

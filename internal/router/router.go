@@ -404,10 +404,6 @@ func (r *Router) HOL(ivc int) (FlitRef, bool) {
 // ProgressAt returns the cycle of input VC ivc's last forward progress.
 func (r *Router) ProgressAt(ivc int) sim.Cycle { return r.ins[ivc].progressAt }
 
-// RouteOf returns the output port the current packet on input VC ivc is
-// routed to (-1 when no wormhole is in progress).
-func (r *Router) RouteOf(ivc int) int { return r.ins[ivc].route }
-
 // RerouteHOL redirects the head-of-line packet of input VC ivc to (port,
 // vcMask), releasing any request-list slot and output VC it held. Only a
 // packet whose head flit is still waiting here can change course — once
@@ -470,27 +466,6 @@ func (r *Router) KillHOL(now sim.Cycle, ivc int) *Packet {
 		r.register(now, ivc)
 	}
 	return p
-}
-
-// SweepKilled discards, across all input VCs, head-of-line flits of
-// packets killed at this router — called after a channel abort marks
-// packets killed while their body flits sit in our buffers.
-func (r *Router) SweepKilled(now sim.Cycle) {
-	for ivc := range r.ins {
-		in := &r.ins[ivc]
-		if in.buf.Len() == 0 {
-			continue
-		}
-		f := in.buf.Front()
-		if !f.Pkt.Killed || f.Pkt.KillRouter != r.id {
-			continue
-		}
-		r.detach(ivc)
-		r.discardKilled(now, ivc)
-		if in.buf.Len() > 0 {
-			r.register(now, ivc)
-		}
-	}
 }
 
 // DiscardedFlits returns how many killed-packet flits this router dropped.
@@ -683,6 +658,3 @@ func (o *Output) Active() bool { return o.active }
 
 // SetActive marks the output as queued; used by the Scheduler only.
 func (o *Output) SetActive(v bool) { o.active = v }
-
-// QueuedRequests returns the number of input VCs competing for this output.
-func (o *Output) QueuedRequests() int { return len(o.req) }

@@ -137,14 +137,15 @@ type Reliability struct {
 	DownLinks int `json:"down_links"`
 }
 
-// Policy aggregates the adaptive-policy counters of a run across every
-// controlled link, plus the regret bookkeeping against the offline oracle
-// when one was computed.
-type Policy struct {
-	// Kind names the policy implementation ("dvs", "rules", "pid",
-	// "oracle-replay").
-	Kind string `json:"kind"`
-	// Windows counts policy evaluations summed over all controllers.
+// PolicyCounts are the activity counters of one link policy, or their sum
+// over every controlled link. Every evaluation counts one window and at
+// most one of Ups, Downs and Holds. The DVS controller counts a step-up
+// the MaxBER guard refused as Guarded alone, so for DVS Windows = Ups +
+// Downs + Holds + Guarded. The other kinds count such a window as a Hold
+// too: for them Windows = Ups + Downs + Holds, and Guarded is already
+// included in Holds.
+type PolicyCounts struct {
+	// Windows counts policy evaluations.
 	Windows int `json:"windows"`
 	// Ups/Downs/Holds count the decisions taken.
 	Ups   int `json:"ups"`
@@ -166,6 +167,32 @@ type Policy struct {
 	// GradualUps counts hysteresis-gated recovery step-ups after clean
 	// windows (zero for other kinds).
 	GradualUps int `json:"gradual_ups"`
+}
+
+// Add accumulates o into c.
+func (c *PolicyCounts) Add(o PolicyCounts) {
+	c.Windows += o.Windows
+	c.Ups += o.Ups
+	c.Downs += o.Downs
+	c.Holds += o.Holds
+	c.Rejected += o.Rejected
+	c.Guarded += o.Guarded
+	c.PdecCount += o.PdecCount
+	c.LossDerates += o.LossDerates
+	c.StormBackoffs += o.StormBackoffs
+	c.GradualUps += o.GradualUps
+}
+
+// Policy aggregates the adaptive-policy counters of a run across every
+// controlled link, plus the regret bookkeeping against the offline oracle
+// when one was computed.
+type Policy struct {
+	// Kind names the policy implementation ("dvs", "rules", "pid",
+	// "oracle-replay").
+	Kind string `json:"kind"`
+	// PolicyCounts are the counters summed over all controllers; their
+	// JSON keys sit inline, between kind and energy_j.
+	PolicyCounts
 	// EnergyJ is the energy consumed by the policy-controlled links.
 	EnergyJ float64 `json:"energy_j"`
 	// OracleEnergyJ is the offline-optimal lower bound on EnergyJ computed

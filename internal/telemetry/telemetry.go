@@ -422,13 +422,6 @@ func (r *Registry) Digest() Digest {
 	return d
 }
 
-// Histograms returns the registered histogram names in registration order.
-func (r *Registry) Histograms() []string {
-	out := make([]string, len(r.horder))
-	copy(out, r.horder)
-	return out
-}
-
 // sortEventsByTime orders events chronologically (stable, so same-cycle
 // events keep their recording order). The flight recorder's lazy sources
 // (link state machines) can report a transition a little after the cycle it
