@@ -45,8 +45,8 @@ optolint:
 	$(GO) run ./cmd/optolint -tags simdebug ./...
 
 # lint-mutation re-proves the completeness analyzers can still fire: each
-# case mutates a clean fixture (dropped export field, unregistered handler
-# kind, unmerged counter, unstaged cross-shard write) and requires a report.
+# case mutates a clean fixture (dropped export field, unmerged counter,
+# unstaged cross-shard write) and requires a report.
 lint-mutation:
 	$(GO) test ./internal/lint -run TestMutations -count=1
 

@@ -35,8 +35,11 @@ const Magic = "OPTOCKPT"
 // kind-tagged policy union and the snapshot may carry an oracle trace.
 // Version 3: every policy kind's state is one flat record; gob would
 // decode a version-2 union into a zeroed record without error, so the
-// bump is what rejects it.
-const Version uint32 = 3
+// bump is what rejects it. Version 4: wheel entries carry registered
+// handlers instead of kind/obj/param descriptors, the wheel records its
+// handler-table size, and the network's duplicate watchdog-drop counter
+// is gone.
+const Version uint32 = 4
 
 // headerLen is the fixed prefix: magic(8) + version(4) + cycle(8) +
 // payload length(8) + payload CRC(4).

@@ -1,8 +1,8 @@
 // Package lint is optolint's analysis framework: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis surface (Analyzer,
-// Pass, Reportf, package Facts) plus the //optolint:allow suppression
-// mechanism, driven by a loader built on go/parser, go/types and the
-// standard library's source importer.
+// Pass, Reportf) plus the //optolint:allow suppression mechanism, driven by
+// a loader built on go/parser, go/types and the standard library's source
+// importer.
 //
 // The simulator's two load-bearing invariants — bit-exact determinism and
 // wheel discipline (every future state change is a sim.Wheel event, so
@@ -30,12 +30,6 @@
 //	mergecomplete     per-shard counters and histograms appear in the
 //	                  merge-on-read loops, so a new counter cannot silently
 //	                  report shard-0-only numbers
-//	handleridcomplete every sim.HandlerID kind constant has a resolver arm in
-//	                  the checkpoint dispatch and every resolver arm a kind
-//
-// Analyzers may export typed Facts about a package that analyzers running
-// later on importing packages consume; the loader returns packages in
-// dependency order so facts always flow downstream.
 //
 // A finding is suppressed by an annotation on the same line or the line
 // directly above:
@@ -53,7 +47,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -67,26 +60,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the rule enforces and why.
 	Doc string
-	// FactTypes lists the fact types this analyzer exports or imports, one
-	// zero value per type. An analyzer may only call ExportPackageFact /
-	// ImportPackageFact with types declared here.
-	FactTypes []Fact
 	// Run reports findings on pass via pass.Reportf.
 	Run func(pass *Pass) error
-}
-
-// Fact is a typed datum an analyzer records about a package for analyzers
-// running later on packages that import it — the stdlib-only mirror of
-// x/tools analysis.Fact. Implementations must be pointer types.
-type Fact interface {
-	AFact()
-}
-
-// factKey identifies one exported fact: which package it describes and
-// which concrete fact type it is. One fact of each type per package.
-type factKey struct {
-	path string
-	typ  reflect.Type
 }
 
 // Pass carries one package's parsed and type-checked state to an analyzer.
@@ -102,7 +77,6 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	report  func(d Diagnostic)
-	facts   map[factKey]Fact
 	derived map[annKey][]*derived
 }
 
@@ -113,43 +87,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Rule:    p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// ExportPackageFact records f as this package's fact of f's type, replacing
-// any previous one. f's type must be declared in the analyzer's FactTypes.
-func (p *Pass) ExportPackageFact(f Fact) {
-	t := reflect.TypeOf(f)
-	if !p.declaresFact(t) {
-		panic(fmt.Sprintf("lint: %s exports undeclared fact type %s", p.Analyzer.Name, t))
-	}
-	p.facts[factKey{p.Path, t}] = f
-}
-
-// ImportPackageFact copies the fact of ptr's type recorded for the package
-// at path into ptr, reporting whether one exists. Analyzers must tolerate a
-// missing fact (partial loads, e.g. a single testdata package) by skipping
-// the dependent checks rather than guessing.
-func (p *Pass) ImportPackageFact(path string, ptr Fact) bool {
-	t := reflect.TypeOf(ptr)
-	if !p.declaresFact(t) {
-		panic(fmt.Sprintf("lint: %s imports undeclared fact type %s", p.Analyzer.Name, t))
-	}
-	f, ok := p.facts[factKey{path, t}]
-	if !ok {
-		return false
-	}
-	rv := reflect.ValueOf(ptr)
-	rv.Elem().Set(reflect.ValueOf(f).Elem())
-	return true
-}
-
-func (p *Pass) declaresFact(t reflect.Type) bool {
-	for _, ft := range p.Analyzer.FactTypes {
-		if reflect.TypeOf(ft) == t {
-			return true
-		}
-	}
-	return false
 }
 
 // DerivedOK reports whether the declaration at pos carries a well-formed
@@ -256,9 +193,8 @@ func collectDerived(fset *token.FileSet, f *ast.File) []*derived {
 	return out
 }
 
-// Run executes the analyzers over the packages and returns the surviving
-// diagnostics, sorted by position. Packages must be in dependency order
-// (as Load returns them) for cross-package facts to resolve. Findings
+// Run executes the analyzers over each package and returns the surviving
+// diagnostics, sorted by position. Findings
 // matched by a well-formed //optolint:allow annotation (same line or the
 // line directly above) are suppressed; malformed or unused annotations are
 // reported under AllowRule, as are stale //optolint:derived markers when
@@ -269,7 +205,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	facts := make(map[factKey]Fact)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		// Index annotations by (file, line) for suppression lookup.
@@ -300,7 +235,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				report:    func(d Diagnostic) { raw = append(raw, d) },
-				facts:     facts,
 				derived:   derivedAnns,
 			}
 			if err := a.Run(pass); err != nil {
@@ -382,7 +316,6 @@ func Analyzers() []*Analyzer {
 		SnapshotCompleteAnalyzer,
 		ShardBarrierAnalyzer,
 		MergeCompleteAnalyzer,
-		HandlerIDCompleteAnalyzer,
 	}
 }
 

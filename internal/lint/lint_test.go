@@ -47,46 +47,6 @@ func TestMergeComplete(t *testing.T) {
 	linttest.Run(t, testdata(t, "mergecomplete"), "repro/internal/network", lint.MergeCompleteAnalyzer)
 }
 
-// TestHandlerIDComplete loads the kind-declaring package first and the
-// dispatching package second, so the declared-kind and resolver-coverage
-// facts must flow across the package boundary for any of the dispatch-side
-// expectations to fire.
-func TestHandlerIDComplete(t *testing.T) {
-	linttest.RunDirs(t, nil,
-		[]lint.DirSpec{
-			{Dir: testdata(t, "handlerkinds"), Path: "repro/internal/simkinds"},
-			{Dir: testdata(t, "handlerdispatch"), Path: "repro/internal/network"},
-		},
-		lint.HandlerIDCompleteAnalyzer)
-}
-
-// TestHandlerFactsMissing: loading only the dispatch package (its imports
-// resolved from source but not analyzed) must yield no diagnostics — with
-// the kind namespace fact absent, the analyzer skips rather than guesses.
-func TestHandlerFactsMissing(t *testing.T) {
-	pkgs, err := lint.LoadDirs(nil,
-		lint.DirSpec{Dir: testdata(t, "handlerkinds"), Path: "repro/internal/simkinds"},
-		lint.DirSpec{Dir: testdata(t, "handlerdispatch"), Path: "repro/internal/network"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Analyze only the dispatch package; the kinds package never runs, so
-	// its HandlerKindsFact is never exported.
-	diags, err := lint.Run(pkgs[1:], []*lint.Analyzer{lint.HandlerIDCompleteAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		// The raw-literal and same-package delegation checks need no fact;
-		// the namespace-dependent ones (undeclared kind, root completeness)
-		// must stay silent without it.
-		if strings.Contains(d.Message, "HTickD") || strings.Contains(d.Message, "not a declared handler kind") {
-			t.Errorf("fact-dependent diagnostic fired without facts: %s", d)
-		}
-	}
-}
-
 // TestDSESimCore: the design-space exploration package is sim-core — a
 // deterministic function of (study seed, space) — so the determinism,
 // maprange, and rngstream rules all apply to it.

@@ -43,28 +43,15 @@ type want struct {
 // compares the surviving diagnostics against the // want expectations.
 func Run(t *testing.T, dir, asPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	RunDirs(t, nil, []lint.DirSpec{{Dir: dir, Path: asPath}}, analyzers...)
-}
-
-// RunDirs is Run for a chain of packages loaded in order under chosen
-// import paths — the harness for cross-package fact analyzers: earlier
-// packages are importable by later ones, facts flow in load order, and
-// // want expectations are collected from every directory.
-func RunDirs(t *testing.T, tags []string, specs []lint.DirSpec, analyzers ...*lint.Analyzer) {
-	t.Helper()
-	pkgs, err := lint.LoadDirs(tags, specs...)
+	pkg, err := lint.LoadDir(dir, asPath)
 	if err != nil {
-		t.Fatalf("loading %v: %v", specs, err)
+		t.Fatalf("loading %s: %v", dir, err)
 	}
-	var wants []*want
-	for _, spec := range specs {
-		ws, err := collectWants(spec.Dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants = append(wants, ws...)
+	wants, err := collectWants(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	diags, err := lint.Run(pkgs, analyzers)
+	diags, err := lint.Run([]*lint.Package{pkg}, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

@@ -37,9 +37,8 @@ type Package struct {
 
 // listedPackage is the subset of `go list -deps -json` output the loader
 // needs. Deps (the transitive import closure) drives the topological
-// analysis order that the facts model requires: a package's analyzers run
-// only after the analyzers of everything it imports have exported their
-// facts. DepOnly marks a package listed only because a matched package
+// type-checking order: a package is checked only after everything it
+// imports. DepOnly marks a package listed only because a matched package
 // imports it.
 type listedPackage struct {
 	ImportPath string
@@ -53,8 +52,7 @@ type listedPackage struct {
 
 // Load resolves patterns (e.g. "./...") via the go command, then parses and
 // type-checks each matched package, returning them in dependency order
-// (imported packages before their importers — the order Run needs so
-// cross-package facts flow downstream). Every non-standard package in the
+// (imported packages before their importers). Every non-standard package in the
 // patterns' import closure is type-checked exactly once, dependencies
 // first, and its importers resolve it to that one check; packages listed
 // only as dependencies are checked but not returned. Standard-library

@@ -37,17 +37,6 @@ func TestMutations(t *testing.T) {
 			wantRe:   `mutable field engine\.acc .* missing from the export path`,
 		},
 		{
-			// A new handler kind with no dispatch arm: a snapshot holding
-			// such an event cannot resume.
-			name:     "handleridcomplete-unregistered-kind",
-			dir:      "handler",
-			file:     "handler.go",
-			old:      "HPump uint8 = 2",
-			new:      "HPump uint8 = 2\n\tHDrain uint8 = 3",
-			analyzer: lint.HandlerIDCompleteAnalyzer,
-			wantRe:   `no arm for handler kind\(s\) HDrain`,
-		},
-		{
 			// A per-shard counter dropped from the merge-on-read loop:
 			// readers would see shard-0-only numbers.
 			name:     "mergecomplete-unmerged-counter",

@@ -387,8 +387,9 @@ func (sc *snapshotCheck) report(reachable map[*types.Named]bool) {
 	})
 	for _, fv := range fields {
 		if funcValued(fv.Type()) {
-			// Closures cannot be serialized; event/hook fields are rebuilt
-			// by construction and resolved by handler descriptor instead.
+			// Closures cannot be serialized; event and hook fields are
+			// rebuilt by construction, and wheel entries name them by
+			// registered handler instead.
 			continue
 		}
 		missExport := !sc.exportSeen[fv]

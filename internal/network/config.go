@@ -236,6 +236,56 @@ func (c *Config) nodeLocal(n int) int { return n % c.NodesPerRack }
 // routerXY returns router r's mesh coordinates.
 func (c *Config) routerXY(r int) (x, y int) { return r % c.MeshW, r / c.MeshW }
 
+// neighbor returns the router one hop from r in mesh direction dir and the
+// direction that points back from it; ok is false when the hop would leave
+// the mesh.
+func (c *Config) neighbor(r, dir int) (nb, rev int, ok bool) {
+	x, y := c.routerXY(r)
+	switch dir {
+	case DirE:
+		x, rev = x+1, DirW
+	case DirW:
+		x, rev = x-1, DirE
+	case DirS:
+		y, rev = y+1, DirN
+	default:
+		y, rev = y-1, DirS
+	}
+	if x < 0 || x >= c.MeshW || y < 0 || y >= c.MeshH {
+		return 0, 0, false
+	}
+	return c.RouterAt(x, y), rev, true
+}
+
+// handlers returns how many event handlers New registers with the wheel,
+// so it can size the handler table once: per router input VC a HOL and a
+// credit handler and per output a wake handler; per link its delivery,
+// plus accept, feedback, replay-pump and watchdog handlers when faults
+// enable retransmission; per NIC a wake handler; with recovery the scan
+// and one refresh per mesh link; with telemetry the sampler and a down and
+// an up marker per scheduled failure; and each rule engine's hold timer,
+// the one timer-driven policy kind.
+func (c Config) handlers() int {
+	links := c.TotalLinks()
+	n := c.Routers()*c.PortsPerRouter()*(2*c.VCs+1) + links + c.Nodes()
+	if c.Fault.Enabled() {
+		n += 4 * links
+	}
+	if c.Recovery.Enabled {
+		n += 1 + c.InterRouterLinks()
+	}
+	if c.Telemetry.Enabled {
+		n += 1 + 2*len(c.Fault.LinkFailures)
+	}
+	if c.PowerAware && c.Policy.Kind == policy.KindRules {
+		n += c.InterRouterLinks()
+		if c.NodeLinksPowerAware {
+			n += 2 * c.Nodes()
+		}
+	}
+	return n
+}
+
 // RouterAt returns the router index at mesh coordinates (x, y) — rack
 // (x, y) in the paper's notation.
 func (c Config) RouterAt(x, y int) int { return y*c.MeshW + x }

@@ -33,6 +33,9 @@ type Network struct {
 	// policyRec records the per-window demand/margin trace for the regret
 	// oracle, nil unless cfg.Policy.RecordTrace.
 	policyRec *policy.Recorder
+	// timerH is each controller's OnTimer handler, by controller ordinal
+	// (0 for policies that arm no timers).
+	timerH []sim.Handler
 
 	// Sharded core (DESIGN.md §6g). Even a single-shard network runs
 	// through shard 0 — the canonical engine is the only engine, so the
@@ -89,9 +92,8 @@ type Network struct {
 
 	// Measurement state. The per-packet counters live on the shards (see
 	// shard.go) and are summed by the accessors; only the warm-up boundary
-	// and coordinator-side drop count live here.
+	// lives here.
 	measureFrom sim.Cycle
-	wdDropped   int64 // packets killed by the watchdog scan (coordinator)
 
 	// Coordinator scratch, reused across cycles and summaries.
 	qHist        stats.Histogram // merged-quantile scratch
@@ -132,6 +134,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		wheel: sim.NewWheel(wheelSize),
 		gen:   gen,
 	}
+	n.wheel.Reserve(cfg.handlers())
 
 	// Shards. Actor ids must fit the key space (comfortably true for any
 	// topology near the paper's; the check guards future scale-ups).
@@ -225,44 +228,39 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		if err != nil {
 			return err
 		}
+		var timer sim.Handler
+		if tp, ok := pc.(policy.TimerPolicy); ok {
+			timer = n.wheel.Register(tp.OnTimer)
+		}
 		n.controllers = append(n.controllers, pc)
 		n.ctrlChans = append(n.ctrlChans, ch)
+		n.timerH = append(n.timerH, timer)
 		return nil
 	}
 
-	// Inter-router mesh links.
+	// Inter-router mesh links. The router and direction order fixes every
+	// link's global index.
 	for r := range n.routers {
-		x, y := cfg.routerXY(r)
-		type hop struct {
-			dir, revDir, nx, ny int
-		}
-		hops := []hop{
-			{DirE, DirW, x + 1, y},
-			{DirW, DirE, x - 1, y},
-			{DirS, DirN, x, y + 1},
-			{DirN, DirS, x, y - 1},
-		}
-		for _, h := range hops {
-			if h.nx < 0 || h.nx >= cfg.MeshW || h.ny < 0 || h.ny >= cfg.MeshH {
+		for _, dir := range [...]int{DirE, DirW, DirS, DirN} {
+			dst, rev, ok := cfg.neighbor(r, dir)
+			if !ok {
 				continue
 			}
-			dst := cfg.RouterAt(h.nx, h.ny)
 			pl, err := newLink()
 			if err != nil {
 				return nil, err
 			}
-			inPort := cfg.meshPort(h.revDir) // port at dst facing back
-			outPort := cfg.meshPort(h.dir)
+			inPort := cfg.meshPort(rev) // port at dst facing back
+			outPort := cfg.meshPort(dir)
 			owner := n.shards[n.shardOfRouter(r)]
 			li := len(n.channels)
 			ch := router.NewChannel(pl, owner, n.routers[dst].AcceptFlit(inPort))
 			ch.SetKeys(sim.ActorKey(n.routerActor(r), n.chanSrc(li)),
 				sim.ActorKey(n.routerActor(dst), n.chanSrc(li)))
-			ch.SetLink(li)
 			n.routers[r].ConnectOutput(outPort, ch)
-			n.meshOut[r][h.dir] = ch
-			n.meshLink[r][h.dir] = li
-			n.meshRef = append(n.meshRef, meshPos{r: r, dir: h.dir})
+			n.meshOut[r][dir] = ch
+			n.meshLink[r][dir] = li
+			n.meshRef = append(n.meshRef, meshPos{r: r, dir: dir})
 			bufs := make([]*router.Buffer, cfg.VCs)
 			for v := 0; v < cfg.VCs; v++ {
 				n.routers[dst].SetUpstream(inPort, v, n.routers[r].Output(outPort), v, n.routerActor(r))
@@ -293,7 +291,6 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		chIn := router.NewChannel(plIn, owner, n.routers[r].AcceptFlit(local))
 		chIn.SetKeys(sim.ActorKey(n.nicActor(node), n.chanSrc(li)),
 			sim.ActorKey(n.routerActor(r), n.chanSrc(li)))
-		chIn.SetLink(li)
 		nic := newNIC(n, owner, node, chIn, cfg.VCs, cfg.BufDepth)
 		n.nics[node] = nic
 		bufs := make([]*router.Buffer, cfg.VCs)
@@ -321,7 +318,6 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		chOut := router.NewChannel(plOut, owner, n.sinkDeliver(out, owner))
 		chOut.SetKeys(sim.ActorKey(n.routerActor(r), n.chanSrc(li)),
 			sim.ActorKey(n.routerActor(r), n.chanSrc(li)))
-		chOut.SetLink(li)
 		n.routers[r].ConnectOutput(local, chOut)
 		n.channels = append(n.channels, chOut)
 		n.chanOwner = append(n.chanOwner, owner)
@@ -410,6 +406,10 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		}
 	}
 	n.routeRNG = sim.NewStream(cfg.Seed, sim.StreamRouting)
+	if sim.Debug {
+		got, want := n.wheel.ExportState().Handlers, cfg.handlers()
+		sim.Assertf(got == want, "network: registered %d wheel handlers, Config.handlers sized the table for %d", got, want)
+	}
 	return n, nil
 }
 
@@ -560,9 +560,9 @@ func (n *Network) Step() {
 	entries := n.wheel.BeginCycle(now)
 	band := 0
 	for band < len(entries) && entries[band].Key == 0 {
-		entries[band].Ev(now)
 		band++
 	}
+	n.wheel.Run(entries[:band], now)
 
 	// 2. The parallel region. Actor ids are column-major, so the sorted
 	// entries split into one contiguous slice per shard; each shard then
@@ -592,7 +592,7 @@ func (n *Network) Step() {
 	// so this assigns sequence numbers in a K-invariant per-key order.
 	for _, s := range shards {
 		for _, se := range s.staged {
-			n.wheel.Schedule(se.at, se.key, se.id, se.ev)
+			n.wheel.Schedule(se.at, se.key, se.h)
 		}
 		s.staged = s.staged[:0]
 	}
@@ -670,8 +670,7 @@ func (n *Network) drainDownNotes(now sim.Cycle) {
 			})
 		}
 		if n.rec != nil && dn.link < len(n.meshRef) {
-			ref := n.meshRef[dn.link]
-			n.rec.refresh(now, ref.r, ref.dir)
+			n.rec.refresh(now, dn.link)
 		}
 	}
 }
@@ -1040,20 +1039,10 @@ func (n *Network) Controllers() []policy.LinkPolicy { return n.controllers }
 
 // ArmPolicyTimer implements policy.TimerSink: a coordinator-band wheel
 // event that fires the controller's OnTimer hook at `at`. Being a real
-// wheel entry keeps fast-forward honest about the pending wake, and the
-// handler descriptor lets checkpoints rebuild the closure on restore.
+// wheel entry keeps fast-forward honest about the pending wake, and its
+// registered handler travels with checkpoints.
 func (n *Network) ArmPolicyTimer(at sim.Cycle, ordinal int) {
-	n.wheel.Schedule(at, 0, sim.HandlerID(sim.HPolicyTimer, uint32(ordinal), 0), n.policyTimerEvt(ordinal))
-}
-
-// policyTimerEvt builds the wheel closure behind an HPolicyTimer
-// descriptor (also used by snapshot restore).
-func (n *Network) policyTimerEvt(ordinal int) sim.Event {
-	return func(now sim.Cycle) {
-		if tp, ok := n.controllers[ordinal].(policy.TimerPolicy); ok {
-			tp.OnTimer(now)
-		}
-	}
+	n.wheel.Schedule(at, 0, n.timerH[ordinal])
 }
 
 // PolicyStats aggregates every controller's counters into one report block

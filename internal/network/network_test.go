@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/linkmodel"
+	"repro/internal/policy"
 	"repro/internal/powerlink"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -50,6 +52,37 @@ func TestConfigCounts(t *testing.T) {
 	}
 	if cfg.PortsPerRouter() != 12 {
 		t.Errorf("ports per router = %d, want 12", cfg.PortsPerRouter())
+	}
+}
+
+// TestHandlerTableSized: New sizes the wheel's handler table once, from
+// the Config, for exactly the handlers it registers — so no build regrows
+// the table or leaves unused capacity.
+func TestHandlerTableSized(t *testing.T) {
+	rules := equivConfig(RoutingXY, true, true)
+	rules.Policy.Kind = policy.KindRules
+	fixedNodes := smallConfig()
+	fixedNodes.NodeLinksPowerAware = false
+	fixedNodes.Policy.Kind = policy.KindRules
+	failures := telemetryConfig(t)
+	failures.Fault.LinkFailures = append(failures.Fault.LinkFailures, fault.LinkFailure{Link: 0, At: 7_000, RepairAt: 9_000})
+	baseline := DefaultConfig()
+	baseline.PowerAware = false
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", DefaultConfig()},
+		{"baseline", baseline},
+		{"faults+recovery+telemetry", equivConfig(RoutingXY, true, true)},
+		{"rules", rules},
+		{"rules/node-links-fixed", fixedNodes},
+		{"recovery+telemetry/three-failures", failures},
+	} {
+		got := MustNew(tc.cfg, nil).wheel.ExportState().Handlers
+		if want := tc.cfg.handlers(); got != want {
+			t.Errorf("%s: registered %d handlers, Config.handlers sized the table for %d", tc.name, got, want)
+		}
 	}
 }
 

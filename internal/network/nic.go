@@ -69,7 +69,7 @@ type NIC struct {
 
 	active      bool
 	wakePending bool
-	wakeEvt     sim.Event
+	wakeH       sim.Handler
 }
 
 func newNIC(net *Network, sh *shard, node int, ch *router.Channel, vcs, bufDepth int) *NIC {
@@ -79,12 +79,12 @@ func newNIC(net *Network, sh *shard, node int, ch *router.Channel, vcs, bufDepth
 	for v := range nc.credits {
 		nc.credits[v] = bufDepth
 	}
-	nc.wakeEvt = func(now sim.Cycle) {
+	nc.wakeH = sh.Register(func(now sim.Cycle) {
 		nc.wakePending = false
 		if nc.cur != nil || nc.q.n > 0 {
 			nc.sh.activateNIC(nc)
 		}
-	}
+	})
 	return nc
 }
 
@@ -145,7 +145,7 @@ func (nc *NIC) tryInject(now sim.Cycle) bool {
 			if at <= now {
 				at = now + 1
 			}
-			nc.sh.Schedule(at, nc.selfKey, sim.HandlerID(sim.HNICWake, uint32(nc.node), 0), nc.wakeEvt)
+			nc.sh.Schedule(at, nc.selfKey, nc.wakeH)
 		}
 		return false
 	}

@@ -94,7 +94,10 @@ type recovery struct {
 	bfsQueue []int
 
 	scanArmed bool
-	scanEvt   sim.Event
+	scanH     sim.Handler
+	// refreshH is each mesh link's liveness-refresh handler, by global link
+	// index.
+	refreshH []sim.Handler
 
 	// wdReroutes/wdDrops are coordinator-only (the scan is a key-0 wheel
 	// event). Route-time reroute/misroute counts live on the shards.
@@ -119,7 +122,11 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 			rec.live[r][dir] = n.meshOut[r][dir] != nil
 		}
 	}
-	rec.scanEvt = func(now sim.Cycle) { rec.scan(now) }
+	rec.scanH = n.wheel.Register(rec.scan)
+	rec.refreshH = make([]sim.Handler, len(n.meshRef))
+	for li := range rec.refreshH {
+		rec.refreshH[li] = n.wheel.Register(func(now sim.Cycle) { rec.refresh(now, li) })
+	}
 	rec.recompute()
 
 	// Scheduled failure windows are known up front: a liveness refresh at
@@ -131,23 +138,22 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 		if w.Link >= len(n.meshRef) {
 			continue // node link: routing cannot steer around it
 		}
-		ref := n.meshRef[w.Link]
-		id := sim.HandlerID(sim.HRecRefresh, uint32(ref.r), uint16(ref.dir))
-		n.wheel.Schedule(w.At, 0, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
-		n.wheel.Schedule(w.RepairAt, 0, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
+		n.wheel.Schedule(w.At, 0, rec.refreshH[w.Link])
+		n.wheel.Schedule(w.RepairAt, 0, rec.refreshH[w.Link])
 	}
 	return rec
 }
 
-// refresh re-evaluates one mesh link's liveness at now, recomputing
+// refresh re-evaluates mesh link li's liveness at now, recomputing
 // reachability on a flip; while the link is down, a re-check is scheduled
 // for when it is expected back up (repeat checks handle overlapping
 // windows and resets extending each other).
-func (rec *recovery) refresh(now sim.Cycle, r, dir int) {
-	ch := rec.n.meshOut[r][dir]
+func (rec *recovery) refresh(now sim.Cycle, li int) {
+	ref := rec.n.meshRef[li]
+	ch := rec.n.meshOut[ref.r][ref.dir]
 	up := !ch.DownAt(now)
-	if up != rec.live[r][dir] {
-		rec.live[r][dir] = up
+	if up != rec.live[ref.r][ref.dir] {
+		rec.live[ref.r][ref.dir] = up
 		rec.recompute()
 	}
 	if !up {
@@ -155,26 +161,8 @@ func (rec *recovery) refresh(now sim.Cycle, r, dir int) {
 		if until <= now {
 			until = now + 1
 		}
-		rec.n.wheel.Schedule(until, 0, sim.HandlerID(sim.HRecRefresh, uint32(r), uint16(dir)),
-			func(at sim.Cycle) { rec.refresh(at, r, dir) })
+		rec.n.wheel.Schedule(until, 0, rec.refreshH[li])
 	}
-}
-
-// neighborOf returns the router one hop from r in direction dir; the caller
-// guarantees the hop exists (a channel is wired).
-func (rec *recovery) neighborOf(r, dir int) int {
-	x, y := rec.n.cfg.routerXY(r)
-	switch dir {
-	case DirE:
-		x++
-	case DirW:
-		x--
-	case DirS:
-		y++
-	default:
-		y--
-	}
-	return rec.n.cfg.RouterAt(x, y)
 }
 
 // recompute rebuilds the all-pairs reachability table by BFS over live
@@ -196,7 +184,7 @@ func (rec *recovery) recompute() {
 				if !rec.live[r][dir] {
 					continue
 				}
-				nb := rec.neighborOf(r, dir)
+				nb, _, _ := rec.n.cfg.neighbor(r, dir)
 				if !rec.reach[base+nb] {
 					rec.reach[base+nb] = true
 					q = append(q, nb)
@@ -221,7 +209,7 @@ func (rec *recovery) armScan(now sim.Cycle) {
 		return
 	}
 	rec.scanArmed = true
-	rec.n.wheel.Schedule(now+rec.cfg.ScanEvery, 0, sim.HandlerID(sim.HRecScan, 0, 0), rec.scanEvt)
+	rec.n.wheel.Schedule(now+rec.cfg.ScanEvery, 0, rec.scanH)
 }
 
 // scan is the stall watchdog: every input VC whose head-of-line flit has
@@ -250,7 +238,6 @@ func (rec *recovery) scan(now sim.Cycle) {
 			if stall >= rec.cfg.DropHorizon {
 				if p := r.KillHOL(now, ivc); p != nil {
 					rec.wdDrops++
-					rec.n.wdDropped++
 					if t := rec.n.telem; t != nil {
 						t.Record(telemetry.Event{At: now, Kind: telemetry.EventWatchdogKill, Link: -1, Router: rid, A: int64(stall)})
 						t.TriggerDump(now, "watchdog_kill")
@@ -416,7 +403,10 @@ func (n *Network) RecoveryStats() stats.Recovery {
 // subsystem (watchdog drops plus unreachable-destination drops). Exact
 // drain: Injected == Delivered + Dropped.
 func (n *Network) DroppedPackets() int64 {
-	v := n.wdDropped
+	var v int64
+	if n.rec != nil {
+		v = n.rec.wdDrops
+	}
 	for _, s := range n.shards {
 		v += s.unreachableDrops
 	}

@@ -26,8 +26,7 @@ import (
 type stagedEv struct {
 	at  sim.Cycle
 	key uint64
-	id  uint64
-	ev  sim.Event
+	h   sim.Handler
 }
 
 // downNote records a watchdog escalation: link li is down until `until`.
@@ -106,8 +105,12 @@ type shard struct {
 	deliveries []deliveredPkt // packets awaiting the OnDeliver hook
 }
 
+// Register implements router.Sched: every handler lives in the network
+// wheel's table. Called only during construction, never inside a window.
+func (s *shard) Register(ev sim.Event) sim.Handler { return s.n.wheel.Register(ev) }
+
 // Schedule implements router.Sched: stage the request for the barrier.
-func (s *shard) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
+func (s *shard) Schedule(at sim.Cycle, key uint64, h sim.Handler) {
 	if sim.Debug {
 		sim.Assertf(key != 0, "shard %d: scheduling into the coordinator band (key 0)", s.idx)
 		// Determinism requires each ordering key to be *produced* by exactly
@@ -128,7 +131,7 @@ func (s *shard) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
 				"shard %d: scheduling key %#x produced by shard %d", s.idx, key, s.n.shardOfActor(src))
 		}
 	}
-	s.staged = append(s.staged, stagedEv{at: at, key: key, id: id, ev: ev})
+	s.staged = append(s.staged, stagedEv{at: at, key: key, h: h})
 }
 
 // ActivateOutput implements router.Scheduler.
@@ -160,9 +163,7 @@ func (s *shard) runCycle(now sim.Cycle) {
 
 	// 1. Timed events: flit deliveries, credit returns, pipeline
 	//    eligibility, channel/NIC wake-ups.
-	for i := range s.entries {
-		s.entries[i].Ev(now)
-	}
+	n.wheel.Run(s.entries, now)
 	s.entries = nil
 
 	// 2. New traffic.

@@ -18,8 +18,9 @@ import (
 // notes, flight events, deliveries) is drained — the coordinator barrier is
 // the only point at which the complete state is a plain tree of values. A
 // restore target is a freshly constructed Network with the same Config and
-// generator: construction rebuilds all wiring and closures, and RestoreState
-// overwrites only the dynamic state.
+// generator: construction rebuilds all wiring and registers every wheel
+// handler in the same order, and RestoreState overwrites only the dynamic
+// state.
 
 // PktDescState is one queued NIC injection descriptor.
 type PktDescState struct {
@@ -97,7 +98,6 @@ type State struct {
 	Now            sim.Cycle
 	NextPolicyTick sim.Cycle
 	MeasureFrom    sim.Cycle
-	WdDropped      int64
 	FFSkips        int64
 	FFCycles       int64
 
@@ -133,7 +133,6 @@ func (n *Network) ExportState() (*State, error) {
 		Now:            n.now,
 		NextPolicyTick: n.nextPolicyTick,
 		MeasureFrom:    n.measureFrom,
-		WdDropped:      n.wdDropped,
 		FFSkips:        n.ffSkips,
 		FFCycles:       n.ffCycles,
 		RouteRNG:       n.routeRNG.State(),
@@ -252,13 +251,9 @@ func (n *Network) ExportState() (*State, error) {
 		st.Telemetry = &ts
 	}
 
-	ws, err := n.wheel.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	st.Wheel = ws
-	if ws.Now != n.now-1 {
-		return nil, fmt.Errorf("network: wheel clock %d out of phase with network cycle %d — checkpoint must run at a step boundary", ws.Now, n.now)
+	st.Wheel = n.wheel.ExportState()
+	if st.Wheel.Now != n.now-1 {
+		return nil, fmt.Errorf("network: wheel clock %d out of phase with network cycle %d — checkpoint must run at a step boundary", st.Wheel.Now, n.now)
 	}
 
 	ids := make([]int64, 0, len(table))
@@ -270,49 +265,6 @@ func (n *Network) ExportState() (*State, error) {
 		st.Packets = append(st.Packets, router.ExportPacket(table[id]))
 	}
 	return st, nil
-}
-
-// resolveHandler maps a checkpoint handler descriptor back to the event
-// closure it names, dispatching on the descriptor's kind (see sim.HandlerID).
-func (n *Network) resolveHandler(id uint64) (sim.Event, bool) {
-	obj := int(sim.HandlerObj(id))
-	switch sim.HandlerKind(id) {
-	case sim.HChanDeliver, sim.HChanAccept, sim.HChanFeedback, sim.HChanPump, sim.HChanWatchdog:
-		if obj < len(n.channels) {
-			return n.channels[obj].ResolveHandler(id)
-		}
-	case sim.HRouterHOL, sim.HRouterCredit, sim.HRouterWake:
-		if obj < len(n.routers) {
-			return n.routers[obj].ResolveHandler(id)
-		}
-	case sim.HNICWake:
-		if obj < len(n.nics) {
-			return n.nics[obj].wakeEvt, true
-		}
-	case sim.HRecRefresh:
-		if rec := n.rec; rec != nil && obj < len(n.meshOut) {
-			r, dir := obj, int(sim.HandlerParam(id))
-			if dir < 4 && n.meshOut[r][dir] != nil {
-				// Refresh events are synthesized fresh: the closure is a pure
-				// function of (router, direction), so a new one is
-				// behaviourally identical to the one that was scheduled.
-				return func(at sim.Cycle) { rec.refresh(at, r, dir) }, true
-			}
-		}
-	case sim.HRecScan:
-		if n.rec != nil {
-			return n.rec.scanEvt, true
-		}
-	case sim.HTelemSample, sim.HTelemMarker:
-		if n.telem != nil {
-			return n.telem.ResolveHandler(id)
-		}
-	case sim.HPolicyTimer:
-		if obj < len(n.controllers) {
-			return n.policyTimerEvt(obj), true
-		}
-	}
-	return nil, false
 }
 
 // RestoreState overwrites this network's mutable state from a snapshot. The
@@ -505,7 +457,7 @@ func (n *Network) RestoreState(st *State) error {
 		}
 	}
 
-	if err := n.wheel.RestoreState(st.Wheel, n.resolveHandler); err != nil {
+	if err := n.wheel.RestoreState(st.Wheel); err != nil {
 		return err
 	}
 	if sim.Debug {
@@ -515,7 +467,6 @@ func (n *Network) RestoreState(st *State) error {
 	n.now = st.Now
 	n.nextPolicyTick = st.NextPolicyTick
 	n.measureFrom = st.MeasureFrom
-	n.wdDropped = st.WdDropped
 	n.ffSkips = st.FFSkips
 	n.ffCycles = st.FFCycles
 	return nil

@@ -107,21 +107,19 @@ func (n *Network) initTelemetry() {
 	}
 
 	// Flight recorder: link hard-down windows. Scheduled failure windows
-	// are known up front — exact markers at each boundary (RepairAt == 0 is
-	// a permanent failure: no up marker). Watchdog-escalation resets are
-	// the surprise downtime; the shards spool those into the down mailbox
-	// and the coordinator records them at the cycle barrier in link order
-	// (see Network.drainDownNotes).
+	// are known up front — exact markers at each boundary (validation
+	// guarantees RepairAt > At). Watchdog-escalation resets are the surprise
+	// downtime; the shards spool those into the down mailbox and the
+	// coordinator records them at the cycle barrier in link order (see
+	// Network.drainDownNotes).
 	for _, w := range n.cfg.Fault.LinkFailures {
 		link := w.Link
 		reg.ScheduleMarker(w.At, func(at sim.Cycle) {
 			reg.Record(telemetry.Event{At: at, Kind: telemetry.EventLinkDown, Link: link, Router: -1})
 		})
-		if w.RepairAt > w.At {
-			reg.ScheduleMarker(w.RepairAt, func(at sim.Cycle) {
-				reg.Record(telemetry.Event{At: at, Kind: telemetry.EventLinkUp, Link: link, Router: -1})
-			})
-		}
+		reg.ScheduleMarker(w.RepairAt, func(at sim.Cycle) {
+			reg.Record(telemetry.Event{At: at, Kind: telemetry.EventLinkUp, Link: link, Router: -1})
+		})
 	}
 
 	reg.Start(n.now)
@@ -141,10 +139,10 @@ func (n *Network) addMeshLinkProbes(li int) {
 	reg.Gauge(pre+".opt_w", pl.OpticalPowerW)
 
 	// Occupancy of the link's downstream input buffers, summed over VCs.
-	dst, inPort := n.meshDownstream(ref)
+	dst, rev, _ := n.cfg.neighbor(ref.r, ref.dir)
 	bufs := make([]*router.Buffer, n.cfg.VCs)
 	for v := 0; v < n.cfg.VCs; v++ {
-		bufs[v] = n.routers[dst].InputBuffer(inPort, v)
+		bufs[v] = n.routers[dst].InputBuffer(n.cfg.meshPort(rev), v)
 	}
 	reg.Gauge(pre+".occupancy", func(sim.Cycle) float64 {
 		occ := 0
@@ -176,22 +174,4 @@ func (n *Network) addMeshLinkProbes(li int) {
 		owner.flightMailbox = append(owner.flightMailbox,
 			telemetry.Event{At: at, Kind: telemetry.EventRelockFail, Link: li, Router: ref.r, A: int64(retries)})
 	})
-}
-
-// meshDownstream returns the router a mesh link delivers into and the input
-// port it arrives on.
-func (n *Network) meshDownstream(ref meshPos) (dst, inPort int) {
-	x, y := n.cfg.routerXY(ref.r)
-	rev := 0
-	switch ref.dir {
-	case DirE:
-		x, rev = x+1, DirW
-	case DirW:
-		x, rev = x-1, DirE
-	case DirS:
-		y, rev = y+1, DirN
-	default:
-		y, rev = y-1, DirS
-	}
-	return n.cfg.RouterAt(x, y), n.cfg.meshPort(rev)
 }

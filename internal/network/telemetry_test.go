@@ -2,7 +2,10 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"regexp"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -194,5 +197,40 @@ func TestTelemetryProbesTrackSimulator(t *testing.T) {
 	}
 	if _, ok := n.Telemetry().Lookup("link0.level"); !ok {
 		t.Error("per-link level series missing")
+	}
+}
+
+// TestRestoreRefusesOtherHandlerTable: a checkpoint names its wheel events
+// by registered handler, so it restores only into a network that built the
+// same handler table. One more scheduled link failure registers two more
+// telemetry marker handlers (its down and up markers); restoring into that
+// network must fail with an error naming both table sizes, while a network
+// built from the checkpoint's own configuration accepts it.
+func TestRestoreRefusesOtherHandlerTable(t *testing.T) {
+	cfg := telemetryConfig(t)
+	gen := func() traffic.Generator { return traffic.NewUniform(cfg.Nodes(), 0.02, 5) }
+	n := MustNew(cfg, gen())
+	n.RunTo(4_000)
+	st, err := n.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := MustNew(cfg, gen()).RestoreState(st); err != nil {
+		t.Fatalf("restore into the same configuration: %v", err)
+	}
+
+	// A failure long after the checkpoint, so only the table differs.
+	more := cfg
+	more.Fault.LinkFailures = append(slices.Clone(cfg.Fault.LinkFailures),
+		fault.LinkFailure{Link: 0, At: 1_000_000, RepairAt: 1_000_100})
+	err = MustNew(more, gen()).RestoreState(st)
+	if err == nil {
+		t.Fatal("restore into a network with two more marker handlers succeeded")
+	}
+	for _, count := range []int{st.Wheel.Handlers, st.Wheel.Handlers + 2} {
+		if !regexp.MustCompile(fmt.Sprintf(`\b%d\b`, count)).MatchString(err.Error()) {
+			t.Errorf("error %q does not name the handler count %d", err, count)
+		}
 	}
 }

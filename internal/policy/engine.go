@@ -84,8 +84,8 @@ type LossSource interface {
 }
 
 // TimerSink lets a policy arm a future wheel timer in the coordinator band.
-// The network implements it by scheduling an HPolicyTimer-descriptor event
-// that calls the policy's OnTimer — a real wheel event, so fast-forward
+// The network implements it by scheduling the policy's OnTimer, registered
+// as a wheel handler at construction — a real wheel event, so fast-forward
 // sees the deadline and checkpoints carry it.
 type TimerSink interface {
 	ArmPolicyTimer(at sim.Cycle, ordinal int)

@@ -169,18 +169,28 @@ func TestRulesRecoveryHysteresis(t *testing.T) {
 		t.Errorf("stats = %+v, want GradualUps=1 Ups=1", st)
 	}
 
-	// Streak was consumed: the immediately following busy window holds.
+	// Streak was consumed: one clean window is fewer than RecoverWindows=2,
+	// so the immediately following busy window holds.
 	now += w
 	src.addWindow(0.9, 0.5, w, 16)
 	src.flits += 100
-	if d := e.Tick(now); d != StepUp && st.GradualUps != 1 {
-		_ = d // next up requires RecoverWindows more clean windows
+	if d := e.Tick(now); d != Hold {
+		t.Fatalf("window 7 (streak reset by the up): %v, want Hold", d)
 	}
-	if got := e.Stats().GradualUps; got != 2 {
-		// One clean window < RecoverWindows=2, so no second up yet.
-		if got != 1 {
-			t.Errorf("GradualUps = %d after one clean window, want 1", got)
-		}
+	if st := e.Stats(); st.Ups != 1 || st.GradualUps != 1 {
+		t.Errorf("window 7 stats = %+v, want Ups=1 GradualUps=1", st)
+	}
+
+	// The second clean window completes the streak: the rule engine steps
+	// up again, and the link, already at its top level, rejects the step.
+	now += w
+	src.addWindow(0.9, 0.5, w, 16)
+	src.flits += 100
+	if d := e.Tick(now); d != StepUp {
+		t.Fatalf("window 8 (streak rebuilt): %v, want StepUp", d)
+	}
+	if st := e.Stats(); st.GradualUps != 2 || st.Rejected != 1 {
+		t.Errorf("window 8 stats = %+v, want GradualUps=2 Rejected=1", st)
 	}
 }
 

@@ -89,8 +89,8 @@ type relState struct {
 	lastProgress sim.Cycle
 	wdArmed      bool
 	pumpArmed    bool
-	wdEvt        sim.Event
-	pumpEvt      sim.Event
+	wdH          sim.Handler
+	pumpH        sim.Handler
 
 	// Receiver: delivers exactly seq == rxExpect with a valid CRC, in
 	// order; anything else is dropped and (for losses ahead of rxExpect)
@@ -98,16 +98,16 @@ type relState struct {
 	rxExpect   uint64
 	wantReplay bool
 	fbArmed    bool
-	fbEvt      sim.Event
+	fbH        sim.Handler
 
 	// Accepted flits cross one rx pipeline register before entering the
 	// downstream buffer: relArrival (which mutates sender-owned protocol
-	// state and so runs on the sender's shard) pushes here, and acceptEvt —
+	// state and so runs on the sender's shard) pushes here, and acceptH —
 	// keyed to the downstream owner, one cycle later — pops and delivers.
 	// This is the reliable channels' shard-boundary crossing; it applies
 	// uniformly (even within one shard) so timing is shard-count-invariant.
-	rx        *shardrun.Ring[FlitRef]
-	acceptEvt sim.Event
+	rx      *shardrun.Ring[FlitRef]
+	acceptH sim.Handler
 
 	stats RelStats
 }
@@ -138,11 +138,6 @@ type Channel struct {
 	//optolint:derived ordering key assigned once by SetKeys during construction
 	deliverKey uint64
 
-	// link is the channel's global link index — the obj field of its
-	// checkpoint handler descriptors. Standalone channels leave it 0.
-	//optolint:derived global link index assigned once by SetLink during construction
-	link uint32
-
 	busyUntilMC int64   // milli-cycles; channel idle when <= now*1000
 	busyCycles  float64 // cumulative serialisation time, for policy Lu
 	flits       int64
@@ -153,30 +148,29 @@ type Channel struct {
 	// An SPSC ring because sender and receiver may live on different
 	// shards: the sender pushes during its window, the receiver pops at the
 	// delivery event one or more cycles later.
-	pending    *shardrun.Ring[txFlit]
-	deliverEvt sim.Event
+	pending  *shardrun.Ring[txFlit]
+	deliverH sim.Handler
 
 	rel *relState // nil = lossless channel, zero reliability overhead
 
 	// downNotify, when set, is called on each watchdog escalation that
-	// resets the link — the recovery layer's hook for marking the link
-	// dead in its liveness tables until the reset expires.
+	// resets the link (see SetDownNotify).
 	downNotify func(now, until sim.Cycle)
 }
 
 // NewChannel wires a channel to its power-aware link, an event scheduler
 // (the owning shard, or a bare *sim.Wheel for standalone use), and the
-// downstream delivery function.
+// downstream delivery function, and registers its delivery handler.
 func NewChannel(pl *powerlink.Link, sched Sched, deliver DeliverFunc) *Channel {
 	c := &Channel{plink: pl, sched: sched, deliver: deliver, pending: shardrun.NewRing[txFlit](4)}
-	c.deliverEvt = func(now sim.Cycle) {
+	c.deliverH = sched.Register(func(now sim.Cycle) {
 		tf := c.pending.Pop()
 		if c.rel != nil {
 			c.relArrival(now, tf)
 			return
 		}
 		c.deliver(now, tf.f)
-	}
+	})
 	return c
 }
 
@@ -187,40 +181,9 @@ func (c *Channel) SetKeys(selfKey, deliverKey uint64) {
 	c.deliverKey = deliverKey
 }
 
-// SetLink records the channel's global link index, the obj field of its
-// checkpoint handler descriptors. Must be called during construction.
-func (c *Channel) SetLink(li int) { c.link = uint32(li) }
-
-func (c *Channel) hid(kind uint8) uint64 { return sim.HandlerID(kind, c.link, 0) }
-
-// ResolveHandler maps a checkpoint handler descriptor owned by this channel
-// back to its event closure (see sim.HandlerID).
-func (c *Channel) ResolveHandler(id uint64) (sim.Event, bool) {
-	switch sim.HandlerKind(id) {
-	case sim.HChanDeliver:
-		return c.deliverEvt, true
-	case sim.HChanAccept:
-		if c.rel != nil {
-			return c.rel.acceptEvt, true
-		}
-	case sim.HChanFeedback:
-		if c.rel != nil {
-			return c.rel.fbEvt, true
-		}
-	case sim.HChanPump:
-		if c.rel != nil {
-			return c.rel.pumpEvt, true
-		}
-	case sim.HChanWatchdog:
-		if c.rel != nil {
-			return c.rel.wdEvt, true
-		}
-	}
-	return nil, false
-}
-
-// EnableReliability switches the channel to reliable delivery under cfg.
-// Must be called during network construction, before any flit is sent.
+// EnableReliability switches the channel to reliable delivery under cfg and
+// registers the protocol's handlers. Must be called during network
+// construction, before any flit is sent.
 func (c *Channel) EnableReliability(cfg ReliabilityConfig) {
 	if c.rel != nil {
 		panic("router: EnableReliability called twice")
@@ -229,25 +192,30 @@ func (c *Channel) EnableReliability(cfg ReliabilityConfig) {
 		cfg.MaxRetries <= 0 || cfg.ResetCycles <= 0 {
 		panic(fmt.Sprintf("router: bad reliability config %+v", cfg))
 	}
-	r := &relState{cfg: cfg, retx: make([]txFlit, cfg.Window), rx: shardrun.NewRing[FlitRef](8)}
-	r.acceptEvt = func(now sim.Cycle) {
-		c.deliver(now, r.rx.Pop())
+	c.rel = &relState{
+		cfg:     cfg,
+		retx:    make([]txFlit, cfg.Window),
+		rx:      shardrun.NewRing[FlitRef](8),
+		acceptH: c.sched.Register(c.accept),
+		fbH:     c.sched.Register(c.feedback),
+		pumpH:   c.sched.Register(c.pumpReplay),
+		wdH:     c.sched.Register(c.watchdog),
 	}
-	r.fbEvt = func(now sim.Cycle) {
-		r.fbArmed = false
-		nack := r.wantReplay
-		r.wantReplay = false
-		c.processFeedback(now, r.rxExpect, nack)
-	}
-	r.pumpEvt = func(now sim.Cycle) {
-		r.pumpArmed = false
-		c.pumpReplay(now)
-	}
-	r.wdEvt = func(now sim.Cycle) {
-		r.wdArmed = false
-		c.watchdog(now)
-	}
-	c.rel = r
+}
+
+// accept moves the next accepted flit out of the rx pipeline register into
+// the downstream receiver.
+func (c *Channel) accept(now sim.Cycle) {
+	c.deliver(now, c.rel.rx.Pop())
+}
+
+// feedback sends the receiver's pending ACK/NACK to the sender.
+func (c *Channel) feedback(now sim.Cycle) {
+	r := c.rel
+	r.fbArmed = false
+	nack := r.wantReplay
+	r.wantReplay = false
+	c.processFeedback(now, r.rxExpect, nack)
 }
 
 // ReliabilityEnabled reports whether this channel runs the retransmission
@@ -390,12 +358,12 @@ func (c *Channel) transmit(now sim.Cycle, tf txFlit) sim.Cycle {
 	c.pending.Push(tf)
 	// A lossless delivery mutates the downstream receiver; a reliable
 	// arrival mutates the sender-owned protocol state (the receiver is
-	// reached via acceptEvt one cycle later).
+	// reached via acceptH one cycle later).
 	key := c.deliverKey
 	if c.rel != nil {
 		key = c.selfKey
 	}
-	c.sched.Schedule(arrival, key, c.hid(sim.HChanDeliver), c.deliverEvt)
+	c.sched.Schedule(arrival, key, c.deliverH)
 	return arrival
 }
 
@@ -429,13 +397,13 @@ func (c *Channel) relArrival(now sim.Cycle, tf txFlit) {
 		}
 		r.rxExpect++
 		r.rx.Push(tf.f)
-		c.sched.Schedule(now+1, c.deliverKey, c.hid(sim.HChanAccept), r.acceptEvt)
+		c.sched.Schedule(now+1, c.deliverKey, r.acceptH)
 	}
 	// Every arrival (even a drop) is worth reporting: the cumulative ack
 	// releases sender window space, and wantReplay rides along.
 	if !r.fbArmed {
 		r.fbArmed = true
-		c.sched.Schedule(now+r.cfg.AckDelay, c.selfKey, c.hid(sim.HChanFeedback), r.fbEvt)
+		c.sched.Schedule(now+r.cfg.AckDelay, c.selfKey, r.fbH)
 	}
 }
 
@@ -465,6 +433,7 @@ func (c *Channel) processFeedback(now sim.Cycle, cumAck uint64, nack bool) {
 // flits, so busy time and flit counts reflect the real wire occupancy.
 func (c *Channel) pumpReplay(now sim.Cycle) {
 	r := c.rel
+	r.pumpArmed = false
 	if r.replayNext < r.ackSeq {
 		r.replayNext = r.ackSeq // acked mid-replay; skip ahead
 	}
@@ -510,6 +479,7 @@ func (c *Channel) pumpReplay(now sim.Cycle) {
 // ResetCycles, then replay resumes).
 func (c *Channel) watchdog(now sim.Cycle) {
 	r := c.rel
+	r.wdArmed = false
 	if r.ackSeq >= r.sendSeq {
 		return // everything acked; disarm until the next send
 	}
@@ -539,7 +509,7 @@ func (c *Channel) armPump(at sim.Cycle) {
 		return
 	}
 	r.pumpArmed = true
-	c.sched.Schedule(at, c.selfKey, c.hid(sim.HChanPump), r.pumpEvt)
+	c.sched.Schedule(at, c.selfKey, r.pumpH)
 }
 
 func (c *Channel) armWatchdog(at sim.Cycle) {
@@ -548,7 +518,7 @@ func (c *Channel) armWatchdog(at sim.Cycle) {
 		return
 	}
 	r.wdArmed = true
-	c.sched.Schedule(at, c.selfKey, c.hid(sim.HChanWatchdog), r.wdEvt)
+	c.sched.Schedule(at, c.selfKey, r.wdH)
 }
 
 // OutstandingFlits returns the number of flits granted onto this channel
@@ -573,21 +543,11 @@ func (c *Channel) RxPending() int {
 	return c.rel.rx.Len()
 }
 
-// SetDownNotify registers a callback invoked whenever a watchdog
-// escalation resets the link (scheduled failure windows are known to the
-// recovery layer up front; escalations are the only surprise downtime).
-// Multiple registrations chain: each new callback runs after those already
-// installed, so the recovery layer and telemetry can both observe resets.
-func (c *Channel) SetDownNotify(fn func(now, until sim.Cycle)) {
-	if prev := c.downNotify; prev != nil {
-		c.downNotify = func(now, until sim.Cycle) {
-			prev(now, until)
-			fn(now, until)
-		}
-		return
-	}
-	c.downNotify = fn
-}
+// SetDownNotify sets the callback invoked whenever a watchdog escalation
+// resets the link: escalations are the only surprise downtime, since
+// scheduled failure windows are known up front. The network's callback
+// spools each escalation for its recovery and telemetry layers.
+func (c *Channel) SetDownNotify(fn func(now, until sim.Cycle)) { c.downNotify = fn }
 
 // DownUntil returns the cycle at which a link that is hard-down at now is
 // expected back up, or now itself when the link is up. Open-ended only for

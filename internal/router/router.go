@@ -18,17 +18,17 @@ type RouteFunc func(routerID int, p *Packet, inVC int) (port int, vcMask uint32)
 func AllVCs(n int) uint32 { return uint32(1)<<uint(n) - 1 }
 
 // Sched is the event-scheduling half of the surrounding simulation. Under
-// sharding this is the router's owning shard, which stages the request and
-// forwards it to the global wheel at the cycle barrier; a standalone router
-// or channel takes a *sim.Wheel, whose Schedule has this signature. The key
-// orders same-cycle events canonically (see sim.ActorKey); key 0 is the
-// sequential coordinator band.
+// sharding this is the router's owning shard, which registers handlers with
+// the global wheel and stages schedules for the cycle barrier; a standalone
+// router or channel takes a *sim.Wheel, whose methods have these
+// signatures. The key orders same-cycle events canonically (see
+// sim.ActorKey); key 0 is the sequential coordinator band.
 type Sched interface {
-	// Schedule registers ev to fire at cycle at. id is the checkpoint
-	// handler descriptor (sim.HandlerID) naming the handler behind ev so a
-	// snapshot of the wheel can be resolved back to closures on restore; 0
-	// marks the entry as not snapshotable.
-	Schedule(at sim.Cycle, key, id uint64, ev sim.Event)
+	// Register adds ev to the wheel's handler table and returns its
+	// handle. Called only during construction.
+	Register(ev sim.Event) sim.Handler
+	// Schedule enqueues handler h to fire at cycle at.
+	Schedule(at sim.Cycle, key uint64, h sim.Handler)
 }
 
 // Scheduler is the part of the surrounding network the router talks to:
@@ -112,8 +112,8 @@ type inputVC struct {
 	// measures head-of-line blockage against it.
 	progressAt sim.Cycle
 
-	holEvt    sim.Event // fires register() when the HOL flit becomes ready
-	creditEvt sim.Event // returns one credit upstream
+	holH    sim.Handler // fires register() when the HOL flit becomes ready
+	creditH sim.Handler // returns one credit upstream
 }
 
 // Output is one router output port: the request list competing for it, its
@@ -130,7 +130,7 @@ type Output struct {
 	active bool
 
 	wakePending bool
-	wakeEvt     sim.Event
+	wakeH       sim.Handler
 
 	grants       int64
 	creditStalls int64
@@ -178,14 +178,14 @@ func New(cfg Config, sched Scheduler) *Router {
 		in.route = -1
 		in.outVC = -1
 		idx := i
-		in.holEvt = func(now sim.Cycle) { r.register(now, idx) }
-		in.creditEvt = func(now sim.Cycle) {
+		in.holH = sched.Register(func(now sim.Cycle) { r.register(now, idx) })
+		in.creditH = sched.Register(func(now sim.Cycle) {
 			in := &r.ins[idx]
 			in.creditsReturned++
 			if up := in.upstream; up != nil {
 				up.ReturnCredit(now, in.upVC)
 			}
-		}
+		})
 	}
 	for p := range r.outs {
 		o := &r.outs[p]
@@ -195,49 +195,18 @@ func New(cfg Config, sched Scheduler) *Router {
 		for v := range o.ovc {
 			o.ovc[v] = outVC{credits: cfg.BufDepth, owner: -1}
 		}
-		o.wakeEvt = func(now sim.Cycle) {
+		o.wakeH = sched.Register(func(now sim.Cycle) {
 			o.wakePending = false
 			if len(o.req) > 0 {
 				r.sched.ActivateOutput(o)
 			}
-		}
+		})
 	}
 	return r
 }
 
 // ID returns the router's identifier.
 func (r *Router) ID() int { return r.id }
-
-// holID and creditID build the checkpoint descriptors for this router's
-// per-input-VC events.
-func (r *Router) holID(ivc int) uint64 {
-	return sim.HandlerID(sim.HRouterHOL, uint32(r.id), uint16(ivc))
-}
-
-func (r *Router) creditID(ivc int) uint64 {
-	return sim.HandlerID(sim.HRouterCredit, uint32(r.id), uint16(ivc))
-}
-
-// ResolveHandler maps a checkpoint handler descriptor owned by this router
-// back to its event closure (see sim.HandlerID).
-func (r *Router) ResolveHandler(id uint64) (sim.Event, bool) {
-	param := int(sim.HandlerParam(id))
-	switch sim.HandlerKind(id) {
-	case sim.HRouterHOL:
-		if param < len(r.ins) {
-			return r.ins[param].holEvt, true
-		}
-	case sim.HRouterCredit:
-		if param < len(r.ins) {
-			return r.ins[param].creditEvt, true
-		}
-	case sim.HRouterWake:
-		if param < len(r.outs) {
-			return r.outs[param].wakeEvt, true
-		}
-	}
-	return nil, false
-}
 
 // Ports returns the number of ports.
 func (r *Router) Ports() int { return r.ports }
@@ -316,7 +285,7 @@ func (r *Router) register(now sim.Cycle, ivc int) {
 		f = in.buf.Front()
 	}
 	if f.ReadyAt > now {
-		r.sched.Schedule(f.ReadyAt, r.selfKey, r.holID(ivc), in.holEvt)
+		r.sched.Schedule(f.ReadyAt, r.selfKey, in.holH)
 		return
 	}
 	if f.IsHead() && in.route < 0 {
@@ -354,7 +323,7 @@ func (r *Router) discardKilled(now sim.Cycle, ivc int) {
 		r.flitsDiscarded++
 		if in.upstream != nil {
 			in.creditsSent++
-			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
+			r.sched.Schedule(now+CreditDelay, in.creditKey, in.creditH)
 		}
 		if f.IsTail() && in.curPkt == p {
 			if in.outVC >= 0 {
@@ -523,7 +492,7 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 			if at <= now {
 				at = now + 1
 			}
-			r.sched.Schedule(at, r.selfKey, sim.HandlerID(sim.HRouterWake, uint32(r.id), uint16(o.port)), o.wakeEvt)
+			r.sched.Schedule(at, r.selfKey, o.wakeH)
 		}
 		return false
 	}
@@ -582,7 +551,7 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 		}
 		if in.upstream != nil {
 			in.creditsSent++
-			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
+			r.sched.Schedule(now+CreditDelay, in.creditKey, in.creditH)
 		}
 		f.VC = int8(v)
 		o.ch.Send(now, f)

@@ -10,7 +10,7 @@ import (
 
 // harness is a minimal Scheduler: it runs one router in isolation with
 // channels that deliver into capture buffers. The embedded wheel supplies
-// Schedule.
+// Register and Schedule.
 type harness struct {
 	*sim.Wheel
 	active []*Output
@@ -27,9 +27,7 @@ func (h *harness) ActivateOutput(o *Output) {
 // fireCycle harvests cycle now and runs its events in canonical order,
 // exactly as Network.Step drains the wheel.
 func fireCycle(w *sim.Wheel, now sim.Cycle) {
-	for _, e := range w.BeginCycle(now) {
-		e.Ev(now)
-	}
+	w.Run(w.BeginCycle(now), now)
 }
 
 func (h *harness) step() {
@@ -107,9 +105,9 @@ func injectSeq(h *harness, r *Router, p, v int, pkt *Packet, start sim.Cycle) {
 	accept := r.AcceptFlit(p)
 	for seq := 0; seq < pkt.Len; seq++ {
 		s := int32(seq)
-		h.Wheel.Schedule(start+sim.Cycle(seq), 0, 0, func(now sim.Cycle) {
+		h.Wheel.Schedule(start+sim.Cycle(seq), 0, h.Wheel.Register(func(now sim.Cycle) {
 			accept(now, FlitRef{Pkt: pkt, Seq: s, VC: int8(v)})
-		})
+		}))
 	}
 }
 

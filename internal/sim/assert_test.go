@@ -20,20 +20,20 @@ func mustPanic(t *testing.T, f func()) {
 
 func TestSkipToOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(5, 0, 0, func(Cycle) {})
+	w.Schedule(5, 0, w.Register(func(Cycle) {}))
 	mustPanic(t, func() { w.SkipTo(10) })
 }
 
 func TestSkipToUpToEventIsLegal(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(5, 0, 0, func(Cycle) {})
+	w.Schedule(5, 0, w.Register(func(Cycle) {}))
 	w.SkipTo(4) // the event is still in the future; no panic
 	fireCycle(w, 5)
 }
 
 func TestBeginCycleOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(3, 0, 0, func(Cycle) {})
+	w.Schedule(3, 0, w.Register(func(Cycle) {}))
 	mustPanic(t, func() { w.BeginCycle(7) })
 }
 

@@ -20,10 +20,10 @@ func BenchmarkRNGFloat64(b *testing.B) {
 // harvested per cycle, the engine's lightest steady state.
 func BenchmarkWheelScheduleBeginCycle(b *testing.B) {
 	w := NewWheel(4096)
-	nop := Event(func(Cycle) {})
+	nop := w.Register(func(Cycle) {})
 	for i := 0; i < b.N; i++ {
 		now := Cycle(i)
-		w.Schedule(now+3, 0, 0, nop)
+		w.Schedule(now+3, 0, nop)
 		fireCycle(w, now)
 	}
 }
@@ -33,7 +33,7 @@ func BenchmarkWheelScheduleBeginCycle(b *testing.B) {
 func BenchmarkWheelBeginCycleIdle(b *testing.B) {
 	w := NewWheel(4096)
 	// One far event beyond the horizon keeps the far-heap peek honest.
-	w.Schedule(Cycle(b.N)+10_000, 0, 0, func(Cycle) {})
+	w.Schedule(Cycle(b.N)+10_000, 0, w.Register(func(Cycle) {}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.BeginCycle(Cycle(i))
@@ -59,7 +59,7 @@ func BenchmarkWheelBeginCycleMultiKey(b *testing.B) {
 		script[i] = sched{key: ActorKey(uint32(owner), uint32(src)), ahead: Cycle(1 + r.Intn(4))}
 	}
 	w := NewWheel(64)
-	nop := Event(func(Cycle) {})
+	nop := w.Register(func(Cycle) {})
 	next := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +67,7 @@ func BenchmarkWheelBeginCycleMultiKey(b *testing.B) {
 		for j := 0; j < perCycle; j++ {
 			s := script[next]
 			next = (next + 1) % len(script)
-			w.Schedule(now+s.ahead, s.key, 0, nop)
+			w.Schedule(now+s.ahead, s.key, nop)
 		}
 		fireCycle(w, now)
 	}
@@ -77,7 +77,7 @@ func BenchmarkWheelBeginCycleMultiKey(b *testing.B) {
 func BenchmarkWheelNextEventAt(b *testing.B) {
 	w := NewWheel(4096)
 	w.BeginCycle(0)
-	w.Schedule(4000, 0, 0, func(Cycle) {}) // near the end of the scan
+	w.Schedule(4000, 0, w.Register(func(Cycle) {})) // near the end of the scan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := w.NextEventAt(); !ok {
@@ -88,10 +88,10 @@ func BenchmarkWheelNextEventAt(b *testing.B) {
 
 func BenchmarkWheelFarEvents(b *testing.B) {
 	w := NewWheel(64)
-	nop := Event(func(Cycle) {})
+	nop := w.Register(func(Cycle) {})
 	for i := 0; i < b.N; i++ {
 		now := Cycle(i)
-		w.Schedule(now+10_000, 0, 0, nop) // always beyond the horizon
+		w.Schedule(now+10_000, 0, nop) // always beyond the horizon
 		fireCycle(w, now)
 	}
 }

@@ -33,8 +33,8 @@ func fuzzTarget(now Cycle, b byte) Cycle {
 // FuzzWheelHarvestOrder decodes the fuzz bytes into a script of Schedule
 // calls, bursts of at least smallRun schedules into one cycle (so both the
 // insertion and the radix path run), harvests, legal SkipTo calls and one
-// ExportState → RestoreState into a fresh wheel of another size, then
-// drains the wheel. Keys start from key 0, and each new key is a used one
+// ExportState → RestoreState into a fresh wheel of another size that
+// registered the same handlers, then drains the wheel. Keys start from key 0, and each new key is a used one
 // with one of its five key bytes replaced, so a cycle's keys often differ
 // in a single byte — the case where a radix pass that is skipped or
 // unstable shows. A model of the pending entries predicts every
@@ -71,14 +71,23 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		w := NewWheel(4 << (data[0] % 5))
+		// Entries cycle through three handlers, so a harvest or a restore
+		// that swaps handlers between entries shows in the model check.
+		const handlers = 3
+		newWheel := func(size int) *Wheel {
+			w := NewWheel(size)
+			for range handlers {
+				w.Register(func(Cycle) {})
+			}
+			return w
+		}
+		w := newWheel(4 << (data[0] % 5))
 		restoreSize := 4 << (data[1] % 5)
 		data = data[2:]
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
 
-		nop := Event(func(Cycle) {})
 		var (
 			due      = map[Cycle][]Entry{} // the model: pending entries by cycle
 			keys     = []uint64{0}
@@ -88,9 +97,10 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 		)
 		schedule := func(at Cycle, key uint64) {
 			seq++
-			w.Schedule(at, key, seq, nop)
+			h := Handler(1 + seq%handlers)
+			w.Schedule(at, key, h)
 			at = max(at, now+1)
-			due[at] = append(due[at], Entry{Key: key, Seq: seq, ID: seq})
+			due[at] = append(due[at], Entry{Key: key, Seq: seq, H: h})
 		}
 		harvest := func() {
 			now++
@@ -102,9 +112,9 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 				t.Fatalf("cycle %d harvested %d entries, want %d", now, len(got), len(want))
 			}
 			for i := range got {
-				if got[i].Key != want[i].Key || got[i].Seq != want[i].Seq || got[i].ID != want[i].ID {
-					t.Fatalf("cycle %d entry %d = key %#x seq %d id %d, want key %#x seq %d id %d",
-						now, i, got[i].Key, got[i].Seq, got[i].ID, want[i].Key, want[i].Seq, want[i].ID)
+				if got[i] != want[i] {
+					t.Fatalf("cycle %d entry %d = key %#x seq %d handler %d, want key %#x seq %d handler %d",
+						now, i, got[i].Key, got[i].Seq, got[i].H, want[i].Key, want[i].Seq, want[i].H)
 				}
 			}
 		}
@@ -157,12 +167,9 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 					continue
 				}
 				restored = true
-				st, err := w.ExportState()
-				if err != nil {
-					t.Fatalf("export: %v", err)
-				}
-				w = NewWheel(restoreSize)
-				if err := w.RestoreState(st, func(uint64) (Event, bool) { return nop, true }); err != nil {
+				st := w.ExportState()
+				w = newWheel(restoreSize)
+				if err := w.RestoreState(st); err != nil {
 					t.Fatalf("restore: %v", err)
 				}
 			}

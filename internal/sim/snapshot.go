@@ -6,30 +6,29 @@ import (
 )
 
 // WheelEntryState is one scheduled event in exportable form: its absolute
-// fire cycle and its full ordering coordinates. The closure itself is
-// replaced by the handler descriptor ID, which a restore resolves back to
-// the rebuilt closure via the caller-supplied resolver.
+// fire cycle, its full ordering coordinates and its handler, which names
+// the same event in the restore target's handler table.
 type WheelEntryState struct {
 	At  Cycle
 	Key uint64
 	Seq uint64
-	ID  uint64
+	H   Handler
 }
 
-// WheelState is the complete exportable state of a Wheel.
+// WheelState is the complete exportable state of a Wheel. Handlers is the
+// size of the handler table the entries index into.
 type WheelState struct {
-	Now     Cycle
-	Seq     uint64 // insertion-sequence counter at snapshot time
-	Entries []WheelEntryState
+	Now      Cycle
+	Seq      uint64 // insertion-sequence counter at snapshot time
+	Handlers int
+	Entries  []WheelEntryState
 }
 
 // ExportState captures every pending event with its absolute cycle and
 // ordering coordinates, sorted by insertion sequence (a canonical total
-// order: sequence numbers are globally unique). It fails if any entry
-// carries handler ID 0, i.e. was scheduled without a handler descriptor
-// that a checkpoint could reconstruct.
-func (w *Wheel) ExportState() (WheelState, error) {
-	st := WheelState{Now: w.now, Seq: w.seq}
+// order: sequence numbers are globally unique).
+func (w *Wheel) ExportState() WheelState {
+	st := WheelState{Now: w.now, Seq: w.seq, Handlers: len(w.handlers) - 1}
 	st.Entries = make([]WheelEntryState, 0, w.pending)
 	for idx := range w.buckets {
 		b := w.buckets[idx]
@@ -38,17 +37,11 @@ func (w *Wheel) ExportState() (WheelState, error) {
 		}
 		at := w.cycleFor(idx)
 		for _, e := range b {
-			if e.ID == 0 {
-				return WheelState{}, fmt.Errorf("sim: wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", e.Key, e.Seq, at)
-			}
-			st.Entries = append(st.Entries, WheelEntryState{At: at, Key: e.Key, Seq: e.Seq, ID: e.ID})
+			st.Entries = append(st.Entries, WheelEntryState{At: at, Key: e.Key, Seq: e.Seq, H: e.H})
 		}
 	}
 	for _, fe := range w.far {
-		if fe.ID == 0 {
-			return WheelState{}, fmt.Errorf("sim: far wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", fe.Key, fe.Seq, fe.at)
-		}
-		st.Entries = append(st.Entries, WheelEntryState{At: fe.at, Key: fe.Key, Seq: fe.Seq, ID: fe.ID})
+		st.Entries = append(st.Entries, WheelEntryState{At: fe.at, Key: fe.Key, Seq: fe.Seq, H: fe.H})
 	}
 	slices.SortFunc(st.Entries, func(a, b WheelEntryState) int {
 		if a.Seq < b.Seq {
@@ -59,24 +52,24 @@ func (w *Wheel) ExportState() (WheelState, error) {
 		}
 		return 0
 	})
-	return st, nil
+	return st
 }
 
 // RestoreState wipes the wheel and reloads it from an exported state,
-// preserving every entry's At/Key/Seq/ID verbatim so the canonical
+// preserving every entry's At/Key/Seq/H verbatim so the canonical
 // (Key, Seq) execution order after restore matches the original run
-// exactly. resolve maps a handler descriptor back to the (rebuilt) event
-// closure; an unresolvable ID is an error, as is an entry at or before the
-// restored clock (a restored wheel must be strictly monotonic) and an
-// entry list not strictly ascending in Seq, the order ExportState writes
-// and the order BeginCycle's harvest relies on (see Wheel).
-func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool)) error {
+// exactly. The wheel must hold the handler table the snapshot was taken
+// against: a table of another size is an error, as is an entry whose
+// handler lies outside the table, an entry at or before the restored clock
+// (a restored wheel must be strictly monotonic) and an entry list not
+// strictly ascending in Seq, the order ExportState writes and the order
+// BeginCycle's harvest relies on (see Wheel).
+func (w *Wheel) RestoreState(st WheelState) error {
+	if n := len(w.handlers) - 1; st.Handlers != n {
+		return fmt.Errorf("sim: snapshot wheel has %d handlers, this wheel registered %d", st.Handlers, n)
+	}
 	for idx := range w.buckets {
-		b := w.buckets[idx]
-		for i := range b {
-			b[i] = Entry{}
-		}
-		w.buckets[idx] = b[:0]
+		w.buckets[idx] = w.buckets[idx][:0]
 	}
 	for i := range w.occ {
 		w.occ[i] = 0
@@ -95,11 +88,10 @@ func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool
 		if e.Seq > st.Seq {
 			return fmt.Errorf("sim: restored wheel entry seq %d exceeds the sequence counter %d", e.Seq, st.Seq)
 		}
-		ev, ok := resolve(e.ID)
-		if !ok || ev == nil {
-			return fmt.Errorf("sim: no handler for wheel entry id %#x (at=%d key=%#x)", e.ID, e.At, e.Key)
+		if e.H == 0 || int(e.H) >= len(w.handlers) {
+			return fmt.Errorf("sim: restored wheel entry handler %d (at=%d key=%#x) is outside the table [1, %d]", e.H, e.At, e.Key, len(w.handlers)-1)
 		}
-		w.insert(e.At, Entry{Key: e.Key, Seq: e.Seq, ID: e.ID, Ev: ev})
+		w.insert(e.At, Entry{Key: e.Key, Seq: e.Seq, H: e.H})
 	}
 	if Debug {
 		if next, ok := w.NextEventAt(); ok {

@@ -57,7 +57,7 @@ func TestRNGSetStateNormalizesZero(t *testing.T) {
 }
 
 // wheelFire records one handler firing for order comparison: the cycle and
-// key BeginCycle harvested it under, and the handler ID its closure reports.
+// key BeginCycle harvested it under, and the ID its closure reports.
 type wheelFire struct {
 	At  Cycle
 	Key uint64
@@ -66,38 +66,45 @@ type wheelFire struct {
 
 // drainWheel harvests a wheel cycle by cycle to horizon, as Network.Step
 // does, recording every firing in execution order. Each closure reports
-// its own handler ID through *ran, so an ID resolved to the wrong closure
-// shows up as a mismatch.
+// its own ID through *ran, so a handler that runs the wrong closure shows
+// up as a mismatch.
 func drainWheel(w *Wheel, horizon Cycle, ran *uint64) []wheelFire {
 	var out []wheelFire
 	for c := w.now + 1; c <= horizon; c++ {
-		for _, e := range w.BeginCycle(c) {
-			e.Ev(c)
+		batch := w.BeginCycle(c)
+		for i, e := range batch {
+			w.Run(batch[i:i+1], c)
 			out = append(out, wheelFire{At: c, Key: e.Key, ID: *ran})
 		}
 	}
 	return out
 }
 
-// TestWheelExportRestoreRoundTrip loads a wheel with keyed, identified
-// events spanning near buckets and the far heap, exports mid-run, restores
-// into a fresh wheel, and checks the remaining executions fire in exactly
-// the original (Key, Seq) order — the foundation of resume equivalence.
+// TestWheelExportRestoreRoundTrip loads a wheel with keyed events on
+// distinct handlers spanning near buckets and the far heap, exports
+// mid-run, restores into a fresh wheel that registered the same handlers,
+// and checks the remaining executions fire in exactly the original
+// (Key, Seq) order — the foundation of resume equivalence.
 func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	var ran uint64
-	mk := func(id uint64) Event {
-		return func(Cycle) { ran = id }
+	register := func(w *Wheel) []Handler {
+		var hs []Handler
+		for _, id := range []uint64{31, 11, 32, 22, 44, 12} {
+			hs = append(hs, w.Register(func(Cycle) { ran = id }))
+		}
+		return hs
 	}
 	build := func() *Wheel {
 		w := NewWheel(64)
+		h := register(w)
 		// Deliberately interleaved keys and cycles, plus far-heap entries
 		// beyond the 64-cycle horizon.
-		w.Schedule(5, 3, HandlerID(1, 3, 0), mk(HandlerID(1, 3, 0)))
-		w.Schedule(5, 1, HandlerID(1, 1, 0), mk(HandlerID(1, 1, 0)))
-		w.Schedule(5, 3, HandlerID(2, 3, 1), mk(HandlerID(2, 3, 1)))
-		w.Schedule(9, 2, HandlerID(3, 2, 0), mk(HandlerID(3, 2, 0)))
-		w.Schedule(200, 4, HandlerID(4, 4, 0), mk(HandlerID(4, 4, 0)))
-		w.Schedule(450, 1, HandlerID(5, 1, 2), mk(HandlerID(5, 1, 2)))
+		w.Schedule(5, 3, h[0])
+		w.Schedule(5, 1, h[1])
+		w.Schedule(5, 3, h[2])
+		w.Schedule(9, 2, h[3])
+		w.Schedule(200, 4, h[4])
+		w.Schedule(450, 1, h[5])
 		return w
 	}
 
@@ -113,17 +120,14 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	for c := Cycle(1); c <= 3; c++ {
 		fireCycle(w, c)
 	}
-	st, err := w.ExportState()
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	if st.Now != 3 || len(st.Entries) != 6 {
-		t.Fatalf("export: now=%d entries=%d, want 3 and 6", st.Now, len(st.Entries))
+	st := w.ExportState()
+	if st.Now != 3 || len(st.Entries) != 6 || st.Handlers != 6 {
+		t.Fatalf("export: now=%d entries=%d handlers=%d, want 3, 6 and 6", st.Now, len(st.Entries), st.Handlers)
 	}
 
 	w2 := NewWheel(64)
-	resolve := func(id uint64) (Event, bool) { return mk(id), true }
-	if err := w2.RestoreState(st, resolve); err != nil {
+	register(w2)
+	if err := w2.RestoreState(st); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if w2.Pending() != 6 {
@@ -150,79 +154,45 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWheelExportRejectsAnonymousEvents: events scheduled without a handler
-// ID cannot be reconstructed by a resolver, so export must fail loudly
-// rather than silently dropping them.
-func TestWheelExportRejectsAnonymousEvents(t *testing.T) {
-	w := NewWheel(64)
-	w.Schedule(5, 1, 0, func(Cycle) {})
-	if _, err := w.ExportState(); err == nil {
-		t.Fatal("export of an id-less near event succeeded")
-	}
-	w2 := NewWheel(64)
-	w2.Schedule(500, 0, 0, func(Cycle) {}) // far heap path
-	if _, err := w2.ExportState(); err == nil {
-		t.Fatal("export of an id-less far event succeeded")
-	}
-}
-
 // TestWheelRestoreValidation: a restored wheel must be strictly monotonic
 // (no entry at or before the restored clock), list its entries strictly
-// ascending in Seq, and be fully resolvable.
+// ascending in Seq, hold a handler table of the snapshot's size, and name
+// only handlers inside that table.
 func TestWheelRestoreValidation(t *testing.T) {
-	ev := func(Cycle) {}
-	resolve := func(uint64) (Event, bool) { return ev, true }
-
-	w := NewWheel(64)
-	stale := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{{At: 10, Key: 1, Seq: 1, ID: 7}}}
-	if err := w.RestoreState(stale, resolve); err == nil {
-		t.Fatal("restore accepted an entry at the restored clock")
+	// Each case edits one field of a valid one-handler snapshot.
+	valid := func() WheelState {
+		return WheelState{Now: 10, Seq: 5, Handlers: 1, Entries: []WheelEntryState{{At: 11, Key: 1, Seq: 1, H: 1}}}
+	}
+	restore := func(st WheelState) error {
+		w := NewWheel(64)
+		w.Register(func(Cycle) {})
+		return w.RestoreState(st)
+	}
+	if err := restore(valid()); err != nil {
+		t.Fatalf("restore refused the valid snapshot: %v", err)
 	}
 
-	w = NewWheel(64)
-	unseq := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{{At: 11, Key: 1, Seq: 6, ID: 7}}}
-	if err := w.RestoreState(unseq, resolve); err == nil {
-		t.Fatal("restore accepted an entry seq beyond the sequence counter")
-	}
-
-	for _, seqs := range [][2]uint64{{3, 2}, {2, 2}} {
-		w = NewWheel(64)
-		unordered := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{
-			{At: 11, Key: 1, Seq: seqs[0], ID: 7},
-			{At: 11, Key: 1, Seq: seqs[1], ID: 7},
-		}}
-		if err := w.RestoreState(unordered, resolve); err == nil {
-			t.Fatalf("restore accepted entries in seq order %v", seqs)
-		}
-	}
-
-	w = NewWheel(64)
-	orphan := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{{At: 11, Key: 1, Seq: 1, ID: 7}}}
-	noResolve := func(uint64) (Event, bool) { return nil, false }
-	if err := w.RestoreState(orphan, noResolve); err == nil {
-		t.Fatal("restore accepted an unresolvable handler id")
-	}
-}
-
-// TestHandlerIDPacking pins the descriptor encoding: kind, object, and
-// parameter round-trip through the packed word for the full field ranges.
-func TestHandlerIDPacking(t *testing.T) {
-	for _, tc := range []struct {
-		kind  uint8
-		obj   uint32
-		param uint16
+	cases := []struct {
+		name string
+		edit func(st *WheelState)
 	}{
-		{1, 0, 0},
-		{HTelemMarker, 1<<32 - 1, 1<<16 - 1},
-		{7, 123_456, 42},
-	} {
-		id := HandlerID(tc.kind, tc.obj, tc.param)
-		if id == 0 {
-			t.Fatalf("HandlerID(%v) = 0, the reserved non-snapshotable value", tc)
-		}
-		if HandlerKind(id) != tc.kind || HandlerObj(id) != tc.obj || HandlerParam(id) != tc.param {
-			t.Errorf("HandlerID(%d,%d,%d) unpacked to (%d,%d,%d)",
-				tc.kind, tc.obj, tc.param, HandlerKind(id), HandlerObj(id), HandlerParam(id))
+		{"entry at the restored clock", func(st *WheelState) { st.Entries[0].At = 10 }},
+		{"entry seq beyond the sequence counter", func(st *WheelState) { st.Entries[0].Seq = 6 }},
+		{"entries in seq order 3, 2", func(st *WheelState) {
+			st.Entries = []WheelEntryState{{At: 11, Key: 1, Seq: 3, H: 1}, {At: 11, Key: 1, Seq: 2, H: 1}}
+		}},
+		{"entries in seq order 2, 2", func(st *WheelState) {
+			st.Entries = []WheelEntryState{{At: 11, Key: 1, Seq: 2, H: 1}, {At: 11, Key: 1, Seq: 2, H: 1}}
+		}},
+		{"handler table of another size", func(st *WheelState) { st.Handlers = 2 }},
+		{"handler 0", func(st *WheelState) { st.Entries[0].H = 0 }},
+		{"handler beyond the table", func(st *WheelState) { st.Entries[0].H = 2 }},
+	}
+	for _, tc := range cases {
+		st := valid()
+		tc.edit(&st)
+		if err := restore(st); err == nil {
+			t.Errorf("restore accepted a snapshot with %s", tc.name)
 		}
 	}
 }

@@ -6,6 +6,13 @@ import "math/bits"
 // into the past.
 type Event func(now Cycle)
 
+// Handler names an Event registered with a wheel (see Wheel.Register): an
+// index into the wheel's handler table. A wheel entry holds the handler,
+// not the closure, so a checkpoint writes it as it is and a restored wheel
+// runs it against the table its rebuilt object graph registered. Handler 0
+// is never registered.
+type Handler uint32
+
 // Entry is one scheduled event together with its ordering coordinates: the
 // actor key that owns it (see ActorKey) and the global insertion sequence
 // number. BeginCycle returns a cycle's entries sorted by (Key, Seq) — the
@@ -15,14 +22,7 @@ type Event func(now Cycle)
 type Entry struct {
 	Key uint64
 	Seq uint64
-	Ev  Event
-
-	// ID names the handler behind Ev for checkpointing: closures cannot be
-	// serialized, so every event scheduled by the network engine carries a
-	// stable descriptor (see network handler registry) that a restore
-	// resolves back to the rebuilt closure. ID 0 means "not snapshotable";
-	// ExportState refuses wheels containing such entries.
-	ID uint64
+	H   Handler
 }
 
 // Wheel is a timing wheel for near-future events with a heap overflow for
@@ -38,7 +38,7 @@ type Entry struct {
 // BeginCycle is the one drain: it hands a cycle's events back sorted by
 // (Key, Seq) — a total order that is independent of how many shards
 // produced them, as long as every key has a single deterministic producer.
-// The caller runs them; see DESIGN.md §6g.
+// The caller runs them with Run; see DESIGN.md §6g.
 //
 // The drain needs no comparison sort because a cycle's harvest is already
 // in Seq order: a bucket receives its entries in Schedule order, which is
@@ -61,6 +61,12 @@ type Wheel struct {
 	run []Entry // BeginCycle scratch, reused across cycles
 	//optolint:derived BeginCycle radix-sort scratch, reused across cycles
 	spare []Entry
+
+	// handlers is the handler table, indexed by Handler; slot 0 stays
+	// empty. Its owners register every event at construction, in an order
+	// fixed by their configuration, so a freshly built restore target holds
+	// the same table.
+	handlers []Event
 }
 
 // NewWheel returns a wheel with the given power-of-two bucket count.
@@ -69,24 +75,58 @@ func NewWheel(size int) *Wheel {
 		panic("sim: wheel size must be a positive power of two")
 	}
 	return &Wheel{
-		buckets: make([][]Entry, size),
-		occ:     make([]uint64, (size+63)/64),
-		mask:    Cycle(size - 1),
-		horizon: Cycle(size),
+		buckets:  make([][]Entry, size),
+		occ:      make([]uint64, (size+63)/64),
+		mask:     Cycle(size - 1),
+		horizon:  Cycle(size),
+		handlers: make([]Event, 1),
 	}
 }
 
-// Schedule registers ev to fire at cycle at under ordering key key (0 is
-// the coordinator band; see ActorKey) with checkpoint handler descriptor id
-// (see HandlerID; 0 marks the entry as not snapshotable). The sequence
-// number is assigned here, so a cycle's canonical (Key, Seq) order is fixed
-// by the order Schedule calls reach the wheel — which the sharded engine
-// makes deterministic by replaying staged schedules in shard order. A
-// request for the current cycle or earlier, which BeginCycle has already
-// harvested, is deferred to the next cycle.
-func (w *Wheel) Schedule(at Cycle, key, id uint64, ev Event) {
+// Register appends ev to the wheel's handler table and returns its handle.
+// Owners register at construction, never while the wheel runs: the table
+// is read without synchronisation by every shard's window.
+func (w *Wheel) Register(ev Event) Handler {
+	w.handlers = append(w.handlers, ev)
+	return Handler(len(w.handlers) - 1)
+}
+
+// Reserve sizes the handler table for n registrations in all, so a build
+// that knows its count up front never regrows it.
+func (w *Wheel) Reserve(n int) {
+	if cap(w.handlers) < n+1 {
+		w.handlers = append(make([]Event, 0, n+1), w.handlers...)
+	}
+}
+
+// Run runs harvested entries in order at cycle now. It looks up each
+// entry's handler before running the previous one: the table read is a
+// likely cache miss, and issued this way it overlaps the previous event
+// instead of stalling the next call.
+func (w *Wheel) Run(entries []Entry, now Cycle) {
+	if len(entries) == 0 {
+		return
+	}
+	evs := w.handlers
+	next := evs[entries[0].H]
+	for _, e := range entries[1:] {
+		ev := next
+		next = evs[e.H]
+		ev(now)
+	}
+	next(now)
+}
+
+// Schedule enqueues handler h to fire at cycle at under ordering key key
+// (0 is the coordinator band; see ActorKey). The sequence number is
+// assigned here, so a cycle's canonical (Key, Seq) order is fixed by the
+// order Schedule calls reach the wheel — which the sharded engine makes
+// deterministic by replaying staged schedules in shard order. A request for
+// the current cycle or earlier, which BeginCycle has already harvested, is
+// deferred to the next cycle.
+func (w *Wheel) Schedule(at Cycle, key uint64, h Handler) {
 	w.seq++
-	w.insert(max(at, w.now+1), Entry{Key: key, Seq: w.seq, ID: id, Ev: ev})
+	w.insert(max(at, w.now+1), Entry{Key: key, Seq: w.seq, H: h})
 }
 
 // insert places e at cycle at: into its bucket within the horizon, into
@@ -105,12 +145,12 @@ func (w *Wheel) insert(at Cycle, e Entry) {
 // BeginCycle removes every event scheduled for cycle now — matured far-heap
 // events included — and returns them sorted by (Key, Seq): key-0
 // coordinator events first, then each actor's events in insertion order.
-// The caller owns running them; the returned slice is valid until the next
-// BeginCycle. Callbacks that schedule for the current cycle are deferred to
-// the next one (the bucket has already been harvested), so the engine never
-// sees same-cycle insertions. Cycles must be presented in increasing order;
-// gaps are allowed only when every skipped cycle is event-free (see
-// NextEventAt and SkipTo).
+// The caller owns running them (see Run); the returned slice is valid
+// until the next BeginCycle. Callbacks that schedule for the current
+// cycle are deferred to the next one (the bucket has already been
+// harvested), so the engine never sees same-cycle insertions. Cycles must
+// be presented in increasing order; gaps are allowed only when every
+// skipped cycle is event-free (see NextEventAt and SkipTo).
 //
 // The harvest comes out in Seq order (see Wheel), so a stable sort on Key
 // (see sortRunByKey) puts it in (Key, Seq) order without comparing Seqs.
@@ -132,9 +172,6 @@ func (w *Wheel) BeginCycle(now Cycle) []Entry {
 	if len(b) > 0 {
 		w.run = append(w.run, b...)
 		w.pending -= len(b)
-		for i := range b {
-			b[i] = Entry{}
-		}
 		w.buckets[idx] = b[:0]
 		w.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 	}
@@ -309,7 +346,6 @@ func (h *farHeap) pop() farEvent {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = farEvent{} // drop the closure reference for the GC
 	s = s[:n]
 	for i := 0; ; {
 		m := 2*i + 1

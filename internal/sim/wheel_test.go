@@ -8,9 +8,7 @@ import (
 // fireCycle harvests cycle now and runs its events in canonical order,
 // exactly as Network.Step drains the wheel.
 func fireCycle(w *Wheel, now Cycle) {
-	for _, e := range w.BeginCycle(now) {
-		e.Ev(now)
-	}
+	w.Run(w.BeginCycle(now), now)
 }
 
 func TestWheelFiresAtScheduledCycle(t *testing.T) {
@@ -18,12 +16,12 @@ func TestWheelFiresAtScheduledCycle(t *testing.T) {
 	fired := map[Cycle]bool{}
 	for _, at := range []Cycle{1, 3, 7, 15} {
 		at := at
-		w.Schedule(at, 0, 0, func(now Cycle) {
+		w.Schedule(at, 0, w.Register(func(now Cycle) {
 			if now != at {
 				t.Errorf("event scheduled for %d fired at %d", at, now)
 			}
 			fired[at] = true
-		})
+		}))
 	}
 	for c := Cycle(0); c < 20; c++ {
 		fireCycle(w, c)
@@ -39,7 +37,7 @@ func TestWheelFiresAtScheduledCycle(t *testing.T) {
 func TestWheelFarFuture(t *testing.T) {
 	w := NewWheel(8)
 	var got Cycle = -1
-	w.Schedule(1000, 0, 0, func(now Cycle) { got = now })
+	w.Schedule(1000, 0, w.Register(func(now Cycle) { got = now }))
 	for c := Cycle(0); c <= 1000; c++ {
 		fireCycle(w, c)
 	}
@@ -55,8 +53,8 @@ func TestWheelPastScheduleOutsideAdvance(t *testing.T) {
 	fireCycle(w, 0)
 	fireCycle(w, 1)
 	var current, past Cycle = -1, -1
-	w.Schedule(1, 0, 0, func(now Cycle) { current = now })
-	w.Schedule(0, 0, 0, func(now Cycle) { past = now })
+	w.Schedule(1, 0, w.Register(func(now Cycle) { current = now }))
+	w.Schedule(0, 0, w.Register(func(now Cycle) { past = now }))
 	fireCycle(w, 2)
 	if current != 2 || past != 2 {
 		t.Errorf("current/past schedules fired at %d/%d, want deferral to 2", current, past)
@@ -69,7 +67,7 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	w := NewWheel(8)
 	fired := Cycle(-1)
 	fireCycle(w, 0)
-	w.Schedule(8, 0, 0, func(now Cycle) { fired = now })
+	w.Schedule(8, 0, w.Register(func(now Cycle) { fired = now }))
 	fireCycle(w, 0) // same bucket index as 8 — must NOT fire
 	if fired != -1 {
 		t.Fatal("event for cycle 8 fired at cycle 0 (wheel wrap bug)")
@@ -108,10 +106,10 @@ func TestWheelNextEventAtEmpty(t *testing.T) {
 
 func TestWheelNextEventAtNear(t *testing.T) {
 	w := NewWheel(16)
-	nop := Event(func(Cycle) {})
+	nop := w.Register(func(Cycle) {})
 	fireCycle(w, 0)
-	w.Schedule(7, 0, 0, nop)
-	w.Schedule(12, 0, 0, nop)
+	w.Schedule(7, 0, nop)
+	w.Schedule(12, 0, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 7 {
 		t.Errorf("NextEventAt = %d,%v, want 7,true", at, ok)
 	}
@@ -128,11 +126,11 @@ func TestWheelNextEventAtWrap(t *testing.T) {
 	// The occupied bucket index is numerically below the current bucket
 	// index: the circular scan must wrap and still find the nearest cycle.
 	w := NewWheel(16)
-	nop := Event(func(Cycle) {})
+	nop := w.Register(func(Cycle) {})
 	for c := Cycle(0); c <= 13; c++ {
 		fireCycle(w, c)
 	}
-	w.Schedule(17, 0, 0, nop) // bucket 1, current bucket 13
+	w.Schedule(17, 0, nop) // bucket 1, current bucket 13
 	if at, ok := w.NextEventAt(); !ok || at != 17 {
 		t.Errorf("NextEventAt = %d,%v, want 17,true", at, ok)
 	}
@@ -140,13 +138,13 @@ func TestWheelNextEventAtWrap(t *testing.T) {
 
 func TestWheelNextEventAtFar(t *testing.T) {
 	w := NewWheel(16)
-	nop := Event(func(Cycle) {})
-	w.Schedule(1000, 0, 0, nop)
+	nop := w.Register(func(Cycle) {})
+	w.Schedule(1000, 0, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 1000 {
 		t.Errorf("NextEventAt = %d,%v, want 1000,true (far heap)", at, ok)
 	}
 	// A nearer bucketed event wins over the far top.
-	w.Schedule(9, 0, 0, nop)
+	w.Schedule(9, 0, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 9 {
 		t.Errorf("NextEventAt = %d,%v, want 9,true", at, ok)
 	}
@@ -158,7 +156,7 @@ func TestWheelSkipToAdvance(t *testing.T) {
 	w := NewWheel(16)
 	fired := Cycle(-1)
 	fireCycle(w, 0)
-	w.Schedule(9, 0, 0, func(now Cycle) { fired = now })
+	w.Schedule(9, 0, w.Register(func(now Cycle) { fired = now }))
 	at, ok := w.NextEventAt()
 	if !ok || at != 9 {
 		t.Fatalf("NextEventAt = %d,%v, want 9,true", at, ok)
@@ -170,7 +168,7 @@ func TestWheelSkipToAdvance(t *testing.T) {
 	}
 	// After the skip, deferred past-scheduling still lands at now+1.
 	deferred := Cycle(-1)
-	w.Schedule(2, 0, 0, func(now Cycle) { deferred = now })
+	w.Schedule(2, 0, w.Register(func(now Cycle) { deferred = now }))
 	fireCycle(w, 10)
 	if deferred != 10 {
 		t.Errorf("past schedule after skip fired at %d, want 10", deferred)
@@ -187,7 +185,7 @@ func TestWheelSkipEquivalence(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			id := i
 			at := Cycle(1 + r.Intn(500))
-			w.Schedule(at, 0, 0, func(fireAt Cycle) { got[id] = fireAt })
+			w.Schedule(at, 0, w.Register(func(fireAt Cycle) { got[id] = fireAt }))
 		}
 		now := Cycle(0)
 		for now < 600 {
@@ -233,7 +231,7 @@ func TestWheelPropertyAllFire(t *testing.T) {
 				id := scheduled
 				at := now + 1 + Cycle(r.Intn(100))
 				want[id] = at
-				w.Schedule(at, 0, 0, func(fireAt Cycle) { got[id] = fireAt })
+				w.Schedule(at, 0, w.Register(func(fireAt Cycle) { got[id] = fireAt }))
 				scheduled++
 			}
 			next := now + 1 + Cycle(r.Intn(5))
@@ -267,14 +265,12 @@ func TestWheelRecurringSamplerBoundsSkips(t *testing.T) {
 	const period = 512
 	w := NewWheel(4096)
 	var fired []Cycle
-	var rearm func(at Cycle)
-	rearm = func(at Cycle) {
-		w.Schedule(at+period, 0, 0, func(now Cycle) {
-			fired = append(fired, now)
-			rearm(now)
-		})
-	}
-	rearm(0)
+	var sample Handler
+	sample = w.Register(func(now Cycle) {
+		fired = append(fired, now)
+		w.Schedule(now+period, 0, sample)
+	})
+	w.Schedule(period, 0, sample)
 
 	now := Cycle(0)
 	for len(fired) < 10 {
@@ -324,14 +320,14 @@ func TestWheelSkipToOntoBarrier(t *testing.T) {
 	w := NewWheel(16)
 	w.BeginCycle(0)
 	fired := map[Cycle]bool{}
-	mark := func(now Cycle) { fired[now] = true }
-	w.Schedule(48, 7, 0, mark) // far heap: 48-0 >= 16
+	mark := w.Register(func(now Cycle) { fired[now] = true })
+	w.Schedule(48, 7, mark) // far heap: 48-0 >= 16
 	if at, ok := w.NextEventAt(); !ok || at != 48 {
 		t.Fatalf("NextEventAt = %v,%v, want 48,true", at, ok)
 	}
 	w.SkipTo(32) // exactly a wheel-size multiple, event-free per NextEventAt
 	// From the barrier, schedule within the new window and on its last cycle.
-	w.Schedule(40, 3, 0, mark)
+	w.Schedule(40, 3, mark)
 	for c := Cycle(33); c <= 48; c++ {
 		fireCycle(w, c)
 	}
@@ -348,7 +344,7 @@ func TestWheelSkipToOntoBarrier(t *testing.T) {
 // this every idle cycle between policy windows.
 func TestWheelBeginCycleEmpty(t *testing.T) {
 	w := NewWheel(8)
-	w.Schedule(5, 1, 0, func(Cycle) {})
+	w.Schedule(5, 1, w.Register(func(Cycle) {}))
 	for c := Cycle(0); c < 5; c++ {
 		if batch := w.BeginCycle(c); len(batch) != 0 {
 			t.Fatalf("BeginCycle(%d) returned %d entries on an empty cycle", c, len(batch))
@@ -376,14 +372,14 @@ func TestWheelBeginCycleHorizonEdge(t *testing.T) {
 	rec := func(key uint64) Event {
 		return func(Cycle) { gotKeys = append(gotKeys, key) }
 	}
-	w.Schedule(7, 9, 0, rec(9)) // last bucketed cycle
-	w.Schedule(8, 4, 0, rec(4)) // first far-heap cycle
+	w.Schedule(7, 9, w.Register(rec(9))) // last bucketed cycle
+	w.Schedule(8, 4, w.Register(rec(4))) // first far-heap cycle
 	if len(w.far) != 1 {
 		t.Fatalf("far heap holds %d events, want 1 (cycle 8 must overflow the horizon)", len(w.far))
 	}
 	// A far event maturing on the same cycle as a bucketed one must merge
 	// into a single sorted batch.
-	w.Schedule(8, 2, 0, rec(2))
+	w.Schedule(8, 2, w.Register(rec(2)))
 	if len(w.far) != 2 {
 		t.Fatalf("far heap holds %d events, want 2", len(w.far))
 	}
@@ -406,9 +402,7 @@ func TestWheelBeginCycleHorizonEdge(t *testing.T) {
 				t.Fatalf("BeginCycle(%d) returned %d entries, want 0", c, len(batch))
 			}
 		}
-		for _, e := range batch {
-			e.Ev(c)
-		}
+		w.Run(batch, c)
 	}
 	want := []uint64{9, 2, 4}
 	if len(gotKeys) != 3 || gotKeys[0] != want[0] || gotKeys[1] != want[1] || gotKeys[2] != want[2] {
@@ -422,9 +416,10 @@ func TestWheelBeginCycleHorizonEdge(t *testing.T) {
 func TestWheelBeginCycleSameCycleDefers(t *testing.T) {
 	w := NewWheel(8)
 	var firedAt Cycle = -1
-	w.Schedule(3, 1, 0, func(now Cycle) {
-		w.Schedule(now, 1, 0, func(at Cycle) { firedAt = at })
-	})
+	deferred := w.Register(func(at Cycle) { firedAt = at })
+	w.Schedule(3, 1, w.Register(func(now Cycle) {
+		w.Schedule(now, 1, deferred)
+	}))
 	for c := Cycle(0); c <= 4; c++ {
 		fireCycle(w, c)
 	}

@@ -55,15 +55,14 @@ type HistogramState struct {
 }
 
 // RegistryState is the registry's complete mutable state. Instruments and
-// markers themselves are re-registered during network construction in a
-// deterministic order; only their dynamic state travels.
+// the sampler and marker handlers are re-registered during network
+// construction in a deterministic order; only their dynamic state travels.
 type RegistryState struct {
 	Series []SeriesState
 	Hists  []HistogramState
 	Flight FlightState
 
 	SamplerArmed bool
-	Markers      int // registered marker count, shape check only
 	Pending      int
 	Samples      int64
 
@@ -77,7 +76,6 @@ func (r *Registry) ExportState() RegistryState {
 	st := RegistryState{
 		Flight:       r.flight.ExportState(),
 		SamplerArmed: r.samplerArmed,
-		Markers:      len(r.markers),
 		Pending:      r.pending,
 		Samples:      r.samples,
 		Dumped:       r.dumped,
@@ -99,9 +97,6 @@ func (r *Registry) ExportState() RegistryState {
 // series and histogram must already be registered (the restore target is a
 // freshly constructed network with identical telemetry wiring).
 func (r *Registry) RestoreState(st RegistryState) error {
-	if st.Markers != len(r.markers) {
-		return fmt.Errorf("telemetry: snapshot has %d markers, registry has %d", st.Markers, len(r.markers))
-	}
 	for _, ss := range st.Series {
 		s, ok := r.byName[ss.Name]
 		if !ok {

@@ -163,15 +163,8 @@ type Registry struct {
 	flight *FlightRecorder
 
 	samplerArmed bool
-	sampleEvt    sim.Event
-	samplerWrap  sim.Event // stable arm() wrapper, resolvable on restore
+	sampleH      sim.Handler
 
-	// markers retains every ScheduleMarker wrapper in registration order;
-	// the ordinal is the marker's checkpoint handler descriptor, so a
-	// restored wheel can resolve marker entries back to their closures.
-	// Registration order is deterministic (markers are scheduled during
-	// network construction from the fault schedule).
-	markers []sim.Event
 	// pending counts registry-owned wheel events (the sampler plus any
 	// scheduled flight-recorder markers) not yet fired. The network's
 	// quiescence check subtracts it: telemetry only observes, so its
@@ -187,8 +180,8 @@ type Registry struct {
 	suppressed int64
 }
 
-// NewRegistry builds a registry sampling on wheel w. Call Start to arm the
-// sampler.
+// NewRegistry builds a registry sampling on wheel w and registers the
+// sampler's handler. Call Start to arm the sampler.
 func NewRegistry(cfg Config, w *sim.Wheel) *Registry {
 	cfg = cfg.WithDefaults()
 	r := &Registry{
@@ -198,15 +191,12 @@ func NewRegistry(cfg Config, w *sim.Wheel) *Registry {
 		hists:  make(map[string]*stats.Histogram),
 		flight: NewFlightRecorder(flightCap),
 	}
-	r.sampleEvt = func(now sim.Cycle) {
+	r.sampleH = w.Register(func(now sim.Cycle) {
+		r.samplerArmed = false
 		r.pending--
 		r.sampleAll(now)
 		r.arm(now)
-	}
-	r.samplerWrap = func(at sim.Cycle) {
-		r.samplerArmed = false
-		r.sampleEvt(at)
-	}
+	})
 	return r
 }
 
@@ -257,7 +247,7 @@ func (r *Registry) arm(now sim.Cycle) {
 	}
 	r.samplerArmed = true
 	r.pending++
-	r.wheel.Schedule(now+r.cfg.SampleEvery, 0, sim.HandlerID(sim.HTelemSample, 0, 0), r.samplerWrap)
+	r.wheel.Schedule(now+r.cfg.SampleEvery, 0, r.sampleH)
 }
 
 func (r *Registry) sampleAll(now sim.Cycle) {
@@ -277,34 +267,16 @@ func (r *Registry) Samples() int64 { return r.samples }
 // count as outstanding work.
 func (r *Registry) PendingEvents() int { return r.pending }
 
-// ScheduleMarker schedules fn on the wheel with the registry's pending
-// accounting — used for flight-recorder markers at known future times
-// (e.g. scheduled fault windows).
+// ScheduleMarker registers fn on the wheel and schedules it with the
+// registry's pending accounting — used during construction for
+// flight-recorder markers at known future times (e.g. scheduled fault
+// windows).
 func (r *Registry) ScheduleMarker(at sim.Cycle, fn sim.Event) {
 	r.pending++
-	wrap := func(now sim.Cycle) {
+	r.wheel.Schedule(at, 0, r.wheel.Register(func(now sim.Cycle) {
 		r.pending--
 		fn(now)
-	}
-	ordinal := uint32(len(r.markers))
-	r.markers = append(r.markers, wrap)
-	r.wheel.Schedule(at, 0, sim.HandlerID(sim.HTelemMarker, ordinal, 0), wrap)
-}
-
-// ResolveHandler maps a checkpoint handler descriptor owned by the registry
-// (sampler tick, scheduled marker) back to its event closure. Marker
-// ordinals refer to registration order, which is deterministic per
-// configuration.
-func (r *Registry) ResolveHandler(id uint64) (sim.Event, bool) {
-	switch sim.HandlerKind(id) {
-	case sim.HTelemSample:
-		return r.samplerWrap, true
-	case sim.HTelemMarker:
-		if ord := int(sim.HandlerObj(id)); ord < len(r.markers) {
-			return r.markers[ord], true
-		}
-	}
-	return nil, false
+	}))
 }
 
 // Record appends a discrete event to the flight recorder.

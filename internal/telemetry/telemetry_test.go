@@ -14,9 +14,7 @@ import (
 // fireCycle harvests cycle now and runs its events in canonical order,
 // exactly as Network.Step drains the wheel.
 func fireCycle(w *sim.Wheel, now sim.Cycle) {
-	for _, e := range w.BeginCycle(now) {
-		e.Ev(now)
-	}
+	w.Run(w.BeginCycle(now), now)
 }
 
 // drive runs the wheel from cycle 1 through end, firing events as the
