@@ -38,8 +38,9 @@ const Magic = "OPTOCKPT"
 // bump is what rejects it. Version 4: wheel entries carry registered
 // handlers instead of kind/obj/param descriptors, the wheel records its
 // handler-table size, and the network's duplicate watchdog-drop counter
-// is gone.
-const Version uint32 = 4
+// is gone. Version 5: wheel entry keys are 32-bit values in the network's
+// compact (owner, src) layout instead of 64-bit (owner<<20 | src) ones.
+const Version uint32 = 5
 
 // headerLen is the fixed prefix: magic(8) + version(4) + cycle(8) +
 // payload length(8) + payload CRC(4).

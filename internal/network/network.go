@@ -47,6 +47,7 @@ type Network struct {
 	//optolint:derived transient: stamped at the top of every Step, meaningless between steps
 	stepNow    sim.Cycle // cycle the current parallel region runs at
 	perCol     int       // actor ids per mesh column (see shard.go)
+	srcBits    uint      // width of an ordering key's src field (see shard.go)
 	shardWidth int       // mesh columns per shard
 	chanOwner  []*shard  // owning shard per global link index
 
@@ -129,6 +130,11 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	ownerBits, srcBits := cfg.keyBits()
+	if ownerBits+srcBits > 32 {
+		return nil, fmt.Errorf("network: ordering keys need %d bits (%d owner + %d src), more than the 32 a key holds",
+			ownerBits+srcBits, ownerBits, srcBits)
+	}
 	n := &Network{
 		cfg:   cfg,
 		wheel: sim.NewWheel(wheelSize),
@@ -136,17 +142,14 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	}
 	n.wheel.Reserve(cfg.handlers())
 
-	// Shards. Actor ids must fit the key space (comfortably true for any
-	// topology near the paper's; the check guards future scale-ups).
+	// Shards.
 	K := cfg.Shards
 	if K <= 0 {
 		K = 1
 	}
 	n.perCol = cfg.actorsPerCol()
+	n.srcBits = uint(srcBits)
 	n.shardWidth = cfg.MeshW / K
-	if maxID := 1 + cfg.MeshW*n.perCol + cfg.TotalLinks(); maxID > sim.MaxActor {
-		return nil, fmt.Errorf("network: topology needs %d actor ids, exceeding the %d-bit key space", maxID, sim.ActorSrcBits)
-	}
 	n.shards = make([]*shard, K)
 	for i := range n.shards {
 		s := &shard{n: n, idx: i, latMin: -1}
@@ -181,6 +184,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	}
 	n.routers = make([]*router.Router, cfg.Routers())
 	for r := range n.routers {
+		a := n.routerActor(r)
 		n.routers[r] = router.New(router.Config{
 			ID:        r,
 			Ports:     cfg.PortsPerRouter(),
@@ -188,7 +192,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 			BufDepth:  cfg.BufDepth,
 			Route:     route,
 			EscapeVCs: escVCs,
-			Actor:     n.routerActor(r),
+			Key:       n.key(a, a),
 		}, n.shards[n.shardOfRouter(r)])
 	}
 	n.meshOut = make([][4]*router.Channel, cfg.Routers())
@@ -255,15 +259,17 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 			owner := n.shards[n.shardOfRouter(r)]
 			li := len(n.channels)
 			ch := router.NewChannel(pl, owner, n.routers[dst].AcceptFlit(inPort))
-			ch.SetKeys(sim.ActorKey(n.routerActor(r), n.chanSrc(li)),
-				sim.ActorKey(n.routerActor(dst), n.chanSrc(li)))
+			ch.SetKeys(n.key(n.routerActor(r), n.chanSrc(li)), n.key(n.routerActor(dst), n.chanSrc(li)))
+			if n.shardOfRouter(r) != n.shardOfRouter(dst) {
+				ch.CrossShards()
+			}
 			n.routers[r].ConnectOutput(outPort, ch)
 			n.meshOut[r][dir] = ch
 			n.meshLink[r][dir] = li
 			n.meshRef = append(n.meshRef, meshPos{r: r, dir: dir})
 			bufs := make([]*router.Buffer, cfg.VCs)
 			for v := 0; v < cfg.VCs; v++ {
-				n.routers[dst].SetUpstream(inPort, v, n.routers[r].Output(outPort), v, n.routerActor(r))
+				n.routers[dst].SetUpstream(inPort, v, n.routers[r].Output(outPort), v, n.key(n.routerActor(r), n.routerActor(dst)))
 				bufs[v] = n.routers[dst].InputBuffer(inPort, v)
 			}
 			n.channels = append(n.channels, ch)
@@ -289,13 +295,12 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		}
 		li := len(n.channels)
 		chIn := router.NewChannel(plIn, owner, n.routers[r].AcceptFlit(local))
-		chIn.SetKeys(sim.ActorKey(n.nicActor(node), n.chanSrc(li)),
-			sim.ActorKey(n.routerActor(r), n.chanSrc(li)))
+		chIn.SetKeys(n.key(n.nicActor(node), n.chanSrc(li)), n.key(n.routerActor(r), n.chanSrc(li)))
 		nic := newNIC(n, owner, node, chIn, cfg.VCs, cfg.BufDepth)
 		n.nics[node] = nic
 		bufs := make([]*router.Buffer, cfg.VCs)
 		for v := 0; v < cfg.VCs; v++ {
-			n.routers[r].SetUpstream(local, v, nic, v, n.nicActor(node))
+			n.routers[r].SetUpstream(local, v, nic, v, n.key(n.nicActor(node), n.routerActor(r)))
 			bufs[v] = n.routers[r].InputBuffer(local, v)
 		}
 		n.channels = append(n.channels, chIn)
@@ -316,8 +321,8 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		out := n.routers[r].Output(local)
 		li = len(n.channels)
 		chOut := router.NewChannel(plOut, owner, n.sinkDeliver(out, owner))
-		chOut.SetKeys(sim.ActorKey(n.routerActor(r), n.chanSrc(li)),
-			sim.ActorKey(n.routerActor(r), n.chanSrc(li)))
+		k := n.key(n.routerActor(r), n.chanSrc(li))
+		chOut.SetKeys(k, k)
 		n.routers[r].ConnectOutput(local, chOut)
 		n.channels = append(n.channels, chOut)
 		n.chanOwner = append(n.chanOwner, owner)
@@ -577,7 +582,7 @@ func (n *Network) Step() {
 		start := 0
 		for si := 0; si < len(shards)-1; si++ {
 			end := start
-			for end < len(rest) && n.shardOfActor(sim.KeyOwner(rest[end].Key)) == si {
+			for end < len(rest) && n.shardOfActor(rest[end].Key>>n.srcBits) == si {
 				end++
 			}
 			shards[si].entries = rest[start:end]

@@ -53,7 +53,7 @@ type NIC struct {
 
 	// selfKey orders the NIC's wake-up events; pktSeq numbers the packets
 	// this NIC creates (IDs are per-source, so shards never contend).
-	selfKey uint64
+	selfKey uint32
 	pktSeq  int64
 
 	credits []int // per router-input VC
@@ -75,7 +75,7 @@ type NIC struct {
 func newNIC(net *Network, sh *shard, node int, ch *router.Channel, vcs, bufDepth int) *NIC {
 	nc := &NIC{net: net, sh: sh, node: node, ch: ch, credits: make([]int, vcs)}
 	actor := net.nicActor(node)
-	nc.selfKey = sim.ActorKey(actor, actor)
+	nc.selfKey = net.key(actor, actor)
 	for v := range nc.credits {
 		nc.credits[v] = bufDepth
 	}

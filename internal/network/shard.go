@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math/bits"
+
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -25,7 +27,7 @@ import (
 // replayed against the global wheel at the cycle barrier.
 type stagedEv struct {
 	at  sim.Cycle
-	key uint64
+	key uint32
 	h   sim.Handler
 }
 
@@ -110,7 +112,7 @@ type shard struct {
 func (s *shard) Register(ev sim.Event) sim.Handler { return s.n.wheel.Register(ev) }
 
 // Schedule implements router.Sched: stage the request for the barrier.
-func (s *shard) Schedule(at sim.Cycle, key uint64, h sim.Handler) {
+func (s *shard) Schedule(at sim.Cycle, key uint32, h sim.Handler) {
 	if sim.Debug {
 		sim.Assertf(key != 0, "shard %d: scheduling into the coordinator band (key 0)", s.idx)
 		// Determinism requires each ordering key to be *produced* by exactly
@@ -120,7 +122,7 @@ func (s *shard) Schedule(at sim.Cycle, key uint64, h sim.Handler) {
 		// downstream router but staged by the upstream shard driving the
 		// channel, and a credit-return key is owned by the upstream router
 		// but staged by the downstream one.
-		src := uint32(key) & sim.MaxActor
+		src := key & (1<<s.n.srcBits - 1)
 		base := s.n.chanSrc(0)
 		if src >= base {
 			li := int(src - base)
@@ -201,17 +203,39 @@ func (s *shard) runCycle(now sim.Cycle) {
 	s.spareOuts = outs[:0]
 }
 
-// Actor numbering. Actor ids are per-column blocks — column x holds its H
-// routers then its H*NodesPerRack NICs — so a shard's actors form one
-// contiguous id range and shardOfActor is monotone in the id. That makes
-// the canonical (Key, Seq) order shard-nested: a sorted cycle partitions
-// into contiguous per-shard slices, and concatenating per-shard spools in
-// shard order reproduces the canonical global order at every K. Channels
-// get src-only ids above all owners (they never own events). Actor 0 is
-// the coordinator band.
+// Actor numbering and ordering keys. Actor ids are per-column blocks —
+// column x holds its H routers then its H*NodesPerRack NICs — so a shard's
+// actors form one contiguous id range and shardOfActor is monotone in the
+// id. Channels get src-only ids above all owners (they never own events).
+// Actor 0 is the coordinator band.
+//
+// An event's ordering key packs two ids into 32 bits, owner<<srcBits | src:
+// the owner is the actor whose state the event mutates, and whose shard
+// alone runs it; the src is the actor or channel whose machinery schedules
+// it. srcBits is the bit length of the largest src, so numeric key order is
+// (owner, src) order, and any two events with one key come from one
+// deterministic producer, whose insertion order (the Seq tie-break) K
+// cannot change. Owner-major order makes the canonical (Key, Seq) order
+// shard-nested: a sorted cycle partitions into contiguous per-shard slices,
+// and concatenating per-shard spools in shard order reproduces the
+// canonical global order at every K. The layout depends on the topology
+// only, never on K; on the paper system owners reach 576 (10 bits) and
+// srcs 1824 (11 bits), so keys span 21 bits and a cycle's radix sort makes
+// three byte passes.
 
 // actorsPerCol is routers-per-column + NICs-per-column.
 func (c Config) actorsPerCol() int { return c.MeshH * (1 + c.NodesPerRack) }
+
+// keyBits returns the widths of an ordering key's owner and src fields:
+// the bit lengths of the largest owner (a router or NIC) and of the
+// largest src (the last channel).
+func (c Config) keyBits() (ownerBits, srcBits int) {
+	maxOwner := c.MeshW * c.actorsPerCol()
+	return bits.Len(uint(maxOwner)), bits.Len(uint(maxOwner + c.TotalLinks()))
+}
+
+// key packs an ordering key from an owner and a src id.
+func (n *Network) key(owner, src uint32) uint32 { return owner<<n.srcBits | src }
 
 // routerActor returns router r's actor id.
 func (n *Network) routerActor(r int) uint32 {

@@ -104,9 +104,10 @@ type relState struct {
 	// downstream buffer: relArrival (which mutates sender-owned protocol
 	// state and so runs on the sender's shard) pushes here, and acceptH —
 	// keyed to the downstream owner, one cycle later — pops and delivers.
-	// This is the reliable channels' shard-boundary crossing; it applies
+	// This is where a reliable channel crosses shards when its two ends
+	// sit in different ones (see CrossShards); the register applies
 	// uniformly (even within one shard) so timing is shard-count-invariant.
-	rx      *shardrun.Ring[FlitRef]
+	rx      rxFIFO
 	acceptH sim.Handler
 
 	stats RelStats
@@ -128,15 +129,16 @@ type Channel struct {
 	sched   Sched
 	deliver DeliverFunc
 
-	// Ordering keys (sim.ActorKey). selfKey orders events that mutate
-	// sender-side state (reliable arrivals, feedback, replay pump,
-	// watchdog); deliverKey orders events that mutate the downstream
-	// receiver (lossless delivery, reliable rx-accept). Both default to 0
-	// for standalone channels; SetKeys assigns them in a sharded network.
+	// Ordering keys, laid out by the network (DESIGN.md §6g). selfKey
+	// orders events that mutate sender-side state (reliable arrivals,
+	// feedback, replay pump, watchdog); deliverKey orders events that
+	// mutate the downstream receiver (lossless delivery, reliable
+	// rx-accept). Both default to 0 for standalone channels; SetKeys
+	// assigns them in a sharded network.
 	//optolint:derived ordering key assigned once by SetKeys during construction
-	selfKey uint64
+	selfKey uint32
 	//optolint:derived ordering key assigned once by SetKeys during construction
-	deliverKey uint64
+	deliverKey uint32
 
 	busyUntilMC int64   // milli-cycles; channel idle when <= now*1000
 	busyCycles  float64 // cumulative serialisation time, for policy Lu
@@ -145,10 +147,11 @@ type Channel struct {
 	// In-flight flits awaiting their (cycle-rounded) delivery event. With
 	// sub-cycle serialisation starts, a new flit can begin while the
 	// previous one's delivery is still pending, so up to two can coexist.
-	// An SPSC ring because sender and receiver may live on different
-	// shards: the sender pushes during its window, the receiver pops at the
-	// delivery event one or more cycles later.
-	pending  *shardrun.Ring[txFlit]
+	// The sender pushes during its window and the delivery event pops one
+	// or more cycles later: in the receiver's window on a lossless channel,
+	// which therefore crosses shards when its two ends do (see
+	// CrossShards), and in the sender's own on a reliable one.
+	pending  pendingFIFO
 	deliverH sim.Handler
 
 	rel *relState // nil = lossless channel, zero reliability overhead
@@ -162,9 +165,14 @@ type Channel struct {
 // (the owning shard, or a bare *sim.Wheel for standalone use), and the
 // downstream delivery function, and registers its delivery handler.
 func NewChannel(pl *powerlink.Link, sched Sched, deliver DeliverFunc) *Channel {
-	c := &Channel{plink: pl, sched: sched, deliver: deliver, pending: shardrun.NewRing[txFlit](4)}
+	c := &Channel{plink: pl, sched: sched, deliver: deliver}
 	c.deliverH = sched.Register(func(now sim.Cycle) {
-		tf := c.pending.Pop()
+		var tf txFlit
+		if x := c.pending.cross; x != nil {
+			tf = x.Pop()
+		} else {
+			tf = c.pending.popLocal()
+		}
 		if c.rel != nil {
 			c.relArrival(now, tf)
 			return
@@ -176,9 +184,26 @@ func NewChannel(pl *powerlink.Link, sched Sched, deliver DeliverFunc) *Channel {
 
 // SetKeys assigns the channel's ordering keys (see the field docs). Must be
 // called during construction, before any flit is sent.
-func (c *Channel) SetKeys(selfKey, deliverKey uint64) {
+func (c *Channel) SetKeys(selfKey, deliverKey uint32) {
 	c.selfKey = selfKey
 	c.deliverKey = deliverKey
+}
+
+// Keys returns the channel's ordering keys (see SetKeys).
+func (c *Channel) Keys() (selfKey, deliverKey uint32) { return c.selfKey, c.deliverKey }
+
+// CrossShards declares that the channel's sender and receiver run in
+// different shards, so the one FIFO between their windows publishes
+// through a shardrun.Ring: pending on a lossless channel, rx on a reliable
+// one. Every other FIFO stays a plain inline ring. Must be called during
+// construction, before any flit is sent; EnableReliability may come before
+// or after it.
+func (c *Channel) CrossShards() {
+	if c.rel != nil {
+		c.rel.rx.cross = shardrun.NewRing[FlitRef](rxCap)
+		return
+	}
+	c.pending.cross = shardrun.NewRing[txFlit](pendingCap)
 }
 
 // EnableReliability switches the channel to reliable delivery under cfg and
@@ -195,18 +220,23 @@ func (c *Channel) EnableReliability(cfg ReliabilityConfig) {
 	c.rel = &relState{
 		cfg:     cfg,
 		retx:    make([]txFlit, cfg.Window),
-		rx:      shardrun.NewRing[FlitRef](8),
 		acceptH: c.sched.Register(c.accept),
 		fbH:     c.sched.Register(c.feedback),
 		pumpH:   c.sched.Register(c.pumpReplay),
 		wdH:     c.sched.Register(c.watchdog),
+	}
+	if c.pending.cross != nil {
+		// A reliable arrival runs in the sender's shard, so the crossing
+		// moves from pending to rx.
+		c.pending.cross = nil
+		c.CrossShards()
 	}
 }
 
 // accept moves the next accepted flit out of the rx pipeline register into
 // the downstream receiver.
 func (c *Channel) accept(now sim.Cycle) {
-	c.deliver(now, c.rel.rx.Pop())
+	c.deliver(now, c.rel.rx.pop())
 }
 
 // feedback sends the receiver's pending ACK/NACK to the sender.
@@ -355,7 +385,11 @@ func (c *Channel) transmit(now sim.Cycle, tf txFlit) sim.Cycle {
 	if arrival <= now {
 		arrival = now + 1
 	}
-	c.pending.Push(tf)
+	if x := c.pending.cross; x != nil {
+		x.Push(tf)
+	} else {
+		c.pending.pushLocal(tf)
+	}
 	// A lossless delivery mutates the downstream receiver; a reliable
 	// arrival mutates the sender-owned protocol state (the receiver is
 	// reached via acceptH one cycle later).
@@ -396,7 +430,7 @@ func (c *Channel) relArrival(now sim.Cycle, tf txFlit) {
 			break
 		}
 		r.rxExpect++
-		r.rx.Push(tf.f)
+		r.rx.push(tf.f)
 		c.sched.Schedule(now+1, c.deliverKey, r.acceptH)
 	}
 	// Every arrival (even a drop) is worth reporting: the cumulative ack
@@ -540,7 +574,7 @@ func (c *Channel) RxPending() int {
 	if c.rel == nil {
 		return 0
 	}
-	return c.rel.rx.Len()
+	return c.rel.rx.len()
 }
 
 // SetDownNotify sets the callback invoked whenever a watchdog escalation

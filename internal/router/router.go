@@ -22,13 +22,13 @@ func AllVCs(n int) uint32 { return uint32(1)<<uint(n) - 1 }
 // the global wheel and stages schedules for the cycle barrier; a standalone
 // router or channel takes a *sim.Wheel, whose methods have these
 // signatures. The key orders same-cycle events canonically (see
-// sim.ActorKey); key 0 is the sequential coordinator band.
+// sim.Entry); key 0 is the sequential coordinator band.
 type Sched interface {
 	// Register adds ev to the wheel's handler table and returns its
 	// handle. Called only during construction.
 	Register(ev sim.Event) sim.Handler
 	// Schedule enqueues handler h to fire at cycle at.
-	Schedule(at sim.Cycle, key uint64, h sim.Handler)
+	Schedule(at sim.Cycle, key uint32, h sim.Handler)
 }
 
 // Scheduler is the part of the surrounding network the router talks to:
@@ -53,11 +53,12 @@ type Config struct {
 	VCs      int
 	BufDepth int // flits per input VC
 	Route    RouteFunc
-	// Actor is the router's ordering-key identity (sim.ActorKey owner). 0 is
-	// fine for a standalone router on a bare wheel, where every key is then
-	// 0 and BeginCycle fires in insertion order; a sharded network assigns
-	// every router a unique actor id.
-	Actor uint32
+	// Key is the ordering key of the router's self-scheduled events (HOL
+	// eligibility, output wake-ups). 0 is fine for a standalone router on a
+	// bare wheel, where every key is then 0 and BeginCycle fires in
+	// insertion order; a sharded network gives every router its own key
+	// from its layout (DESIGN.md §6g).
+	Key uint32
 	// EscapeVCs reserves the first EscapeVCs virtual channels of every
 	// port as the escape layer of fault-aware routing (Duato-style): VC
 	// allocation prefers the remaining adaptive VCs and only claims an
@@ -75,7 +76,7 @@ type Router struct {
 	escapeVCs int
 	route     RouteFunc
 	sched     Scheduler
-	selfKey   uint64 // ordering key for self-scheduled events (HOL, wake)
+	selfKey   uint32 // ordering key for self-scheduled events (HOL, wake)
 
 	ins       []inputVC
 	outs      []Output
@@ -98,7 +99,7 @@ type inputVC struct {
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
 	upVC int
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
-	creditKey uint64 // ordering key for credit returns: (upstream actor, us)
+	creditKey uint32 // ordering key for credit returns: (upstream owner, us)
 	// creditsSent - creditsReturned counts credit returns scheduled but not
 	// yet delivered upstream. Burst discards put several in flight at
 	// once; the conservation audit needs the exact count to bracket
@@ -164,7 +165,7 @@ func New(cfg Config, sched Scheduler) *Router {
 		escapeVCs: cfg.EscapeVCs,
 		route:     cfg.Route,
 		sched:     sched,
-		selfKey:   sim.ActorKey(cfg.Actor, cfg.Actor),
+		selfKey:   cfg.Key,
 		ins:       make([]inputVC, cfg.Ports*cfg.VCs),
 		outs:      make([]Output, cfg.Ports),
 		inputBusy: make([]sim.Cycle, cfg.Ports),
@@ -234,15 +235,22 @@ func (in *inputVC) creditsInFlight() int { return in.creditsSent - in.creditsRet
 
 // SetUpstream wires the credit-return path for input port p, VC v: when a
 // flit leaves that buffer, sink.ReturnCredit(·, upVC) is invoked after
-// CreditDelay cycles. upActor is the actor id of the sink's owner — the
-// credit event mutates upstream state, so it executes on the upstream
-// owner's shard, ordered under key (upActor, our actor).
-func (r *Router) SetUpstream(p, v int, sink CreditSink, upVC int, upActor uint32) {
+// CreditDelay cycles, ordered under creditKey. The credit event mutates
+// upstream state, so it executes on the sink owner's shard; the network
+// keys it (sink owner, this router).
+func (r *Router) SetUpstream(p, v int, sink CreditSink, upVC int, creditKey uint32) {
 	in := &r.ins[p*r.vcs+v]
 	in.upstream = sink
 	in.upVC = upVC
-	in.creditKey = sim.ActorKey(upActor, sim.KeyOwner(r.selfKey))
+	in.creditKey = creditKey
 }
+
+// Key returns the ordering key of the router's self-scheduled events.
+func (r *Router) Key() uint32 { return r.selfKey }
+
+// CreditKey returns the ordering key of input port p, VC v's credit
+// returns (see SetUpstream).
+func (r *Router) CreditKey(p, v int) uint32 { return r.ins[p*r.vcs+v].creditKey }
 
 // ConnectOutput attaches the physical channel for output port p.
 func (r *Router) ConnectOutput(p int, ch *Channel) { r.outs[p].ch = ch }

@@ -362,21 +362,19 @@ type ChannelState struct {
 	Rel         *RelChannelState
 }
 
-// ExportState captures the channel's mutable state. The in-flight rings are
-// drained and refilled (SPSC rings have no iterator), which preserves their
-// contents and order exactly; export must therefore run with the simulation
-// quiesced, like every other checkpoint operation.
+// ExportState captures the channel's mutable state. The in-flight FIFOs
+// are drained and refilled, which preserves their contents and order
+// exactly; export must therefore run with the simulation quiesced, like
+// every other checkpoint operation.
 func (c *Channel) ExportState(collect PacketCollector) ChannelState {
 	st := ChannelState{
 		BusyUntilMC: c.busyUntilMC,
 		BusyCycles:  c.busyCycles,
 		Flits:       c.flits,
 	}
-	for n := c.pending.Len(); n > 0; n-- {
-		tf := c.pending.Pop()
+	c.pending.each(func(tf txFlit) {
 		st.Pending = append(st.Pending, c.exportTxFlit(tf, collect))
-		c.pending.Push(tf)
-	}
+	})
 	if r := c.rel; r != nil {
 		rs := &RelChannelState{
 			SendSeq:      r.sendSeq,
@@ -395,34 +393,39 @@ func (c *Channel) ExportState(collect PacketCollector) ChannelState {
 		for seq := r.ackSeq; seq < r.sendSeq; seq++ {
 			rs.Retx = append(rs.Retx, c.exportTxFlit(r.retx[seq%uint64(r.cfg.Window)], collect))
 		}
-		for n := r.rx.Len(); n > 0; n-- {
-			f := r.rx.Pop()
+		r.rx.each(func(f FlitRef) {
 			rs.Rx = append(rs.Rx, exportFlit(f, collect))
-			r.rx.Push(f)
-		}
+		})
 		st.Rel = rs
 	}
 	return st
 }
 
 // RestoreState overwrites the channel's mutable state from a snapshot. The
-// channel must have been built with the same reliability configuration.
+// channel must have been built with the same reliability configuration. A
+// snapshot FIFO longer than the channel's capacity is an error.
 func (c *Channel) RestoreState(st ChannelState, resolve PacketResolver) error {
 	if (st.Rel != nil) != (c.rel != nil) {
 		return fmt.Errorf("router: snapshot reliability %v, channel reliability %v", st.Rel != nil, c.rel != nil)
 	}
+	if len(st.Pending) > pendingCap {
+		return fmt.Errorf("router: snapshot channel has %d flits in flight, capacity is %d", len(st.Pending), pendingCap)
+	}
+	if st.Rel != nil && len(st.Rel.Rx) > rxCap {
+		return fmt.Errorf("router: snapshot rx register holds %d flits, capacity is %d", len(st.Rel.Rx), rxCap)
+	}
 	c.busyUntilMC = st.BusyUntilMC
 	c.busyCycles = st.BusyCycles
 	c.flits = st.Flits
-	for c.pending.Len() > 0 {
-		c.pending.Pop()
+	for c.pending.len() > 0 {
+		c.pending.pop()
 	}
 	for _, ts := range st.Pending {
 		tf, err := resolveTxFlit(ts, resolve)
 		if err != nil {
 			return err
 		}
-		c.pending.Push(tf)
+		c.pending.push(tf)
 	}
 	if r := c.rel; r != nil {
 		rs := st.Rel
@@ -458,15 +461,15 @@ func (c *Channel) RestoreState(st ChannelState, resolve PacketResolver) error {
 		r.rxExpect = rs.RxExpect
 		r.wantReplay = rs.WantReplay
 		r.fbArmed = rs.FbArmed
-		for r.rx.Len() > 0 {
-			r.rx.Pop()
+		for r.rx.len() > 0 {
+			r.rx.pop()
 		}
 		for _, d := range rs.Rx {
 			f, err := resolveFlit(d, resolve)
 			if err != nil {
 				return err
 			}
-			r.rx.Push(f)
+			r.rx.push(f)
 		}
 		r.stats = rs.Stats
 	}

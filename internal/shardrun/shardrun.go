@@ -8,10 +8,13 @@
 //     barrier is total — Run returns only after every task has finished —
 //     and because tasks touch pairwise-disjoint state; the OS scheduler's
 //     interleaving is therefore unobservable.
-//   - Ring: a single-producer/single-consumer ring buffer used for the
-//     boundary crossings (flits traversing an inter-shard channel) where
-//     one shard writes during a window and the other reads in a later
-//     window or event.
+//   - Ring: a single-producer/single-consumer ring buffer for the
+//     boundary crossings, and only those: a channel FIFO whose producer
+//     and consumer run in different shards (a mesh channel between two
+//     shards' columns), where one shard writes during a window and the
+//     other reads in a later window or event. Every other channel FIFO is
+//     a plain inline ring in internal/router, so a single-shard run makes
+//     no atomic operation per flit.
 //
 // Neither primitive consults time, randomness, or iteration order of maps,
 // keeping the package inside the determinism envelope.

@@ -42,21 +42,22 @@ func BenchmarkWheelBeginCycleIdle(b *testing.B) {
 
 // BenchmarkWheelBeginCycleMultiKey schedules and harvests one cycle shaped
 // like the paper system at the Fig. 5 medium load: 290 events a cycle,
-// keyed by an owner in 1–577 (routers and NICs) and a src in 578–1825
-// (channels), landing 1–4 cycles ahead on the network's 64-bucket wheel.
-// The keys vary in four of their five bytes, so BeginCycle's radix sort
-// makes four passes per cycle.
+// keyed by an owner in 1–576 (routers and NICs) and a src in 577–1824
+// (channels), packed as the network packs them (owner<<11 | src: 11 bits
+// hold every src), landing 1–4 cycles ahead on the network's 64-bucket
+// wheel. The keys span 21 bits and vary in three bytes, so BeginCycle's
+// radix sort makes three passes per cycle.
 func BenchmarkWheelBeginCycleMultiKey(b *testing.B) {
-	const perCycle = 290
+	const perCycle, srcBits = 290, 11
 	type sched struct {
-		key   uint64
+		key   uint32
 		ahead Cycle
 	}
 	r := NewRNG(1)
 	script := make([]sched, 64*perCycle)
 	for i := range script {
-		owner, src := 1+r.Intn(577), 578+r.Intn(1248)
-		script[i] = sched{key: ActorKey(uint32(owner), uint32(src)), ahead: Cycle(1 + r.Intn(4))}
+		owner, src := 1+r.Intn(576), 577+r.Intn(1248)
+		script[i] = sched{key: uint32(owner)<<srcBits | uint32(src), ahead: Cycle(1 + r.Intn(4))}
 	}
 	w := NewWheel(64)
 	nop := w.Register(func(Cycle) {})

@@ -34,8 +34,9 @@ func fuzzTarget(now Cycle, b byte) Cycle {
 // calls, bursts of at least smallRun schedules into one cycle (so both the
 // insertion and the radix path run), harvests, legal SkipTo calls and one
 // ExportState → RestoreState into a fresh wheel of another size that
-// registered the same handlers, then drains the wheel. Keys start from key 0, and each new key is a used one
-// with one of its five key bytes replaced, so a cycle's keys often differ
+// registered the same handlers, then drains the wheel. Keys start from key
+// 0, and each new key is a used one with one of its four bytes replaced, so
+// a cycle's keys often differ
 // in a single byte — the case where a radix pass that is skipped or
 // unstable shows. A model of the pending entries predicts every
 // BeginCycle batch: the entries due that cycle, sorted by harvestOrder.
@@ -43,11 +44,11 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
 		2, 3, // 16 buckets, restored into 32
-		0, 5, 0, 4, 9, // key 9<<32, 1 cycle ahead
-		0, 5, 1, 1, 7, // key 9<<32 | 7<<8
-		0, 5, 2, 0, 3, // key 9<<32 | 7<<8 | 3
+		0, 5, 0, 3, 9, // key 9<<24, 1 cycle ahead
+		0, 5, 1, 1, 7, // key 9<<24 | 7<<8
+		0, 5, 2, 0, 3, // key 9<<24 | 7<<8 | 3
 		6, 5, 0, // key 0, same cycle
-		6, 5, 2, // key 9<<32 | 7<<8 again
+		6, 5, 2, // key 9<<24 | 7<<8 again
 		0, 0xf0, 3, 2, 1, // far beyond the horizon
 		6, 0xf0, 4, // same cycle and key, scheduled later
 		10, 5, 8, 0, // a burst of 40 one cycle ahead, over every used key
@@ -90,12 +91,12 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 
 		var (
 			due      = map[Cycle][]Entry{} // the model: pending entries by cycle
-			keys     = []uint64{0}
+			keys     = []uint32{0}
 			now      Cycle
 			seq      uint64
 			restored bool
 		)
-		schedule := func(at Cycle, key uint64) {
+		schedule := func(at Cycle, key uint32) {
 			seq++
 			h := Handler(1 + seq%handlers)
 			w.Schedule(at, key, h)
@@ -127,8 +128,8 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 				if len(data) < 5 {
 					break script
 				}
-				shift := 8 * (uint(data[3]) % 5)
-				key := keys[int(data[2])%len(keys)]&^(0xff<<shift) | uint64(data[4])<<shift
+				shift := 8 * (uint(data[3]) % 4)
+				key := keys[int(data[2])%len(keys)]&^(0xff<<shift) | uint32(data[4])<<shift
 				keys = append(keys, key)
 				schedule(fuzzTarget(now, data[1]), key)
 				data = data[5:]

@@ -10,7 +10,7 @@ import (
 // the same event in the restore target's handler table.
 type WheelEntryState struct {
 	At  Cycle
-	Key uint64
+	Key uint32
 	Seq uint64
 	H   Handler
 }

@@ -60,7 +60,7 @@ func TestRNGSetStateNormalizesZero(t *testing.T) {
 // key BeginCycle harvested it under, and the ID its closure reports.
 type wheelFire struct {
 	At  Cycle
-	Key uint64
+	Key uint32
 	ID  uint64
 }
 
@@ -137,13 +137,13 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, refTail) {
 		t.Fatalf("restored firing order diverges:\n got %v\nwant %v", got, refTail)
 	}
-	var keys5 []uint64
+	var keys5 []uint32
 	for _, f := range got {
 		if f.At == 5 {
 			keys5 = append(keys5, f.Key)
 		}
 	}
-	if want := []uint64{1, 3, 3}; !reflect.DeepEqual(keys5, want) {
+	if want := []uint32{1, 3, 3}; !reflect.DeepEqual(keys5, want) {
 		t.Fatalf("restored cycle 5 fired keys %v, want %v", keys5, want)
 	}
 

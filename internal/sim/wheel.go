@@ -13,15 +13,17 @@ type Event func(now Cycle)
 // is never registered.
 type Handler uint32
 
-// Entry is one scheduled event together with its ordering coordinates: the
-// actor key that owns it (see ActorKey) and the global insertion sequence
-// number. BeginCycle returns a cycle's entries sorted by (Key, Seq) — the
-// canonical order the sharded network engine executes in. Seq is assigned
-// by Schedule, so it rises with every insertion; BeginCycle relies on that
-// to order a cycle's entries by sorting on Key alone.
+// Entry is one scheduled event together with its ordering coordinates: an
+// ordering key and the global insertion sequence number. BeginCycle returns
+// a cycle's entries sorted by (Key, Seq) — the canonical order the sharded
+// network engine executes in. The wheel treats a key as an opaque number;
+// its layout belongs to the caller (the network packs an owner and a
+// producer into it, DESIGN.md §6g), and key 0 is the coordinator band. Seq
+// is assigned by Schedule, so it rises with every insertion; BeginCycle
+// relies on that to order a cycle's entries by sorting on Key alone.
 type Entry struct {
-	Key uint64
 	Seq uint64
+	Key uint32
 	H   Handler
 }
 
@@ -118,13 +120,13 @@ func (w *Wheel) Run(entries []Entry, now Cycle) {
 }
 
 // Schedule enqueues handler h to fire at cycle at under ordering key key
-// (0 is the coordinator band; see ActorKey). The sequence number is
+// (0 is the coordinator band; see Entry). The sequence number is
 // assigned here, so a cycle's canonical (Key, Seq) order is fixed by the
 // order Schedule calls reach the wheel — which the sharded engine makes
 // deterministic by replaying staged schedules in shard order. A request for
 // the current cycle or earlier, which BeginCycle has already harvested, is
 // deferred to the next cycle.
-func (w *Wheel) Schedule(at Cycle, key uint64, h Handler) {
+func (w *Wheel) Schedule(at Cycle, key uint32, h Handler) {
 	w.seq++
 	w.insert(max(at, w.now+1), Entry{Key: key, Seq: w.seq, H: h})
 }
@@ -209,7 +211,7 @@ func (w *Wheel) sortRunByKey() {
 		}
 		return
 	}
-	or, and := uint64(0), ^uint64(0)
+	or, and := uint32(0), ^uint32(0)
 	for i := range src {
 		or |= src[i].Key
 		and &= src[i].Key

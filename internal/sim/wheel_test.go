@@ -3,12 +3,22 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // fireCycle harvests cycle now and runs its events in canonical order,
 // exactly as Network.Step drains the wheel.
 func fireCycle(w *Wheel, now Cycle) {
 	w.Run(w.BeginCycle(now), now)
+}
+
+// TestEntrySize pins a wheel entry at 16 bytes: a 64-bit sequence number,
+// a 32-bit key and a 32-bit handle. Every bucket, far-heap slot and sort
+// pass moves entries, so a field that widens one shows here first.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 16 {
+		t.Fatalf("sim.Entry is %d bytes, want 16", got)
+	}
 }
 
 func TestWheelFiresAtScheduledCycle(t *testing.T) {
