@@ -40,7 +40,11 @@ const Magic = "OPTOCKPT"
 // handler-table size, and the network's duplicate watchdog-drop counter
 // is gone. Version 5: wheel entry keys are 32-bit values in the network's
 // compact (owner, src) layout instead of 64-bit (owner<<20 | src) ones.
-const Version uint32 = 5
+// Version 6: each source's next packet is a NIC field whose arrival is a
+// wheel entry, so the shards' injection lists and the unused routing
+// stream are gone; gob would drop a version-5 file's pending injections
+// without error, leaving every source silent.
+const Version uint32 = 6
 
 // headerLen is the fixed prefix: magic(8) + version(4) + cycle(8) +
 // payload length(8) + payload CRC(4).

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -84,6 +86,21 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	mut[11] ^= 0xFF
 	if _, err := Decode(mut, &p); !errors.Is(err, ErrVersion) {
 		t.Errorf("wrong version: got %v, want ErrVersion", err)
+	}
+	// The previous format version, with a CRC that matches it: Load
+	// refuses the file instead of decoding it into this version's state.
+	mut = append([]byte(nil), good...)
+	binary.BigEndian.PutUint32(mut[8:], Version-1)
+	crc := crc32.NewIEEE()
+	crc.Write(mut[:headerLen-4])
+	crc.Write(mut[headerLen:])
+	binary.BigEndian.PutUint32(mut[headerLen-4:], crc.Sum32())
+	path := filepath.Join(t.TempDir(), FileName(want.Cycle))
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path, &p); !errors.Is(err, ErrVersion) {
+		t.Errorf("version %d file: got %v, want ErrVersion", Version-1, err)
 	}
 	// Wrong magic specifically.
 	mut = append([]byte(nil), good...)

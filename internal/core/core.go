@@ -60,7 +60,6 @@ type System struct {
 
 	warmupEnergy       float64
 	warmupFabricEnergy float64
-	measureFrom        sim.Cycle
 }
 
 // NewSystem builds a system from cfg and gen.
@@ -95,14 +94,14 @@ func (s *System) Warmup(w sim.Cycle) {
 
 // Measure runs for m further cycles and returns the result.
 func (s *System) Measure(m sim.Cycle) Result {
-	end := s.measureFrom + m
+	end := s.Net.MeasureFrom() + m
 	s.Net.RunTo(end)
 	s.debugAudit()
 	return s.resultAt(end)
 }
 
 func (s *System) resultAt(end sim.Cycle) Result {
-	dur := end - s.measureFrom
+	dur := end - s.Net.MeasureFrom()
 	energy := s.Net.LinkEnergyJ() - s.warmupEnergy
 	baseline := s.cfg.BaselinePowerW() * dur.Seconds()
 	r := Result{

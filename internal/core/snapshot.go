@@ -6,13 +6,13 @@ import (
 )
 
 // State is the checkpointable state of a System: the network snapshot plus
-// the measurement-protocol bookkeeping that lives outside the network.
+// the measurement-protocol bookkeeping that lives outside the network. The
+// measured window's start is the network's own (network.State.MeasureFrom).
 type State struct {
 	Net *network.State
 
 	WarmupEnergy       float64
 	WarmupFabricEnergy float64
-	MeasureFrom        sim.Cycle
 }
 
 // ExportState captures the system's complete state. Must be called between
@@ -26,7 +26,6 @@ func (s *System) ExportState() (*State, error) {
 		Net:                ns,
 		WarmupEnergy:       s.warmupEnergy,
 		WarmupFabricEnergy: s.warmupFabricEnergy,
-		MeasureFrom:        s.measureFrom,
 	}, nil
 }
 
@@ -40,7 +39,6 @@ func (s *System) RestoreState(st *State) error {
 	}
 	s.warmupEnergy = st.WarmupEnergy
 	s.warmupFabricEnergy = st.WarmupFabricEnergy
-	s.measureFrom = st.MeasureFrom
 	return nil
 }
 
@@ -56,7 +54,6 @@ func (s *System) RunTo(c sim.Cycle) { s.Net.RunTo(c) }
 func (s *System) StartMeasure() {
 	now := s.Net.Now()
 	s.Net.SetMeasureFrom(now)
-	s.measureFrom = now
 	s.warmupEnergy = s.Net.LinkEnergyJ()
 	s.warmupFabricEnergy = s.Net.FabricEnergyJ()
 }
@@ -68,6 +65,3 @@ func (s *System) ResultAt(end sim.Cycle) Result {
 	s.debugAudit()
 	return s.resultAt(end)
 }
-
-// MeasureFrom returns the start of the measured window (zero before Warmup).
-func (s *System) MeasureFrom() sim.Cycle { return s.measureFrom }

@@ -9,7 +9,7 @@ import (
 
 // RNGStreamAnalyzer enforces the split-stream randomness contract: every
 // stochastic subsystem draws from a stream derived from the one scenario
-// seed via sim.NewStream (StreamTraffic / StreamFault / StreamRouting), so
+// seed via sim.NewStream (StreamTraffic / StreamFault / StreamDSE), so
 // enabling one subsystem never perturbs another's draws. Inside sim-core it
 // therefore forbids
 //

@@ -261,13 +261,13 @@ func (c *Config) neighbor(r, dir int) (nb, rev int, ok bool) {
 // so it can size the handler table once: per router input VC a HOL and a
 // credit handler and per output a wake handler; per link its delivery,
 // plus accept, feedback, replay-pump and watchdog handlers when faults
-// enable retransmission; per NIC a wake handler; with recovery the scan
-// and one refresh per mesh link; with telemetry the sampler and a down and
-// an up marker per scheduled failure; and each rule engine's hold timer,
-// the one timer-driven policy kind.
+// enable retransmission; per NIC a wake and an arrival handler; with
+// recovery the scan and one refresh per mesh link; with telemetry the
+// sampler and a down and an up marker per scheduled failure; and each rule
+// engine's hold timer, the one timer-driven policy kind.
 func (c Config) handlers() int {
 	links := c.TotalLinks()
-	n := c.Routers()*c.PortsPerRouter()*(2*c.VCs+1) + links + c.Nodes()
+	n := c.Routers()*c.PortsPerRouter()*(2*c.VCs+1) + links + 2*c.Nodes()
 	if c.Fault.Enabled() {
 		n += 4 * links
 	}

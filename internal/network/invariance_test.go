@@ -72,7 +72,7 @@ func invarianceCases(t *testing.T) []invCase {
 	rec := drain
 	rec.cfg = withPolicy(policy.KindDVS)
 	rec.cfg.Seed = *faultSeed
-	_, n := rec.run(t, 1, false, 0)
+	_, n := rec.run(t, 1, false, straight)
 	o, err := policy.ComputeOracle(*n.PolicyTrace(), n.ControlledLinkModels())
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func runInvCases(t *testing.T, cases []invCase) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			ref, n := c.run(t, 1, false, 0)
+			ref, n := c.run(t, 1, false, straight)
 			if skips, _ := n.FastForwardStats(); skips != 0 {
 				t.Errorf("fast-forward off still skipped %d times", skips)
 			}
@@ -167,9 +167,9 @@ func runInvCases(t *testing.T, cases []invCase) {
 			if reg := n.Telemetry(); reg != nil && len(c.cfg.Fault.LinkFailures) > 0 && len(reg.Flight().Events()) == 0 {
 				t.Error("no flight events recorded across a link failure — vacuous comparison")
 			}
-			for _, at := range []sim.Cycle{0, c.resumeAt} {
+			for _, at := range []sim.Cycle{straight, c.resumeAt} {
 				mode := "straight"
-				if at > 0 {
+				if at != straight {
 					mode = fmt.Sprintf("resume=%d", at)
 				}
 				t.Run(mode, func(t *testing.T) {
@@ -196,11 +196,14 @@ func runInvCases(t *testing.T, cases []invCase) {
 	}
 }
 
+// straight is the resume cycle of a run that is never checkpointed.
+const straight = sim.Cycle(-1)
+
 // run drives c at k shards with fast-forward on or off to the traffic stop
 // and then to exact quiescence, and returns the run's fingerprint and the
-// final network. With resumeAt > 0 the run is checkpointed at that cycle
-// through checkpoint.Save and Load and finished in a freshly built
-// network; the flight-recorder dump is then the two networks' output
+// final network. Unless resumeAt is straight, the run is checkpointed at
+// that cycle through checkpoint.Save and Load and finished in a freshly
+// built network; the flight-recorder dump is then the two networks' output
 // concatenated.
 func (c invCase) run(t *testing.T, k int, ff bool, resumeAt sim.Cycle) (string, *Network) {
 	t.Helper()
@@ -221,7 +224,7 @@ func (c invCase) run(t *testing.T, k int, ff bool, resumeAt sim.Cycle) (string, 
 		return n, gen
 	}
 	n, gen := build()
-	if resumeAt > 0 {
+	if resumeAt != straight {
 		n.RunTo(resumeAt)
 		st, err := n.ExportState()
 		if err != nil {

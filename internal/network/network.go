@@ -54,12 +54,6 @@ type Network struct {
 	gen  traffic.Generator
 	rngs []*sim.RNG
 
-	// routeRNG is the derived stream reserved for randomized routing
-	// decisions (sim.StreamRouting). The built-in routing functions are
-	// deterministic and draw nothing, but any future randomized routing
-	// must draw here so it cannot perturb traffic or fault draws.
-	routeRNG *sim.RNG
-
 	// injector is the fault injector, nil unless cfg.Fault is enabled.
 	injector *fault.Injector
 
@@ -396,21 +390,21 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	n.initTelemetry()
 
 	// Traffic sources. The master generator is stream 0 of the seed —
-	// byte-identical to the pre-stream NewRNG(seed) derivation.
+	// byte-identical to the pre-stream NewRNG(seed) derivation. Each NIC's
+	// first packet goes straight on the wheel as its first arrival event.
 	if gen != nil {
 		master := sim.NewStream(cfg.Seed, sim.StreamTraffic)
 		n.rngs = make([]*sim.RNG, nodes)
 		for node := 0; node < nodes; node++ {
 			n.rngs[node] = master.Fork()
 		}
-		for node := 0; node < nodes; node++ {
-			if at, dst, size, ok := gen.Next(node, -1, n.rngs[node]); ok {
-				s := n.shards[n.shardOfRouter(cfg.nodeRouter(node))]
-				s.inj.push(injEvent{at: at, node: int32(node), dst: int32(dst), size: int32(size)})
+		for _, nc := range n.nics {
+			nc.pull(-1)
+			if nc.next.size > 0 {
+				n.wheel.Schedule(nc.next.created, nc.selfKey, nc.arriveH)
 			}
 		}
 	}
-	n.routeRNG = sim.NewStream(cfg.Seed, sim.StreamRouting)
 	if sim.Debug {
 		got, want := n.wheel.ExportState().Handlers, cfg.handlers()
 		sim.Assertf(got == want, "network: registered %d wheel handlers, Config.handlers sized the table for %d", got, want)
@@ -571,8 +565,8 @@ func (n *Network) Step() {
 
 	// 2. The parallel region. Actor ids are column-major, so the sorted
 	// entries split into one contiguous slice per shard; each shard then
-	// runs its events + injection + NIC + switch-allocation phases over
-	// disjoint state.
+	// runs its events (packet arrivals included) + NIC + switch-allocation
+	// phases over disjoint state.
 	shards := n.shards
 	rest := entries[band:]
 	if len(shards) == 1 {
@@ -731,18 +725,13 @@ const debugAuditEvery = 2048
 const neverCycle = sim.Cycle(math.MaxInt64)
 
 // nextWorkAt returns the earliest cycle in [n.now, limit] at which anything
-// can happen: a scheduled wheel event, a pending source injection, or a
+// can happen: a scheduled wheel event (packet arrivals included) or a
 // policy-window tick. When the NIC and output work lists are empty, every
 // cycle before that point is a no-op and may be skipped.
 func (n *Network) nextWorkAt(limit sim.Cycle) sim.Cycle {
 	next := limit
 	if at, ok := n.wheel.NextEventAt(); ok && at < next {
 		next = at
-	}
-	for _, s := range n.shards {
-		if s.inj.len() > 0 && s.inj.top().at < next {
-			next = s.inj.top().at
-		}
 	}
 	if n.nextPolicyTick < next {
 		next = n.nextPolicyTick
@@ -755,11 +744,12 @@ func (n *Network) nextWorkAt(limit sim.Cycle) sim.Cycle {
 
 // skipIdleTo fast-forwards to the next cycle with work, bounded by limit.
 // It returns whether a skip happened. A skip is legal only when both work
-// lists are empty: then steps 3 and 4 of Step are no-ops, and the remaining
-// work sources (wheel events, injections, policy ticks) are all visible to
-// nextWorkAt. The powerlink energy/level accounting and the buffer
-// occupancy integrals take `now` lazily, so no per-link or per-buffer work
-// is needed on a skip — the skipped cycles are bit-identical to stepping.
+// lists are empty: then the NIC and switch-allocation phases of a shard's
+// window are no-ops, and the remaining work sources (wheel events, policy
+// ticks) are all visible to nextWorkAt. The powerlink energy/level
+// accounting and the buffer occupancy integrals take `now` lazily, so no
+// per-link or per-buffer work is needed on a skip — the skipped cycles are
+// bit-identical to stepping.
 func (n *Network) skipIdleTo(limit sim.Cycle) bool {
 	if n.ffDisabled {
 		return false
@@ -768,14 +758,9 @@ func (n *Network) skipIdleTo(limit sim.Cycle) bool {
 		if len(s.activeNICs) > 0 || len(s.activeOuts) > 0 {
 			return false
 		}
-		// Under load an injection or policy tick is almost always due by
-		// the next cycle, and a one-cycle skip cannot pay for the wheel
-		// occupancy scan inside nextWorkAt. These O(1) peeks bail out
-		// before it.
-		if s.inj.len() > 0 && s.inj.top().at <= n.now+1 {
-			return false
-		}
 	}
+	// A one-cycle skip cannot pay for the wheel occupancy scan inside
+	// nextWorkAt, so a policy tick due by the next cycle bails out first.
 	if n.nextPolicyTick <= n.now+1 {
 		return false
 	}
@@ -804,16 +789,17 @@ func (n *Network) RunTo(t sim.Cycle) {
 	}
 }
 
-// Quiescent reports whether the network has fully drained: the traffic
-// sources have no queued injections, every injected packet was delivered
-// or dropped-and-counted, no events are scheduled, and no NIC or output
+// Quiescent reports whether the network has fully drained: every injected
+// packet was delivered or dropped-and-counted, no events are scheduled —
+// a source's next packet is a pending arrival event, so a source with
+// packets still to create keeps the network busy — and no NIC or output
 // holds work. A network with an open-loop (infinite) generator never
 // quiesces. Telemetry's wheel events (the recurring sampler, future fault
 // markers) are subtracted: they observe the simulation, they are not work.
 func (n *Network) Quiescent() bool {
 	var injected, delivered int64
 	for _, s := range n.shards {
-		if s.inj.len() > 0 || len(s.activeNICs) > 0 || len(s.activeOuts) > 0 {
+		if len(s.activeNICs) > 0 || len(s.activeOuts) > 0 {
 			return false
 		}
 		injected += s.injectedPkts
@@ -863,6 +849,10 @@ func (n *Network) SetMeasureFrom(t sim.Cycle) {
 		s.latHist.Reset()
 	}
 }
+
+// MeasureFrom returns the start of the measured window (zero until
+// SetMeasureFrom).
+func (n *Network) MeasureFrom() sim.Cycle { return n.measureFrom }
 
 // LatencyQuantile returns the q-quantile of measured packet latencies
 // (log-bucket estimate, ~9 % resolution).
@@ -995,9 +985,6 @@ func (n *Network) FabricEnergyJ() float64 {
 
 // Injector returns the fault injector, or nil when faults are disabled.
 func (n *Network) Injector() *fault.Injector { return n.injector }
-
-// RouteRNG returns the stream reserved for randomized routing decisions.
-func (n *Network) RouteRNG() *sim.RNG { return n.routeRNG }
 
 // FaultStats aggregates the reliability counters of every channel plus the
 // injector into one snapshot (zero value when faults are disabled).
@@ -1191,56 +1178,3 @@ func (u *utilSource) CrcDrops() int64 { return u.ch.RelStats().Corrupted }
 func (u *utilSource) Escalations() int64 { return u.ch.RelStats().Escalations }
 
 func (u *utilSource) RelockFailures(now sim.Cycle) int64 { return u.ch.PLink().RelockFailures(now) }
-
-// injEvent is one pending source injection.
-type injEvent struct {
-	at   sim.Cycle
-	node int32
-	dst  int32
-	size int32
-}
-
-// injHeap is a binary min-heap of injection events ordered by time.
-type injHeap struct {
-	ev []injEvent
-}
-
-func (h *injHeap) len() int      { return len(h.ev) }
-func (h *injHeap) top() injEvent { return h.ev[0] }
-
-func (h *injHeap) push(e injEvent) {
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.ev[parent].at <= h.ev[i].at {
-			break
-		}
-		h.ev[parent], h.ev[i] = h.ev[i], h.ev[parent]
-		i = parent
-	}
-}
-
-func (h *injHeap) pop() injEvent {
-	top := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev = h.ev[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.ev) && h.ev[l].at < h.ev[smallest].at {
-			smallest = l
-		}
-		if r < len(h.ev) && h.ev[r].at < h.ev[smallest].at {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
-		i = smallest
-	}
-	return top
-}

@@ -5,7 +5,8 @@ import (
 	"repro/internal/sim"
 )
 
-// pktDesc is a queued injection awaiting transmission by a NIC.
+// pktDesc is a packet a source created, pending its arrival at the NIC or
+// queued there awaiting transmission.
 type pktDesc struct {
 	created sim.Cycle
 	dst     int32
@@ -51,10 +52,16 @@ type NIC struct {
 	node int
 	ch   *router.Channel
 
-	// selfKey orders the NIC's wake-up events; pktSeq numbers the packets
-	// this NIC creates (IDs are per-source, so shards never contend).
+	// selfKey orders the NIC's wake-up and arrival events; pktSeq numbers
+	// the packets this NIC creates (IDs are per-source, so shards never
+	// contend).
 	selfKey uint32
 	pktSeq  int64
+
+	// next is the source's next packet, which the arrival handler queues
+	// at next.created; size 0 once the source has nothing further.
+	next    pktDesc
+	arriveH sim.Handler
 
 	credits []int // per router-input VC
 	q       descQueue
@@ -85,10 +92,34 @@ func newNIC(net *Network, sh *shard, node int, ch *router.Channel, vcs, bufDepth
 			nc.sh.activateNIC(nc)
 		}
 	})
+	nc.arriveH = sh.Register(nc.arrive)
 	return nc
 }
 
-func (nc *NIC) enqueue(d pktDesc) { nc.q.push(d) }
+// pull asks the traffic source for the packet it creates after cycle
+// after and keeps it as the NIC's next arrival.
+func (nc *NIC) pull(after sim.Cycle) {
+	nc.next = pktDesc{}
+	if at, dst, size, ok := nc.net.gen.Next(nc.node, after, nc.net.rngs[nc.node]); ok {
+		nc.next = pktDesc{created: at, dst: int32(dst), size: int32(size)}
+	}
+}
+
+// arrive is the NIC's arrival event: it queues every packet the source has
+// created by now (a source may create several in one cycle) and schedules
+// the next arrival.
+func (nc *NIC) arrive(now sim.Cycle) {
+	for nc.next.size > 0 && nc.next.created <= now {
+		d := nc.next
+		nc.q.push(d)
+		nc.sh.injectedPkts++
+		nc.sh.activateNIC(nc)
+		nc.pull(d.created)
+	}
+	if nc.next.size > 0 {
+		nc.sh.Schedule(nc.next.created, nc.selfKey, nc.arriveH)
+	}
+}
 
 // ReturnCredit implements router.CreditSink: the router freed one slot of
 // the injection port's VC buffer.

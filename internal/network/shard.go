@@ -16,12 +16,12 @@ import (
 // cycle-t action can affect any other actor is t+1), so each cycle is one
 // parallel region: the coordinator pulls the cycle's events from the global
 // keyed wheel in canonical (Key, Seq) order, hands each shard its
-// contiguous slice, and the shards run events + injections + NIC and output
-// phases over disjoint state. Side effects that cross shards — wheel
-// schedules, down-notifications, telemetry, deliveries — are staged in
-// per-shard spools and drained by the coordinator after the join, in orders
-// that are provably independent of K (fixed shard order for canonically
-// ordered spools, an explicit sort by link id for the rest).
+// contiguous slice, and the shards run events + NIC and output phases over
+// disjoint state. Side effects that cross shards — wheel schedules,
+// down-notifications, telemetry, deliveries — are staged in per-shard
+// spools and drained by the coordinator after the join, in orders that are
+// provably independent of K (fixed shard order for canonically ordered
+// spools, an explicit sort by link id for the rest).
 
 // stagedEv is one wheel schedule requested during a shard's window,
 // replayed against the global wheel at the cycle barrier.
@@ -72,7 +72,6 @@ type shard struct {
 	//optolint:derived work-list swap scratch, holds no state across cycles
 	spareNICs []*NIC
 
-	inj  injHeap
 	pool router.Pool // per-shard free list: packets are freed where they die
 
 	// Measurement counters, summed lazily by the Network accessors.
@@ -158,29 +157,17 @@ func (s *shard) activateNIC(nc *NIC) {
 }
 
 // runCycle is one shard's window for cycle now: its slice of the canonical
-// event order, then source injections, then the NIC and switch-allocation
-// phases — the same four phases the sequential engine ran globally.
+// event order, then the NIC and switch-allocation phases — the same three
+// phases the sequential engine ran globally.
 func (s *shard) runCycle(now sim.Cycle) {
 	n := s.n
 
-	// 1. Timed events: flit deliveries, credit returns, pipeline
-	//    eligibility, channel/NIC wake-ups.
+	// 1. Timed events: packet arrivals, flit deliveries, credit returns,
+	//    pipeline eligibility, channel/NIC wake-ups.
 	n.wheel.Run(s.entries, now)
 	s.entries = nil
 
-	// 2. New traffic.
-	for s.inj.len() > 0 && s.inj.top().at <= now {
-		ev := s.inj.pop()
-		nc := n.nics[ev.node]
-		nc.enqueue(pktDesc{created: ev.at, dst: ev.dst, size: ev.size})
-		s.injectedPkts++
-		s.activateNIC(nc)
-		if at, dst, size, ok := n.gen.Next(int(ev.node), ev.at, n.rngs[ev.node]); ok {
-			s.inj.push(injEvent{at: at, node: ev.node, dst: int32(dst), size: int32(size)})
-		}
-	}
-
-	// 3. Injection: each active NIC may start serialising one flit.
+	// 2. Injection: each active NIC may start serialising one flit.
 	// Processing can re-activate entries, so the retained list must use a
 	// different backing array than the one being iterated.
 	nics := s.activeNICs
@@ -192,7 +179,7 @@ func (s *shard) runCycle(now sim.Cycle) {
 	}
 	s.spareNICs = nics[:0]
 
-	// 4. Switch allocation: each active output may grant one flit.
+	// 3. Switch allocation: each active output may grant one flit.
 	outs := s.activeOuts
 	s.activeOuts = s.spareOuts[:0]
 	for _, o := range outs {

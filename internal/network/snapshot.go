@@ -29,24 +29,19 @@ type PktDescState struct {
 	Size    int32
 }
 
-// NICState is one NIC's mutable state.
+// NICState is one NIC's mutable state. Next is the source's next packet,
+// whose arrival event waits on the wheel; its Size is 0 once the source has
+// nothing further.
 type NICState struct {
 	PktSeq      int64
 	Credits     []int
 	Queue       []PktDescState
+	Next        PktDescState
 	CurPktID    int64 // 0 = no packet mid-serialisation
 	CurSeq      int32
 	CurVC       int
 	Active      bool
 	WakePending bool
-}
-
-// InjEventState is one pending source injection.
-type InjEventState struct {
-	At   sim.Cycle
-	Node int32
-	Dst  int32
-	Size int32
 }
 
 // OutputRef identifies a router output port.
@@ -55,15 +50,10 @@ type OutputRef struct {
 	Port   int
 }
 
-// ShardState is one shard's counters, injection heap, and work lists. The
-// injection events are exported canonically sorted by (At, Node): the heap's
-// internal layout is history-dependent, and heap order only breaks ties
-// among different nodes, whose same-cycle processing commutes — so a
-// canonical rebuild is behaviour-identical. The work lists are exported in
-// list order, which persists across cycles and is part of the state.
+// ShardState is one shard's counters and work lists. The work lists are
+// exported in list order, which persists across cycles and is part of the
+// state.
 type ShardState struct {
-	Inj []InjEventState
-
 	InjectedPkts     int64
 	DeliveredPkts    int64
 	DeliveredFlits   int64
@@ -116,7 +106,6 @@ type State struct {
 	Shards      []ShardState
 
 	NodeRNGs []sim.RNGState
-	RouteRNG sim.RNGState
 
 	Fault     *fault.InjectorState
 	Recovery  *RecoveryState
@@ -135,7 +124,6 @@ func (n *Network) ExportState() (*State, error) {
 		MeasureFrom:    n.measureFrom,
 		FFSkips:        n.ffSkips,
 		FFCycles:       n.ffCycles,
-		RouteRNG:       n.routeRNG.State(),
 	}
 
 	// Packet table, filled as the per-component exports walk their flit
@@ -168,6 +156,7 @@ func (n *Network) ExportState() (*State, error) {
 			Credits:     append([]int(nil), nc.credits...),
 			CurSeq:      nc.curSeq,
 			CurVC:       nc.curVC,
+			Next:        PktDescState{Created: nc.next.created, Dst: nc.next.dst, Size: nc.next.size},
 			Active:      nc.active,
 			WakePending: nc.wakePending,
 		}
@@ -208,15 +197,6 @@ func (n *Network) ExportState() (*State, error) {
 			Misroutes:        s.misroutes,
 			UnreachableDrops: s.unreachableDrops,
 		}
-		for _, e := range s.inj.ev {
-			ss.Inj = append(ss.Inj, InjEventState{At: e.at, Node: e.node, Dst: e.dst, Size: e.size})
-		}
-		sort.Slice(ss.Inj, func(i, j int) bool {
-			if ss.Inj[i].At != ss.Inj[j].At {
-				return ss.Inj[i].At < ss.Inj[j].At
-			}
-			return ss.Inj[i].Node < ss.Inj[j].Node
-		})
 		for _, o := range s.activeOuts {
 			ss.ActiveOuts = append(ss.ActiveOuts, outRef[o])
 		}
@@ -353,6 +333,7 @@ func (n *Network) RestoreState(st *State) error {
 		for _, d := range ns.Queue {
 			nc.q.push(pktDesc{created: d.Created, dst: d.Dst, size: d.Size})
 		}
+		nc.next = pktDesc{created: ns.Next.Created, dst: ns.Next.Dst, size: ns.Next.Size}
 		nc.cur = nil
 		if ns.CurPktID != 0 {
 			p, err := resolve(ns.CurPktID)
@@ -369,17 +350,6 @@ func (n *Network) RestoreState(st *State) error {
 
 	for si, s := range n.shards {
 		ss := &st.Shards[si]
-		s.inj.ev = s.inj.ev[:0]
-		for _, e := range ss.Inj {
-			node := int(e.Node)
-			if node < 0 || node >= len(n.nics) {
-				return fmt.Errorf("network: shard %d snapshot injection for node %d out of range", si, node)
-			}
-			if n.shards[n.shardOfRouter(n.cfg.nodeRouter(node))] != s {
-				return fmt.Errorf("network: shard %d snapshot injection for node %d owned by another shard", si, node)
-			}
-			s.inj.push(injEvent{at: e.At, node: e.Node, dst: e.Dst, size: e.Size})
-		}
 		s.injectedPkts = ss.InjectedPkts
 		s.deliveredPkts = ss.DeliveredPkts
 		s.deliveredFlits = ss.DeliveredFlits
@@ -432,7 +402,6 @@ func (n *Network) RestoreState(st *State) error {
 	for i, rs := range st.NodeRNGs {
 		n.rngs[i].SetState(rs)
 	}
-	n.routeRNG.SetState(st.RouteRNG)
 
 	if st.Fault != nil {
 		if err := n.injector.RestoreState(*st.Fault); err != nil {

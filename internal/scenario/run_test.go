@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // faultyScenario is the optorun crash harness's run: a 4x4 mesh with
@@ -152,6 +154,37 @@ func TestRunSummaryResumeByteIdentical(t *testing.T) {
 	trial.Params = nil
 	if got := mustJSON(t, trial); !bytes.Equal(got, plain) {
 		t.Errorf("ExecuteTrial diverges from RunSummary:\n--- RunSummary\n%s\n--- ExecuteTrial\n%s", plain, got)
+	}
+}
+
+// TestRunSummaryResumesTracePlayback: a stored-trace workload resumes
+// byte for byte. Playback answers each node's next record from the cycle
+// alone, so the resumed run, whose fresh system asked every node for its
+// first record at construction, replays no record twice.
+func TestRunSummaryResumesTracePlayback(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "radix.trace")
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, trace.Materialise(trace.Radix, 32, 24_000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc := load(t, fmt.Sprintf(`{
+		"system": {"meshW": 4, "meshH": 4, "nodesPerRack": 2, "seed": 3},
+		"workload": {"type": "trace", "traceFile": %q},
+		"run": {"warmup": 2000, "measure": 20000}
+	}`, path))
+	plain, ckpt, resumed, _ := runThreeWays(t, sc, "trace", 5000)
+	if !bytes.Equal(ckpt, plain) || !bytes.Equal(resumed, plain) {
+		t.Errorf("trace playback is not resumable byte for byte:\n--- straight\n%s\n--- checkpointed\n%s\n--- resumed\n%s", plain, ckpt, resumed)
+	}
+	sum, err := report.ParseSummary(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Delivered == 0 {
+		t.Errorf("trace run delivered no packets: %s", plain)
 	}
 }
 

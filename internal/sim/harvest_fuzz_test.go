@@ -59,6 +59,9 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 		0, 0, 4, 3, 8, // 4 cycles in the past: deferred to the next
 		11,
 	})
+	// Before the first harvest: a fresh wheel's clock is -1, so a schedule
+	// into the past lands at cycle 0, the first cycle harvested.
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 11})
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := NewRNG(seed)
 		script := make([]byte, 1024)
@@ -92,7 +95,7 @@ func FuzzWheelHarvestOrder(f *testing.F) {
 		var (
 			due      = map[Cycle][]Entry{} // the model: pending entries by cycle
 			keys     = []uint32{0}
-			now      Cycle
+			now      = Cycle(-1) // a fresh wheel's clock
 			seq      uint64
 			restored bool
 		)

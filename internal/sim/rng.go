@@ -95,8 +95,8 @@ func (r *RNG) SetState(st RNGState) {
 // Stream identifiers for the simulator's top-level derived RNG streams.
 // Every stochastic subsystem draws from its own stream derived from the one
 // scenario seed, so enabling one subsystem (e.g. fault injection) never
-// perturbs the draws of another (traffic, routing): the whole simulation
-// stays a function of (seed, configuration) with no cross-talk.
+// perturbs the draws of another (traffic): the whole simulation stays a
+// function of (seed, configuration) with no cross-talk.
 const (
 	// StreamTraffic feeds the traffic generators. It is stream 0, which is
 	// defined to be identical to NewRNG(seed), preserving the byte-exact
@@ -105,14 +105,12 @@ const (
 	// StreamFault feeds the fault injector (which forks one sub-stream per
 	// link from it).
 	StreamFault uint64 = 1
-	// StreamRouting is reserved for randomized routing decisions (none of
-	// the current routing functions draw, but any future one must use it).
-	StreamRouting uint64 = 2
 	// StreamDSE feeds the design-space-exploration samplers (random, TPE,
 	// successive halving). It is outside the per-run streams on purpose:
 	// the search draws are a function of the *study* seed, so the trials a
 	// study proposes never depend on — and never perturb — any single
-	// trial's simulation draws.
+	// trial's simulation draws. It stays 3 with stream 2 unused:
+	// renumbering it would move every study's draws.
 	StreamDSE uint64 = 3
 )
 

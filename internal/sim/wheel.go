@@ -71,7 +71,9 @@ type Wheel struct {
 	handlers []Event
 }
 
-// NewWheel returns a wheel with the given power-of-two bucket count.
+// NewWheel returns a wheel with the given power-of-two bucket count. Its
+// clock, the last harvested cycle, starts at -1: nothing has run yet, so an
+// event may be scheduled for cycle 0.
 func NewWheel(size int) *Wheel {
 	if size <= 0 || size&(size-1) != 0 {
 		panic("sim: wheel size must be a positive power of two")
@@ -80,6 +82,7 @@ func NewWheel(size int) *Wheel {
 		buckets:  make([][]Entry, size),
 		occ:      make([]uint64, (size+63)/64),
 		mask:     Cycle(size - 1),
+		now:      -1,
 		horizon:  Cycle(size),
 		handlers: make([]Event, 1),
 	}

@@ -328,20 +328,22 @@ func recLess(a, b Record) bool {
 	return a.Src < b.Src
 }
 
-// Playback replays a stored trace as a traffic.Generator. Records must be
-// time-sorted (as produced by Materialise/Read).
+// Playback replays a stored trace as a traffic.Generator. Next is a pure
+// function of (node, after), so a checkpointed run resumes its replay
+// without any playback state in the snapshot.
 type Playback struct {
-	// perNode[n] holds node n's records in time order.
+	// perNode[n] holds node n's records in time order, with times nudged
+	// strictly increasing (see NewPlayback).
 	perNode [][]Record
-	cursor  []int
 }
 
 // NewPlayback indexes recs (any order) for playback across `nodes` nodes.
+// Multiple records at the same cycle from one source are preserved: the
+// later ones are nudged forward one cycle at a time (At[i] = max(At[i],
+// At[i-1]+1), and no record before cycle 0), so each node's times are
+// strictly increasing, as the Generator contract requires.
 func NewPlayback(recs []Record, nodes int) (*Playback, error) {
-	p := &Playback{
-		perNode: make([][]Record, nodes),
-		cursor:  make([]int, nodes),
-	}
+	p := &Playback{perNode: make([][]Record, nodes)}
 	for _, r := range recs {
 		if r.Src < 0 || int(r.Src) >= nodes {
 			return nil, fmt.Errorf("trace: record source %d outside [0,%d)", r.Src, nodes)
@@ -362,24 +364,23 @@ func NewPlayback(recs []Record, nodes int) (*Playback, error) {
 				break
 			}
 		}
+		prev := sim.Cycle(-1)
+		for i := range rs {
+			rs[i].At = max(rs[i].At, prev+1)
+			prev = rs[i].At
+		}
 	}
 	return p, nil
 }
 
-// Next implements traffic.Generator. Multiple records at the same cycle
-// from one source are preserved: the later ones are nudged forward one
-// cycle at a time to satisfy the strictly-after contract.
+// Next implements traffic.Generator: node's first record after cycle
+// after.
 func (p *Playback) Next(node int, after sim.Cycle, rng *sim.RNG) (sim.Cycle, int, int, bool) {
 	rs := p.perNode[node]
-	i := p.cursor[node]
-	if i >= len(rs) {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].At > after })
+	if i == len(rs) {
 		return 0, 0, 0, false
 	}
-	p.cursor[node] = i + 1
 	r := rs[i]
-	at := r.At
-	if at <= after {
-		at = after + 1
-	}
-	return at, int(r.Dst), int(r.Size), true
+	return r.At, int(r.Dst), int(r.Size), true
 }

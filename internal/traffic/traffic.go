@@ -71,8 +71,9 @@ func (u *Uniform) Next(node int, after sim.Cycle, rng *sim.RNG) (sim.Cycle, int,
 }
 
 // Stoppable wraps an open-loop Generator with a closed-loop stop switch:
-// after Stop, Next reports no further injections for every node, so the
-// network's injection heap drains and Quiescent becomes reachable. Tests
+// after Stop, Next reports no further injections for every node, so each
+// NIC's last pending arrival fires without scheduling another and the
+// network's Quiescent becomes reachable. Tests
 // use it to assert an exact drain (injected == delivered) instead of
 // bounding the in-flight tail of an endless generator.
 type Stoppable struct {
