@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race shuffle lint vet staticcheck optolint lint-mutation simdebug perfbench ci bench-snapshot dse-smoke identity
+.PHONY: all build test race shuffle lint vet staticcheck optolint lint-mutation simdebug perfbench ci bench-snapshot dse-smoke identity inline-diff
 
 all: build test
 
@@ -125,3 +125,25 @@ identity:
 			echo "identity: optosim $$run differs from $(BASE)"; exit 1; \
 		fi; \
 	done && echo "identity: byte-identical to $(BASE)"
+
+# inline-diff checks that the working tree keeps every hot-path inlining
+# decision BASE (default HEAD) had: it builds the sim-core packages with
+# -gcflags=-m=2 from `git archive $(BASE)` and from the working tree, and
+# fails on any function present in both that BASE inlined and the working
+# tree reports as `cannot inline` (a cost pushed over the budget, say).
+#   make inline-diff BASE=<rev>
+INLINE_PKGS = ./internal/sim ./internal/router ./internal/powerlink ./internal/network ./internal/policy
+INLINE_DECISIONS = sed -n -E \
+	-e 's\#^(\./)?(.+)/[^/]+\.go:[0-9]+:[0-9]+: can inline ([^ ]+) with (cost [0-9]+).*\#\2 \3	can	\4\#p' \
+	-e 's\#^(\./)?(.+)/[^/]+\.go:[0-9]+:[0-9]+: cannot inline ([^ :]+): (.*)\#\2 \3	cannot	\4\#p'
+
+inline-diff:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -gcflags=-m=2 $(INLINE_PKGS) 2>&1) | $(INLINE_DECISIONS) > "$$tmp/base.txt" && \
+	$(GO) build -gcflags=-m=2 $(INLINE_PKGS) 2>&1 | $(INLINE_DECISIONS) > "$$tmp/work.txt" && \
+	test -s "$$tmp/base.txt" && test -s "$$tmp/work.txt" && \
+	awk -F '\t' 'NR == FNR { if ($$2 == "can") base[$$1] = $$3; next } \
+		$$2 == "cannot" && ($$1 in base) { printf "inline-diff: %s inlined at $(BASE) (%s), now %s\n", $$1, base[$$1], $$3; bad = 1 } \
+		END { exit bad }' "$$tmp/base.txt" "$$tmp/work.txt" && \
+	echo "inline-diff: every function $(BASE) inlined is still inlined ($$(grep -c '	can	' "$$tmp/work.txt") inlinable)"

@@ -7,9 +7,11 @@
 // half-restored simulation.
 //
 // The payload is gob-encoded caller state (typically *core.State or
-// *network.State); the fixed header additionally records the snapshot
-// cycle so a supervisor can pick the newest checkpoint without decoding
-// megabytes of wheel state.
+// *network.State); the fixed header additionally records a digest of the
+// payload's type tree, so a file written by a build whose state records
+// had other fields is refused rather than decoded into them, and the
+// snapshot cycle, so a supervisor can pick the newest checkpoint without
+// decoding megabytes of wheel state.
 package checkpoint
 
 import (
@@ -19,11 +21,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"sync"
 )
 
 // Magic identifies a checkpoint file.
@@ -43,17 +48,21 @@ const Magic = "OPTOCKPT"
 // Version 6: each source's next packet is a NIC field whose arrival is a
 // wheel entry, so the shards' injection lists and the unused routing
 // stream are gone; gob would drop a version-5 file's pending injections
-// without error, leaving every source silent.
-const Version uint32 = 6
+// without error, leaving every source silent. Version 7: the header
+// carries the payload's schema digest after the version, and the live
+// components keep their mutable fields in the state records themselves,
+// which moved fields between records.
+const Version uint32 = 7
 
-// headerLen is the fixed prefix: magic(8) + version(4) + cycle(8) +
-// payload length(8) + payload CRC(4).
-const headerLen = 8 + 4 + 8 + 8 + 4
+// headerLen is the fixed prefix: magic(8) + version(4) + schema digest(8)
+// + cycle(8) + payload length(8) + payload CRC(4).
+const headerLen = 8 + 4 + 8 + 8 + 8 + 4
 
 var (
 	// ErrNotCheckpoint marks a file without the checkpoint magic.
 	ErrNotCheckpoint = errors.New("checkpoint: not a checkpoint file")
-	// ErrVersion marks a checkpoint from a different format version.
+	// ErrVersion marks a checkpoint from a different format version, or
+	// one whose payload type tree differs from the decode target's.
 	ErrVersion = errors.New("checkpoint: unsupported format version")
 	// ErrCorrupt marks a truncated or bit-flipped checkpoint (length or
 	// CRC mismatch, or an undecodable payload).
@@ -76,14 +85,15 @@ func Encode(w io.Writer, cycle int64, state any) error {
 	hdr := make([]byte, headerLen)
 	copy(hdr, Magic)
 	binary.BigEndian.PutUint32(hdr[8:], Version)
-	binary.BigEndian.PutUint64(hdr[12:], uint64(cycle))
-	binary.BigEndian.PutUint64(hdr[20:], uint64(payload.Len()))
+	binary.BigEndian.PutUint64(hdr[12:], schemaDigest(reflect.TypeOf(state)))
+	binary.BigEndian.PutUint64(hdr[20:], uint64(cycle))
+	binary.BigEndian.PutUint64(hdr[28:], uint64(payload.Len()))
 	// The CRC covers the header fields before it plus the payload, so a bit
 	// flip anywhere in the file (including the snapshot cycle) is caught.
 	crc := crc32.NewIEEE()
 	crc.Write(hdr[:headerLen-4])
 	crc.Write(payload.Bytes())
-	binary.BigEndian.PutUint32(hdr[28:], crc.Sum32())
+	binary.BigEndian.PutUint32(hdr[headerLen-4:], crc.Sum32())
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -92,8 +102,9 @@ func Encode(w io.Writer, cycle int64, state any) error {
 }
 
 // Decode parses a checkpoint from b into state (a pointer to the same
-// type that was encoded). The payload CRC is verified before any decoding
-// happens, so state is untouched unless the bytes are intact.
+// type that was encoded). The payload CRC and the schema digest are
+// verified before any decoding happens, so state is untouched unless the
+// bytes are intact and were encoded from the same type tree.
 func Decode(b []byte, state any) (Info, error) {
 	if len(b) < headerLen {
 		return Info{}, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(b), headerLen)
@@ -103,13 +114,13 @@ func Decode(b []byte, state any) (Info, error) {
 	}
 	info := Info{
 		Version: binary.BigEndian.Uint32(b[8:]),
-		Cycle:   int64(binary.BigEndian.Uint64(b[12:])),
+		Cycle:   int64(binary.BigEndian.Uint64(b[20:])),
 	}
 	if info.Version != Version {
 		return Info{}, fmt.Errorf("%w: file is v%d, reader is v%d", ErrVersion, info.Version, Version)
 	}
-	plen := binary.BigEndian.Uint64(b[20:])
-	want := binary.BigEndian.Uint32(b[28:])
+	plen := binary.BigEndian.Uint64(b[28:])
+	want := binary.BigEndian.Uint32(b[headerLen-4:])
 	payload := b[headerLen:]
 	if uint64(len(payload)) != plen {
 		return Info{}, fmt.Errorf("%w: header says %d payload bytes, file has %d", ErrCorrupt, plen, len(payload))
@@ -120,10 +131,75 @@ func Decode(b []byte, state any) (Info, error) {
 	if got := crc.Sum32(); got != want {
 		return Info{}, fmt.Errorf("%w: CRC %08x, header says %08x", ErrCorrupt, got, want)
 	}
+	// Gob matches fields by name and leaves unmatched ones zero, so a
+	// payload from another type tree would decode without error.
+	if file, reader := binary.BigEndian.Uint64(b[12:]), schemaDigest(reflect.TypeOf(state)); file != reader {
+		return Info{}, fmt.Errorf("%w: file schema %016x, reader schema %016x", ErrVersion, file, reader)
+	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(state); err != nil {
 		return Info{}, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
 	}
 	return info, nil
+}
+
+// digests caches schemaDigest per type.
+var digests sync.Map // reflect.Type -> uint64
+
+// schemaDigest hashes the type tree gob encodes for values of type t:
+// every sent struct field's name, in declaration order, with its kind and,
+// recursively, its element, key and field types. Pointers are transparent
+// to gob and to the digest; type names are not part of either.
+func schemaDigest(t reflect.Type) uint64 {
+	if d, ok := digests.Load(t); ok {
+		return d.(uint64)
+	}
+	h := fnv.New64a()
+	writeSchema(h, t, make(map[reflect.Type]bool))
+	d := h.Sum64()
+	digests.Store(t, d)
+	return d
+}
+
+// writeSchema writes t's tree to w; open holds the structs being written,
+// so a recursive type is written once.
+func writeSchema(w io.Writer, t reflect.Type, open map[reflect.Type]bool) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	fmt.Fprintf(w, "%s(", t.Kind())
+	switch t.Kind() {
+	case reflect.Struct:
+		if open[t] {
+			break
+		}
+		open[t] = true
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); gobSent(f) {
+				fmt.Fprintf(w, "%s:", f.Name)
+				writeSchema(w, f.Type, open)
+			}
+		}
+		delete(open, t)
+	case reflect.Array:
+		fmt.Fprintf(w, "%d:", t.Len())
+		writeSchema(w, t.Elem(), open)
+	case reflect.Slice:
+		writeSchema(w, t.Elem(), open)
+	case reflect.Map:
+		writeSchema(w, t.Key(), open)
+		writeSchema(w, t.Elem(), open)
+	}
+	io.WriteString(w, ")")
+}
+
+// gobSent mirrors gob's field filter: exported, and neither a channel nor
+// a function (nor a pointer to one).
+func gobSent(f reflect.StructField) bool {
+	t := f.Type
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return f.IsExported() && t.Kind() != reflect.Chan && t.Kind() != reflect.Func
 }
 
 // Save atomically writes a checkpoint file: the bytes are staged in a

@@ -145,3 +145,44 @@ func TestRotationAndLoadLatest(t *testing.T) {
 		t.Errorf("empty dir: got %v, want fs.ErrNotExist", err)
 	}
 }
+
+// TestDecodeRejectsSchemaChange: a payload decoded into a type whose tree
+// differs from the encoded one — a field added or renamed — is refused
+// with ErrVersion instead of decoding with fields silently zeroed, while
+// the same tree under another type name still decodes.
+func TestDecodeRejectsSchemaChange(t *testing.T) {
+	var buf bytes.Buffer
+	want := samplePayload()
+	if err := Encode(&buf, want.Cycle, &want); err != nil {
+		t.Fatal(err)
+	}
+	type added struct {
+		Cycle  int64
+		Name   string
+		Floats []float64
+		Nested map[string][]int64
+		Extra  int
+	}
+	type renamed struct {
+		Cycle  int64
+		Label  string
+		Floats []float64
+		Nested map[string][]int64
+	}
+	type same struct {
+		Cycle  int64
+		Name   string
+		Floats []float64
+		Nested map[string][]int64
+	}
+	if _, err := Decode(buf.Bytes(), &added{}); !errors.Is(err, ErrVersion) {
+		t.Errorf("field added: got %v, want ErrVersion", err)
+	}
+	if _, err := Decode(buf.Bytes(), &renamed{}); !errors.Is(err, ErrVersion) {
+		t.Errorf("field renamed: got %v, want ErrVersion", err)
+	}
+	var got same
+	if _, err := Decode(buf.Bytes(), &got); err != nil || got.Name != want.Name {
+		t.Errorf("same tree: got %+v, %v", got, err)
+	}
+}

@@ -136,6 +136,7 @@ func Run(cfg network.Config, gen traffic.Generator, warmup, measure sim.Cycle) (
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Net.Close()
 	s.Warmup(warmup)
 	return s.Measure(measure), nil
 }
@@ -173,6 +174,7 @@ func RunSeries(cfg network.Config, gen traffic.Generator, total, bucket sim.Cycl
 	if err != nil {
 		return Result{}, TimeSeries{}, err
 	}
+	defer s.Net.Close()
 	lat := stats.NewBucketed(bucket)
 	s.Net.OnDeliver = func(now sim.Cycle, p *router.Packet, l sim.Cycle) {
 		lat.Add(now, float64(l))

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -162,4 +164,31 @@ func TestSystemConfigAccessor(t *testing.T) {
 		t.Error("Config accessor mismatch")
 	}
 	var _ sim.Cycle = s.Net.Now()
+}
+
+// TestRunClosesShardPool: Run and RunSeries at Shards > 1 close the
+// network they build, so their K-1 pool workers exit instead of leaking
+// one set per run. Workers leave asynchronously after the close, so the
+// goroutine count is polled for up to a second.
+func TestRunClosesShardPool(t *testing.T) {
+	cfg := network.DefaultConfig()
+	cfg.MeshW, cfg.MeshH = 4, 4
+	cfg.NodesPerRack = 2
+	cfg.Shards = 2
+	start := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if _, err := Run(cfg, traffic.NewUniform(cfg.Nodes(), 0.5, 5), 200, 800); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := RunSeries(cfg, traffic.NewUniform(cfg.Nodes(), 0.5, 5), 1_000, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > start {
+		t.Errorf("%d goroutines after six sharded runs, %d before: pool workers leaked", got, start)
+	}
 }

@@ -47,6 +47,7 @@ func FaultsInstrumented(s Scale, fc fault.Config, tc telemetry.Config) ([]FaultR
 		if err != nil {
 			return FaultRow{}, nil, err
 		}
+		defer sys.Net.Close()
 		sys.Warmup(s.Warmup)
 		r := sys.Measure(s.Measure)
 		if r.Packets == 0 {

@@ -2,38 +2,25 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/fleet"
 )
 
 // sweep runs f(i) for i in [0, n) on up to NumCPU workers and returns the
 // results in index order. Simulation runs are independent, deterministic
-// given their config, and CPU-bound, so sweeps parallelise perfectly. Work is
-// claimed via an atomic index rather than a channel: with 30+-point sweeps
-// whose points finish at very different times, channel handoff serialises
-// dispatch on the sender, while an atomic fetch-add lets every worker
-// self-serve. Every index runs; if any fails, sweep returns the error of the
-// lowest failing index, so the error reported does not depend on scheduling.
+// given their config, and CPU-bound, so sweeps parallelise perfectly; the
+// workers are fleet.Run's, which claim indices from an atomic counter.
+// Every index runs once, without retries; if any fails, sweep returns the
+// error of the lowest failing index, so the error reported does not depend
+// on scheduling.
 func sweep[T any](n int, f func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	failed := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.NumCPU(), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], failed[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range failed {
+	errs := fleet.Run(fleet.Config{Workers: runtime.NumCPU()}, n, func(i, _ int) error {
+		var err error
+		out[i], err = f(i)
+		return err
+	}, nil)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}

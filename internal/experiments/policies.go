@@ -143,6 +143,7 @@ func runPolicyCell(s Scale, sc PolicyScenario, kind policy.Kind, dvsOracle *poli
 	if err != nil {
 		return PolicyRow{}, nil, err
 	}
+	defer sys.Net.Close()
 	sys.Warmup(s.Warmup)
 	r := sys.Measure(s.Measure)
 	if r.Packets == 0 {

@@ -65,6 +65,7 @@ func RerouteInstrumented(s Scale, tc telemetry.Config) (RerouteResult, *telemetr
 		if err != nil {
 			return nil, err
 		}
+		defer n.Close()
 		n.RunTo(s.Warmup)
 		n.SetMeasureFrom(s.Warmup)
 		n.RunTo(s.Warmup + s.Measure)

@@ -255,9 +255,10 @@ func (n *Network) shardOfRouter(r int) int {
 // Shards returns the configured shard count the core is running with.
 func (n *Network) Shards() int { return len(n.shards) }
 
-// Close releases the worker pool. Safe to call multiple times; required in
-// tests that build many sharded networks (the CLI's workers die with the
-// process).
+// Close releases the worker pool of a sharded network (Shards > 1), whose
+// K-1 workers otherwise outlive the run. Whoever builds a network closes
+// it once it stops stepping; the network stays readable afterwards. Safe
+// to call more than once, and a no-op at one shard.
 func (n *Network) Close() {
 	if n.runner != nil {
 		n.runner.Close()
