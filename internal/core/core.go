@@ -57,9 +57,7 @@ type Result struct {
 type System struct {
 	Net *network.Network
 	cfg network.Config
-
-	warmupEnergy       float64
-	warmupFabricEnergy float64
+	st  MeterState
 }
 
 // NewSystem builds a system from cfg and gen.
@@ -102,7 +100,7 @@ func (s *System) Measure(m sim.Cycle) Result {
 
 func (s *System) resultAt(end sim.Cycle) Result {
 	dur := end - s.Net.MeasureFrom()
-	energy := s.Net.LinkEnergyJ() - s.warmupEnergy
+	energy := s.Net.LinkEnergyJ() - s.st.WarmupEnergy
 	baseline := s.cfg.BaselinePowerW() * dur.Seconds()
 	r := Result{
 		MeanLatencyCycles:     s.Net.MeanLatency(),
@@ -122,7 +120,7 @@ func (s *System) resultAt(end sim.Cycle) Result {
 	}
 	if links := s.cfg.InterRouterLinks(); links > 0 && dur > 0 {
 		fabricBaseline := s.cfg.BaselinePowerW() / float64(s.cfg.TotalLinks()) * float64(links) * dur.Seconds()
-		r.FabricNormPower = (s.Net.FabricEnergyJ() - s.warmupFabricEnergy) / fabricBaseline
+		r.FabricNormPower = (s.Net.FabricEnergyJ() - s.st.WarmupFabricEnergy) / fabricBaseline
 	}
 	if dur > 0 {
 		r.AvgThroughputPktsPerCycle = float64(r.Packets) / float64(dur)

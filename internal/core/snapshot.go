@@ -5,14 +5,20 @@ import (
 	"repro/internal/sim"
 )
 
-// State is the checkpointable state of a System: the network snapshot plus
-// the measurement-protocol bookkeeping that lives outside the network. The
-// measured window's start is the network's own (network.State.MeasureFrom).
-type State struct {
-	Net *network.State
-
+// MeterState is the measurement protocol's record: the link energy, over
+// all links and over the router-to-router links, already consumed when the
+// measured window opened. The window's start is the network's own
+// (network.State.MeasureFrom).
+type MeterState struct {
 	WarmupEnergy       float64
 	WarmupFabricEnergy float64
+}
+
+// State is the checkpointable state of a System: the network snapshot plus
+// the system's record.
+type State struct {
+	Net *network.State
+	MeterState
 }
 
 // ExportState captures the system's complete state. Must be called between
@@ -22,11 +28,7 @@ func (s *System) ExportState() (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &State{
-		Net:                ns,
-		WarmupEnergy:       s.warmupEnergy,
-		WarmupFabricEnergy: s.warmupFabricEnergy,
-	}, nil
+	return &State{Net: ns, MeterState: s.st}, nil
 }
 
 // RestoreState overwrites a freshly constructed System (same Config and
@@ -37,8 +39,7 @@ func (s *System) RestoreState(st *State) error {
 	if err := s.Net.RestoreState(st.Net); err != nil {
 		return err
 	}
-	s.warmupEnergy = st.WarmupEnergy
-	s.warmupFabricEnergy = st.WarmupFabricEnergy
+	s.st = st.MeterState
 	return nil
 }
 
@@ -54,8 +55,7 @@ func (s *System) RunTo(c sim.Cycle) { s.Net.RunTo(c) }
 func (s *System) StartMeasure() {
 	now := s.Net.Now()
 	s.Net.SetMeasureFrom(now)
-	s.warmupEnergy = s.Net.LinkEnergyJ()
-	s.warmupFabricEnergy = s.Net.FabricEnergyJ()
+	s.st = MeterState{WarmupEnergy: s.Net.LinkEnergyJ(), WarmupFabricEnergy: s.Net.FabricEnergyJ()}
 }
 
 // ResultAt computes the standard result for a measured window ending at end.

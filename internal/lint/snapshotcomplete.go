@@ -33,6 +33,14 @@ import (
 // on or above the field declaration. A derived marker on a field the
 // analyzer does not flag is itself reported (see AllowRule), so the
 // annotations cannot outlive the design they describe.
+//
+// Most components keep their pointer-free state in an exported …State
+// record that is live storage and checkpoint at once (DESIGN.md §6h): the
+// live struct holds it as one field, export copies that field whole and
+// restore assigns it whole. A field added to such a record is
+// checkpointed by construction, so the analyzer's work is the state
+// outside the records: references, contents, wiring, and components
+// without a record.
 var SnapshotCompleteAnalyzer = &Analyzer{
 	Name: "snapshotcomplete",
 	Doc: "every mutable field of a checkpointed struct must be written by " +
@@ -196,9 +204,10 @@ func (sc *snapshotCheck) findRoots(snapFiles []*ast.File) []*types.Named {
 	return roots
 }
 
-// skipStructName excludes the serialization DTOs and static configuration
-// from the live-struct closure: *State mirrors are the snapshot, *Config is
-// immutable input.
+// skipStructName excludes the checkpoint records and static configuration
+// from the live-struct closure: a *State record is the snapshot, and for
+// most components also the live storage, whose whole-record copy in
+// export and restore carries every field; *Config is immutable input.
 func skipStructName(name string) bool {
 	return strings.HasSuffix(name, "State") || strings.HasSuffix(name, "Config")
 }

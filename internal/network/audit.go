@@ -27,8 +27,8 @@ import (
 func (n *Network) Audit() error {
 	err := n.audit()
 	if err != nil && n.telem != nil {
-		n.telem.Record(telemetry.Event{At: n.now, Kind: telemetry.EventAuditFail, Link: -1, Router: -1})
-		n.telem.TriggerDump(n.now, "audit_fail")
+		n.telem.Record(telemetry.Event{At: n.st.Now, Kind: telemetry.EventAuditFail, Link: -1, Router: -1})
+		n.telem.TriggerDump(n.st.Now, "audit_fail")
 	}
 	return err
 }

@@ -27,7 +27,7 @@ func TestLinkFailureAtCycleZero(t *testing.T) {
 		t.Fatalf("link %d is not down at cycle 0", li)
 	}
 	ref := n.meshRef[li]
-	if n.rec.live[ref.r][ref.dir] {
+	if n.rec.st.Live[ref.r][ref.dir] {
 		t.Errorf("recovery still counts link %d live after cycle 0", li)
 	}
 	var downs []telemetry.Event

@@ -70,29 +70,18 @@ type Network struct {
 	meshLink [][4]int
 	meshRef  []meshPos
 
-	now sim.Cycle
+	// st is the network's clock record (see ClockState). The per-packet
+	// counters live in the shards' records and are merged by totals.
+	st ClockState
 
-	// nextPolicyTick caches the next cycle at which the policy controllers
-	// run (never when the network has none), replacing a per-cycle modulo
-	// and bounding how far fast-forward may skip.
-	nextPolicyTick sim.Cycle
-
-	// Fast-forward state: RunTo and RunUntilQuiescent skip idle gaps unless
-	// disabled (see SetFastForward). Skips and skipped cycles are counted
-	// for diagnostics and tests.
+	// Fast-forward: RunTo and RunUntilQuiescent skip idle gaps unless
+	// disabled (see SetFastForward).
 	//optolint:derived run-mode toggle, not simulated state: FF on and off are result-equivalent by construction
 	ffDisabled bool
-	ffSkips    int64
-	ffCycles   int64
-
-	// Measurement state. The per-packet counters live on the shards (see
-	// shard.go) and are summed by the accessors; only the warm-up boundary
-	// lives here.
-	measureFrom sim.Cycle
 
 	// Coordinator scratch, reused across cycles and summaries.
-	qHist        stats.Histogram // merged-quantile scratch
-	levelScratch []int           // LevelHistogram buckets, allocated at build
+	sum          Counters // totals' merged record
+	levelScratch []int    // LevelHistogram buckets, allocated at build
 	//optolint:derived drain scratch, reused across cycles, never holds state across a step boundary
 	flightScratch []telemetry.Event // flight-spool drain scratch
 	//optolint:derived drain scratch, reused across cycles, never holds state across a step boundary
@@ -146,7 +135,7 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 	n.shardWidth = cfg.MeshW / K
 	n.shards = make([]*shard, K)
 	for i := range n.shards {
-		s := &shard{n: n, idx: i, latMin: -1}
+		s := &shard{n: n, idx: i, st: Counters{LatMin: -1}}
 		n.shards[i] = s
 		n.tasks = append(n.tasks, func() { s.runCycle(n.stepNow) })
 	}
@@ -333,9 +322,9 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		return nil, fmt.Errorf("network: wired %d links, expected %d", len(n.channels), cfg.TotalLinks())
 	}
 
-	n.nextPolicyTick = neverCycle
+	n.st.NextPolicyTick = neverCycle
 	if len(n.controllers) > 0 {
-		n.nextPolicyTick = cfg.Policy.Window
+		n.st.NextPolicyTick = cfg.Policy.Window
 		if cfg.Policy.RecordTrace {
 			n.policyRec = policy.NewRecorder(cfg.Policy.Window, len(n.controllers))
 		}
@@ -400,8 +389,8 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		}
 		for _, nc := range n.nics {
 			nc.pull(-1)
-			if nc.next.size > 0 {
-				n.wheel.Schedule(nc.next.created, nc.selfKey, nc.arriveH)
+			if nc.st.Next.Size > 0 {
+				n.wheel.Schedule(nc.st.Next.Created, nc.selfKey, nc.arriveH)
 			}
 		}
 	}
@@ -509,29 +498,29 @@ type meshPos struct {
 func (n *Network) sinkDeliver(out *router.Output, s *shard) router.DeliverFunc {
 	return func(now sim.Cycle, f router.FlitRef) {
 		out.ReturnCredit(now, int(f.VC))
-		s.deliveredFlits++
-		if f.IsHead() && f.Pkt.CreatedAt >= n.measureFrom {
+		s.st.DeliveredFlits++
+		if f.IsHead() && f.Pkt.CreatedAt >= n.st.MeasureFrom {
 			// Head-arrival latency, kept alongside the paper's stated
 			// creation-to-tail-ejection metric; see EXPERIMENTS.md.
-			s.headLatCount++
-			s.headLatSum += int64(now - f.Pkt.CreatedAt)
+			s.st.HeadLatCount++
+			s.st.HeadLatSum += int64(now - f.Pkt.CreatedAt)
 		}
 		if !f.IsTail() {
 			return
 		}
 		p := f.Pkt
 		lat := now - p.CreatedAt
-		s.deliveredPkts++
-		if p.CreatedAt >= n.measureFrom {
-			s.latCount++
-			s.latSum += int64(lat)
-			if s.latMin < 0 || lat < s.latMin {
-				s.latMin = lat
+		s.st.DeliveredPkts++
+		if p.CreatedAt >= n.st.MeasureFrom {
+			s.st.LatCount++
+			s.st.LatSum += int64(lat)
+			if s.st.LatMin < 0 || lat < s.st.LatMin {
+				s.st.LatMin = lat
 			}
-			if lat > s.latMax {
-				s.latMax = lat
+			if lat > s.st.LatMax {
+				s.st.LatMax = lat
 			}
-			s.latHist.Record(lat)
+			s.st.LatHist.Record(lat)
 			if n.telemLat != nil {
 				s.latVals = append(s.latVals, lat)
 			}
@@ -549,7 +538,7 @@ func (n *Network) sinkDeliver(out *router.Output, s *shard) router.DeliverFunc {
 // of the shard count, so results are bit-identical for all K (DESIGN.md
 // §6g).
 func (n *Network) Step() {
-	now := n.now
+	now := n.st.Now
 	n.stepNow = now
 
 	// 1. Harvest the cycle's events in canonical (Key, Seq) order. The
@@ -603,7 +592,7 @@ func (n *Network) Step() {
 	// 5. Policy windows. The trace recorder observes first — the window's
 	// demand and margin ceiling as the policy itself saw them, before any
 	// tick-driven level change moves the margin.
-	if now == n.nextPolicyTick {
+	if now == n.st.NextPolicyTick {
 		if n.policyRec != nil {
 			for i, c := range n.controllers {
 				n.policyRec.Observe(i, n.ctrlChans[i].Flits(), policy.MaxSafeLevel(now, c.Link(), n.cfg.Policy.MaxBER))
@@ -612,7 +601,7 @@ func (n *Network) Step() {
 		for _, c := range n.controllers {
 			c.Tick(now)
 		}
-		n.nextPolicyTick += n.cfg.Policy.Window
+		n.st.NextPolicyTick += n.cfg.Policy.Window
 	}
 
 	// 6. Telemetry spools — after the policy tick, which can itself emit
@@ -641,7 +630,7 @@ func (n *Network) Step() {
 		}
 	}
 
-	n.now = now + 1
+	n.st.Now = now + 1
 }
 
 // drainDownNotes applies the shards' spooled link escalations in global
@@ -724,7 +713,7 @@ const debugAuditEvery = 2048
 // neverCycle is a cycle no simulation reaches; used for "no next event".
 const neverCycle = sim.Cycle(math.MaxInt64)
 
-// nextWorkAt returns the earliest cycle in [n.now, limit] at which anything
+// nextWorkAt returns the earliest cycle in [n.st.Now, limit] at which anything
 // can happen: a scheduled wheel event (packet arrivals included) or a
 // policy-window tick. When the NIC and output work lists are empty, every
 // cycle before that point is a no-op and may be skipped.
@@ -733,11 +722,11 @@ func (n *Network) nextWorkAt(limit sim.Cycle) sim.Cycle {
 	if at, ok := n.wheel.NextEventAt(); ok && at < next {
 		next = at
 	}
-	if n.nextPolicyTick < next {
-		next = n.nextPolicyTick
+	if n.st.NextPolicyTick < next {
+		next = n.st.NextPolicyTick
 	}
-	if next < n.now {
-		next = n.now
+	if next < n.st.Now {
+		next = n.st.Now
 	}
 	return next
 }
@@ -761,19 +750,19 @@ func (n *Network) skipIdleTo(limit sim.Cycle) bool {
 	}
 	// A one-cycle skip cannot pay for the wheel occupancy scan inside
 	// nextWorkAt, so a policy tick due by the next cycle bails out first.
-	if n.nextPolicyTick <= n.now+1 {
+	if n.st.NextPolicyTick <= n.st.Now+1 {
 		return false
 	}
 	next := n.nextWorkAt(limit)
-	if next <= n.now {
+	if next <= n.st.Now {
 		return false
 	}
 	// Keep the wheel's clock one cycle behind the network's, exactly as
 	// cycle-by-cycle stepping would leave it.
 	n.wheel.SkipTo(next - 1)
-	n.ffSkips++
-	n.ffCycles += int64(next - n.now)
-	n.now = next
+	n.st.FFSkips++
+	n.st.FFCycles += int64(next - n.st.Now)
+	n.st.Now = next
 	return true
 }
 
@@ -781,7 +770,7 @@ func (n *Network) skipIdleTo(limit sim.Cycle) bool {
 // (disable with SetFastForward(false) to force cycle-by-cycle stepping;
 // results are bit-identical either way).
 func (n *Network) RunTo(t sim.Cycle) {
-	for n.now < t {
+	for n.st.Now < t {
 		if n.skipIdleTo(t) {
 			continue
 		}
@@ -797,16 +786,17 @@ func (n *Network) RunTo(t sim.Cycle) {
 // quiesces. Telemetry's wheel events (the recurring sampler, future fault
 // markers) are subtracted: they observe the simulation, they are not work.
 func (n *Network) Quiescent() bool {
-	var injected, delivered int64
+	var open int64 // packets injected and neither delivered nor dropped
 	for _, s := range n.shards {
 		if len(s.activeNICs) > 0 || len(s.activeOuts) > 0 {
 			return false
 		}
-		injected += s.injectedPkts
-		delivered += s.deliveredPkts
+		open += s.st.InjectedPkts - s.st.DeliveredPkts - s.st.UnreachableDrops
 	}
-	return delivered+n.DroppedPackets() == injected &&
-		n.wheel.Pending() == n.telemPending()
+	if n.rec != nil {
+		open -= n.rec.st.WdDrops
+	}
+	return open == 0 && n.wheel.Pending() == n.telemPending()
 }
 
 // RunUntilQuiescent advances the simulation until it quiesces or reaches
@@ -814,7 +804,7 @@ func (n *Network) Quiescent() bool {
 // replaces hand-rolled drain loops: run traffic, then call this to let
 // in-flight packets, credit returns, and wake-ups settle.
 func (n *Network) RunUntilQuiescent(deadline sim.Cycle) bool {
-	for n.now < deadline && !n.Quiescent() {
+	for n.st.Now < deadline && !n.Quiescent() {
 		if n.skipIdleTo(deadline) {
 			continue
 		}
@@ -830,11 +820,11 @@ func (n *Network) SetFastForward(enabled bool) { n.ffDisabled = !enabled }
 // FastForwardStats returns how many idle skips RunTo has taken and how many
 // cycles they covered.
 func (n *Network) FastForwardStats() (skips, cycles int64) {
-	return n.ffSkips, n.ffCycles
+	return n.st.FFSkips, n.st.FFCycles
 }
 
 // Now returns the current cycle.
-func (n *Network) Now() sim.Cycle { return n.now }
+func (n *Network) Now() sim.Cycle { return n.st.Now }
 
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -842,118 +832,97 @@ func (n *Network) Config() Config { return n.cfg }
 // SetMeasureFrom discards latency statistics for packets created before t
 // (warm-up exclusion) and resets the aggregate latency counters.
 func (n *Network) SetMeasureFrom(t sim.Cycle) {
-	n.measureFrom = t
+	n.st.MeasureFrom = t
 	for _, s := range n.shards {
-		s.latCount, s.latSum, s.latMin, s.latMax = 0, 0, -1, 0
-		s.headLatCount, s.headLatSum = 0, 0
-		s.latHist.Reset()
+		c := &s.st
+		c.LatCount, c.LatSum, c.LatMin, c.LatMax = 0, 0, -1, 0
+		c.HeadLatCount, c.HeadLatSum = 0, 0
+		c.LatHist.Reset()
 	}
 }
 
 // MeasureFrom returns the start of the measured window (zero until
 // SetMeasureFrom).
-func (n *Network) MeasureFrom() sim.Cycle { return n.measureFrom }
+func (n *Network) MeasureFrom() sim.Cycle { return n.st.MeasureFrom }
+
+// totals merges the shards' measurement records into the network's
+// scratch record and returns it; it is valid until the next call.
+func (n *Network) totals() *Counters {
+	t := &n.sum
+	hist := t.LatHist
+	hist.Reset()
+	*t = Counters{LatMin: -1, LatHist: hist}
+	for _, s := range n.shards {
+		t.add(&s.st)
+	}
+	return t
+}
+
+// add merges o into c.
+func (c *Counters) add(o *Counters) {
+	c.InjectedPkts += o.InjectedPkts
+	c.DeliveredPkts += o.DeliveredPkts
+	c.DeliveredFlits += o.DeliveredFlits
+	c.LatCount += o.LatCount
+	c.LatSum += o.LatSum
+	if o.LatMin >= 0 && (c.LatMin < 0 || o.LatMin < c.LatMin) {
+		c.LatMin = o.LatMin
+	}
+	c.LatMax = max(c.LatMax, o.LatMax)
+	c.LatHist.Merge(&o.LatHist)
+	c.HeadLatCount += o.HeadLatCount
+	c.HeadLatSum += o.HeadLatSum
+	c.Reroutes += o.Reroutes
+	c.Misroutes += o.Misroutes
+	c.UnreachableDrops += o.UnreachableDrops
+}
 
 // LatencyQuantile returns the q-quantile of measured packet latencies
 // (log-bucket estimate, ~9 % resolution).
-func (n *Network) LatencyQuantile(q float64) float64 {
-	n.qHist.Reset()
-	for _, s := range n.shards {
-		n.qHist.Merge(&s.latHist)
-	}
-	return n.qHist.Quantile(q)
-}
+func (n *Network) LatencyQuantile(q float64) float64 { return n.totals().LatHist.Quantile(q) }
 
 // InjectedPackets returns the number of packets offered by the sources.
-func (n *Network) InjectedPackets() int64 {
-	var v int64
-	for _, s := range n.shards {
-		v += s.injectedPkts
-	}
-	return v
-}
+func (n *Network) InjectedPackets() int64 { return n.totals().InjectedPkts }
 
 // DeliveredPackets returns the number of packets fully ejected.
-func (n *Network) DeliveredPackets() int64 {
-	var v int64
-	for _, s := range n.shards {
-		v += s.deliveredPkts
-	}
-	return v
-}
+func (n *Network) DeliveredPackets() int64 { return n.totals().DeliveredPkts }
 
 // DeliveredFlits returns the number of flits ejected.
-func (n *Network) DeliveredFlits() int64 {
-	var v int64
-	for _, s := range n.shards {
-		v += s.deliveredFlits
-	}
-	return v
-}
+func (n *Network) DeliveredFlits() int64 { return n.totals().DeliveredFlits }
 
 // MeasuredPackets returns the count of measured (post-warm-up) packets.
-func (n *Network) MeasuredPackets() int64 {
-	var v int64
-	for _, s := range n.shards {
-		v += s.latCount
-	}
-	return v
-}
+func (n *Network) MeasuredPackets() int64 { return n.totals().LatCount }
 
 // MeanLatency returns the mean measured packet latency in cycles.
 func (n *Network) MeanLatency() float64 {
-	var count, sum int64
-	for _, s := range n.shards {
-		count += s.latCount
-		sum += s.latSum
-	}
-	if count == 0 {
+	t := n.totals()
+	if t.LatCount == 0 {
 		return 0
 	}
-	return float64(sum) / float64(count)
+	return float64(t.LatSum) / float64(t.LatCount)
 }
 
 // MeanHeadLatency returns the mean latency from packet creation to the
 // ejection of its head flit — excluding body serialisation.
 func (n *Network) MeanHeadLatency() float64 {
-	var count, sum int64
-	for _, s := range n.shards {
-		count += s.headLatCount
-		sum += s.headLatSum
-	}
-	if count == 0 {
+	t := n.totals()
+	if t.HeadLatCount == 0 {
 		return 0
 	}
-	return float64(sum) / float64(count)
+	return float64(t.HeadLatSum) / float64(t.HeadLatCount)
 }
 
 // MaxLatency returns the maximum measured packet latency.
-func (n *Network) MaxLatency() sim.Cycle {
-	var v sim.Cycle
-	for _, s := range n.shards {
-		if s.latMax > v {
-			v = s.latMax
-		}
-	}
-	return v
-}
+func (n *Network) MaxLatency() sim.Cycle { return n.totals().LatMax }
 
 // MinLatency returns the minimum measured packet latency (-1 when none).
-func (n *Network) MinLatency() sim.Cycle {
-	min := sim.Cycle(-1)
-	for _, s := range n.shards {
-		if s.latMin >= 0 && (min < 0 || s.latMin < min) {
-			min = s.latMin
-		}
-	}
-	return min
-}
+func (n *Network) MinLatency() sim.Cycle { return n.totals().LatMin }
 
 // LinkEnergyJ returns total energy consumed by all links up to now.
 func (n *Network) LinkEnergyJ() float64 {
 	var e float64
 	for _, ch := range n.channels {
-		e += ch.PLink().EnergyJ(n.now)
+		e += ch.PLink().EnergyJ(n.st.Now)
 	}
 	return e
 }
@@ -962,7 +931,7 @@ func (n *Network) LinkEnergyJ() float64 {
 func (n *Network) LinkPowerW() float64 {
 	var p float64
 	for _, ch := range n.channels {
-		p += ch.PLink().PowerW(n.now)
+		p += ch.PLink().PowerW(n.st.Now)
 	}
 	return p
 }
@@ -978,7 +947,7 @@ func (n *Network) Channels() []*router.Channel { return n.channels }
 func (n *Network) FabricEnergyJ() float64 {
 	var e float64
 	for _, ch := range n.channels[:n.cfg.InterRouterLinks()] {
-		e += ch.PLink().EnergyJ(n.now)
+		e += ch.PLink().EnergyJ(n.st.Now)
 	}
 	return e
 }
@@ -1004,7 +973,7 @@ func (n *Network) FaultStats() stats.Reliability {
 		r.Timeouts += cs.Timeouts
 		r.Escalations += cs.Escalations
 		r.Duplicates += cs.Duplicates
-		if ch.DownAt(n.now) {
+		if ch.DownAt(n.st.Now) {
 			r.DownLinks++
 		}
 	}
@@ -1016,7 +985,7 @@ func (n *Network) FaultStats() stats.Reliability {
 func (n *Network) DownLinks() int {
 	var d int
 	for _, ch := range n.channels {
-		if ch.DownAt(n.now) {
+		if ch.DownAt(n.st.Now) {
 			d++
 		}
 	}
@@ -1057,7 +1026,7 @@ func (n *Network) PolicyStats() stats.Policy {
 func (n *Network) ControlledLinkEnergyJ() float64 {
 	var e float64
 	for _, ch := range n.ctrlChans {
-		e += ch.PLink().EnergyJ(n.now)
+		e += ch.PLink().EnergyJ(n.st.Now)
 	}
 	return e
 }
@@ -1104,7 +1073,7 @@ func (n *Network) LevelHistogram() (levels []int, off int) {
 		levels[i] = 0
 	}
 	for _, ch := range n.channels {
-		lv := ch.PLink().Level(n.now)
+		lv := ch.PLink().Level(n.st.Now)
 		if lv < 0 {
 			off++
 			continue
@@ -1127,7 +1096,7 @@ func (n *Network) TimeAtLevelHistogram() []float64 {
 	out := make([]float64, len(n.cfg.Link.LevelRates))
 	var total float64
 	for _, ch := range n.channels {
-		st := ch.PLink().Stats(n.now)
+		st := ch.PLink().Stats(n.st.Now)
 		for lv, c := range st.TimeAtLevel {
 			if len(st.TimeAtLevel) == 1 {
 				lv = len(out) - 1 // a link pinned to one rate runs at the top

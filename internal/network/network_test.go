@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -414,5 +415,31 @@ func TestModulatorWithOpticalLevels(t *testing.T) {
 	}
 	if pdecs == 0 {
 		t.Error("laser controller never issued Pdec at light load")
+	}
+}
+
+// TestCountersAddCoversEveryField: merging one shard's record into an
+// empty total reproduces it field for field, so a counter added to
+// Counters without its line in add fails here instead of reporting
+// shard-0-only numbers.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Struct:
+			if h, ok := f.Addr().Interface().(interface{ Record(sim.Cycle) }); ok {
+				h.Record(sim.Cycle(i + 1))
+			}
+		default:
+			t.Fatalf("Counters.%s has kind %s, which this test cannot fill", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	total := Counters{LatMin: -1}
+	total.add(&c)
+	if !reflect.DeepEqual(total, c) {
+		t.Errorf("merged total\n%+v\nwant\n%+v", total, c)
 	}
 }

@@ -83,9 +83,9 @@ type recovery struct {
 	adaptMask uint32 // VC bits [escapeVCs, VCs)
 	allMask   uint32
 
-	// live[r][dir] is false while the mesh link leaving router r in
-	// direction dir is hard-down (scheduled window or escalated reset).
-	live [][4]bool
+	// st is the liveness table and the watchdog's counters (see
+	// RecoveryState).
+	st RecoveryState
 	// reach[src*R+dst] reports whether a path of live mesh links connects
 	// the two routers.
 	//optolint:derived recomputed from the live-link table by recompute() on restore
@@ -93,17 +93,10 @@ type recovery struct {
 	//optolint:derived BFS scratch, reused across recompute calls
 	bfsQueue []int
 
-	scanArmed bool
-	scanH     sim.Handler
+	scanH sim.Handler
 	// refreshH is each mesh link's liveness-refresh handler, by global link
 	// index.
 	refreshH []sim.Handler
-
-	// wdReroutes/wdDrops are coordinator-only (the scan is a key-0 wheel
-	// event). Route-time reroute/misroute counts live on the shards.
-	wdReroutes int64
-	wdDrops    int64
-	recomputes int64
 }
 
 func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
@@ -114,12 +107,12 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 		escMask:   router.AllVCs(escapeVCs),
 		adaptMask: router.AllVCs(n.cfg.VCs) &^ router.AllVCs(escapeVCs),
 		allMask:   router.AllVCs(n.cfg.VCs),
-		live:      make([][4]bool, R),
+		st:        RecoveryState{Live: make([][4]bool, R)},
 		reach:     make([]bool, R*R),
 	}
 	for r := 0; r < R; r++ {
 		for dir := 0; dir < 4; dir++ {
-			rec.live[r][dir] = n.meshOut[r][dir] != nil
+			rec.st.Live[r][dir] = n.meshOut[r][dir] != nil
 		}
 	}
 	rec.scanH = n.wheel.Register(rec.scan)
@@ -152,8 +145,8 @@ func (rec *recovery) refresh(now sim.Cycle, li int) {
 	ref := rec.n.meshRef[li]
 	ch := rec.n.meshOut[ref.r][ref.dir]
 	up := !ch.DownAt(now)
-	if up != rec.live[ref.r][ref.dir] {
-		rec.live[ref.r][ref.dir] = up
+	if up != rec.st.Live[ref.r][ref.dir] {
+		rec.st.Live[ref.r][ref.dir] = up
 		rec.recompute()
 	}
 	if !up {
@@ -168,7 +161,7 @@ func (rec *recovery) refresh(now sim.Cycle, li int) {
 // recompute rebuilds the all-pairs reachability table by BFS over live
 // mesh links from each source router.
 func (rec *recovery) recompute() {
-	rec.recomputes++
+	rec.st.Recomputes++
 	R := len(rec.n.routers)
 	for i := range rec.reach {
 		rec.reach[i] = false
@@ -181,7 +174,7 @@ func (rec *recovery) recompute() {
 			r := q[0]
 			q = q[1:]
 			for dir := 0; dir < 4; dir++ {
-				if !rec.live[r][dir] {
+				if !rec.st.Live[r][dir] {
 					continue
 				}
 				nb, _, _ := rec.n.cfg.neighbor(r, dir)
@@ -205,10 +198,10 @@ func (rec *recovery) reachable(src, dst int) bool {
 // armed whenever flits can be sitting in router buffers; the scan disarms
 // itself once the network is empty.
 func (rec *recovery) armScan(now sim.Cycle) {
-	if rec.scanArmed {
+	if rec.st.ScanArmed {
 		return
 	}
-	rec.scanArmed = true
+	rec.st.ScanArmed = true
 	rec.n.wheel.Schedule(now+rec.cfg.ScanEvery, 0, rec.scanH)
 }
 
@@ -219,7 +212,7 @@ func (rec *recovery) armScan(now sim.Cycle) {
 // flit at the head of line) are left to the link-level retransmission
 // layer: their path is fixed and their flits replay after repair.
 func (rec *recovery) scan(now sim.Cycle) {
-	rec.scanArmed = false
+	rec.st.ScanArmed = false
 	busy := false
 	for rid, r := range rec.n.routers {
 		for ivc, nvc := 0, r.InputVCs(); ivc < nvc; ivc++ {
@@ -237,7 +230,7 @@ func (rec *recovery) scan(now sim.Cycle) {
 			}
 			if stall >= rec.cfg.DropHorizon {
 				if p := r.KillHOL(now, ivc); p != nil {
-					rec.wdDrops++
+					rec.st.WdDrops++
 					if t := rec.n.telem; t != nil {
 						t.Record(telemetry.Event{At: now, Kind: telemetry.EventWatchdogKill, Link: -1, Router: rid, A: int64(stall)})
 						t.TriggerDump(now, "watchdog_kill")
@@ -251,7 +244,7 @@ func (rec *recovery) scan(now sim.Cycle) {
 				mask = rec.allMask
 			}
 			if r.RerouteHOL(now, ivc, port, mask) {
-				rec.wdReroutes++
+				rec.st.WdReroutes++
 				if t := rec.n.telem; t != nil {
 					t.Record(telemetry.Event{At: now, Kind: telemetry.EventWatchdogReroute, Link: -1, Router: rid, A: int64(stall)})
 					t.TriggerDump(now, "watchdog_reroute")
@@ -271,7 +264,7 @@ func (rec *recovery) misroutePort(routerID int) (int, bool) {
 	r := rec.n.routers[routerID]
 	best, bestScore := -1, -1
 	for dir := 0; dir < 4; dir++ {
-		if !rec.live[routerID][dir] {
+		if !rec.st.Live[routerID][dir] {
 			continue
 		}
 		p := rec.n.cfg.meshPort(dir)
@@ -316,7 +309,7 @@ func (n *Network) recoveryRoute(routerID int, p *router.Packet, inVC int) (int, 
 	var liveDirs [2]int
 	nl := 0
 	for i := 0; i < nd; i++ {
-		if rec.live[routerID][minimal[i]] {
+		if rec.st.Live[routerID][minimal[i]] {
 			liveDirs[nl] = minimal[i]
 			nl++
 		}
@@ -326,7 +319,7 @@ func (n *Network) recoveryRoute(routerID int, p *router.Packet, inVC int) (int, 
 			// Attributed to the router's own shard: recoveryRoute runs
 			// either on that shard inside the parallel region or on the
 			// coordinator (watchdog scan), never both at once.
-			n.shards[n.shardOfRouter(routerID)].reroutes++
+			n.shards[n.shardOfRouter(routerID)].st.Reroutes++
 		}
 		pick := liveDirs[0]
 		if nl == 2 {
@@ -359,7 +352,7 @@ func (n *Network) recoveryRoute(routerID int, p *router.Packet, inVC int) (int, 
 	if p.Misroutes < maxMisroutes {
 		if mp, ok := rec.misroutePort(routerID); ok {
 			p.Misroutes++
-			n.shards[n.shardOfRouter(routerID)].misroutes++
+			n.shards[n.shardOfRouter(routerID)].st.Misroutes++
 			return mp, rec.adaptMask
 		}
 	}
@@ -376,22 +369,21 @@ func (n *Network) RecoveryStats() stats.Recovery {
 	if rec == nil {
 		return s
 	}
-	for _, sh := range n.shards {
-		s.Reroutes += sh.reroutes
-		s.Misroutes += sh.misroutes
-		s.UnreachableDrops += sh.unreachableDrops
-	}
-	s.WatchdogReroutes = rec.wdReroutes
-	s.WatchdogDrops = rec.wdDrops
+	t := n.totals()
+	s.Reroutes = t.Reroutes
+	s.Misroutes = t.Misroutes
+	s.UnreachableDrops = t.UnreachableDrops
+	s.WatchdogReroutes = rec.st.WdReroutes
+	s.WatchdogDrops = rec.st.WdDrops
 	s.DroppedPackets = n.DroppedPackets()
-	s.ReachRecomputes = rec.recomputes
+	s.ReachRecomputes = rec.st.Recomputes
 	for _, r := range n.routers {
 		s.EscapeGrants += r.EscapeGrants()
 		s.DiscardedFlits += r.DiscardedFlits()
 	}
-	for r := range rec.live {
+	for r := range rec.st.Live {
 		for dir := 0; dir < 4; dir++ {
-			if n.meshOut[r][dir] != nil && !rec.live[r][dir] {
+			if n.meshOut[r][dir] != nil && !rec.st.Live[r][dir] {
 				s.DownMeshLinks++
 			}
 		}
@@ -403,12 +395,9 @@ func (n *Network) RecoveryStats() stats.Recovery {
 // subsystem (watchdog drops plus unreachable-destination drops). Exact
 // drain: Injected == Delivered + Dropped.
 func (n *Network) DroppedPackets() int64 {
-	var v int64
+	v := n.totals().UnreachableDrops
 	if n.rec != nil {
-		v = n.rec.wdDrops
-	}
-	for _, s := range n.shards {
-		v += s.unreachableDrops
+		v += n.rec.st.WdDrops
 	}
 	return v
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/router"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -74,19 +73,8 @@ type shard struct {
 
 	pool router.Pool // per-shard free list: packets are freed where they die
 
-	// Measurement counters, summed lazily by the Network accessors.
-	injectedPkts     int64
-	deliveredPkts    int64
-	deliveredFlits   int64
-	latCount         int64
-	latSum           int64
-	latMin, latMax   sim.Cycle
-	headLatCount     int64
-	headLatSum       int64
-	latHist          stats.Histogram
-	reroutes         int64
-	misroutes        int64
-	unreachableDrops int64
+	// st is the shard's measurement record, merged by Network.totals.
+	st Counters
 
 	// wantScan notes that something activated this window; the coordinator
 	// aggregates it into one watchdog-scan arming decision per cycle.
@@ -147,8 +135,8 @@ func (s *shard) ActivateOutput(o *router.Output) {
 }
 
 func (s *shard) activateNIC(nc *NIC) {
-	if !nc.active {
-		nc.active = true
+	if !nc.st.Active {
+		nc.st.Active = true
 		s.activeNICs = append(s.activeNICs, nc)
 	}
 	if s.n.rec != nil {

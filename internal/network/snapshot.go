@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -21,27 +22,38 @@ import (
 // generator: construction rebuilds all wiring and registers every wheel
 // handler in the same order, and RestoreState overwrites only the dynamic
 // state.
+//
+// The network, its NICs and shards and the recovery subsystem keep their
+// pointer-free state in records that are also their checkpoint
+// (ClockState, NICState, Counters, RecoveryState), like the router, link,
+// policy and telemetry records beside them in State. Export copies a record and clones its slices;
+// restore checks it, assigns it, and copies the slices into the target's
+// own backing arrays, so one snapshot can seed any number of restores. The
+// *Snapshot wrappers add what must be translated: packets by ID, queued
+// descriptors, and work lists by index.
 
-// PktDescState is one queued NIC injection descriptor.
-type PktDescState struct {
-	Created sim.Cycle
-	Dst     int32
-	Size    int32
-}
-
-// NICState is one NIC's mutable state. Next is the source's next packet,
-// whose arrival event waits on the wheel; its Size is 0 once the source has
-// nothing further.
+// NICState is a NIC's record. PktSeq numbers the packets the NIC creates
+// (IDs are per-source, so shards never contend). Next is the source's next
+// packet, which the arrival handler queues at Next.Created; its Size is 0
+// once the source has nothing further. Credits are per router-input VC,
+// and CurSeq and CurVC the next flit and the VC of the packet being
+// serialised.
 type NICState struct {
 	PktSeq      int64
+	Next        PktDesc
 	Credits     []int
-	Queue       []PktDescState
-	Next        PktDescState
-	CurPktID    int64 // 0 = no packet mid-serialisation
 	CurSeq      int32
 	CurVC       int
 	Active      bool
 	WakePending bool
+}
+
+// NICSnapshot is one NIC's checkpoint: its record, its source queue in
+// FIFO order, and the packet being serialised (ID 0 for none).
+type NICSnapshot struct {
+	NICState
+	Queue    []PktDesc
+	CurPktID int64
 }
 
 // OutputRef identifies a router output port.
@@ -50,31 +62,45 @@ type OutputRef struct {
 	Port   int
 }
 
-// ShardState is one shard's counters and work lists. The work lists are
-// exported in list order, which persists across cycles and is part of the
-// state.
-type ShardState struct {
-	InjectedPkts     int64
-	DeliveredPkts    int64
-	DeliveredFlits   int64
-	LatCount         int64
-	LatSum           int64
-	LatMin           sim.Cycle
-	LatMax           sim.Cycle
-	HeadLatCount     int64
-	HeadLatSum       int64
-	LatHist          stats.HistogramState
+// Counters is one shard's measurement record; Network.totals merges them.
+// The latency fields cover measured (post-warm-up) packets only: LatMin is
+// -1 while there are none, and the head-flit latency is kept alongside the
+// paper's creation-to-tail metric. Reroutes and Misroutes count route-time
+// detours of fault-aware routing, and UnreachableDrops the packets a NIC
+// dropped because no live path reaches their destination.
+type Counters struct {
+	InjectedPkts   int64
+	DeliveredPkts  int64
+	DeliveredFlits int64
+
+	LatCount     int64
+	LatSum       int64
+	LatMin       sim.Cycle
+	LatMax       sim.Cycle
+	LatHist      stats.Histogram
+	HeadLatCount int64
+	HeadLatSum   int64
+
 	Reroutes         int64
 	Misroutes        int64
 	UnreachableDrops int64
+}
 
+// ShardSnapshot is one shard's checkpoint: its record and its work lists,
+// exported in list order, which persists across cycles and is part of the
+// state.
+type ShardSnapshot struct {
+	Counters
 	ActiveOuts []OutputRef
 	ActiveNICs []int
 }
 
-// RecoveryState is the recovery subsystem's mutable state. The reachability
-// table is a pure function of the liveness table and is recomputed on
-// restore rather than serialized.
+// RecoveryState is the recovery subsystem's record. Live[r][dir] is false
+// while the mesh link leaving router r in direction dir is hard-down
+// (scheduled window or escalated reset); the reachability table is a pure
+// function of it, recomputed on restore rather than serialized. The
+// watchdog counters are coordinator-only (the scan is a key-0 wheel
+// event); route-time detours are counted in the shards' Counters.
 type RecoveryState struct {
 	Live       [][4]bool
 	ScanArmed  bool
@@ -83,33 +109,42 @@ type RecoveryState struct {
 	Recomputes int64
 }
 
-// State is the complete mutable state of a Network at a step boundary.
-type State struct {
+// ClockState is the network's own record: the current cycle; the next
+// cycle at which the policy controllers run (never when the network has
+// none), which replaces a per-cycle modulo and bounds how far fast-forward
+// may skip; the start of the measured window; and how many idle skips
+// fast-forward took and how many cycles they covered.
+type ClockState struct {
 	Now            sim.Cycle
 	NextPolicyTick sim.Cycle
 	MeasureFrom    sim.Cycle
 	FFSkips        int64
 	FFCycles       int64
+}
+
+// State is the complete mutable state of a Network at a step boundary.
+type State struct {
+	ClockState
 
 	// Packets is the table of every live packet, sorted by ID; all packet
 	// references elsewhere in the snapshot resolve into it.
 	Packets []router.PacketState
 
-	Routers     []router.RouterState
-	Channels    []router.ChannelState
+	Routers     []router.RouterSnapshot
+	Channels    []router.ChannelSnapshot
 	Links       []powerlink.State
 	Controllers []policy.PolicyState
 	// PolicyTrace is the regret recorder's accumulated trace, nil unless
 	// the run records one.
 	PolicyTrace *policy.TraceState
-	NICs        []NICState
-	Shards      []ShardState
+	NICs        []NICSnapshot
+	Shards      []ShardSnapshot
 
 	NodeRNGs []sim.RNGState
 
 	Fault     *fault.InjectorState
 	Recovery  *RecoveryState
-	Telemetry *telemetry.RegistryState
+	Telemetry *telemetry.RegistrySnapshot
 
 	Wheel sim.WheelState
 }
@@ -118,23 +153,17 @@ type State struct {
 // called between Steps (never mid-cycle) and does not mutate simulation
 // state — an auto-checkpointing run continues unperturbed.
 func (n *Network) ExportState() (*State, error) {
-	st := &State{
-		Now:            n.now,
-		NextPolicyTick: n.nextPolicyTick,
-		MeasureFrom:    n.measureFrom,
-		FFSkips:        n.ffSkips,
-		FFCycles:       n.ffCycles,
-	}
+	st := &State{ClockState: n.st}
 
 	// Packet table, filled as the per-component exports walk their flit
 	// references. Dedup by ID; ID 0 is reserved for "no packet".
 	table := make(map[int64]*router.Packet)
-	collect := func(p *router.Packet) {
+	collect := router.PacketCollector(func(p *router.Packet) {
 		if p.ID == 0 {
 			panic("network: live packet with ID 0 in checkpoint")
 		}
 		table[p.ID] = p
-	}
+	})
 
 	for _, r := range n.routers {
 		st.Routers = append(st.Routers, r.ExportState(collect))
@@ -151,22 +180,10 @@ func (n *Network) ExportState() (*State, error) {
 		st.PolicyTrace = &ts
 	}
 	for _, nc := range n.nics {
-		ns := NICState{
-			PktSeq:      nc.pktSeq,
-			Credits:     append([]int(nil), nc.credits...),
-			CurSeq:      nc.curSeq,
-			CurVC:       nc.curVC,
-			Next:        PktDescState{Created: nc.next.created, Dst: nc.next.dst, Size: nc.next.size},
-			Active:      nc.active,
-			WakePending: nc.wakePending,
-		}
-		if nc.cur != nil {
-			collect(nc.cur)
-			ns.CurPktID = nc.cur.ID
-		}
+		ns := NICSnapshot{NICState: nc.st, CurPktID: collect.ID(nc.cur)}
+		ns.Credits = slices.Clone(nc.st.Credits)
 		for i := 0; i < nc.q.n; i++ {
-			d := nc.q.buf[(nc.q.head+i)%len(nc.q.buf)]
-			ns.Queue = append(ns.Queue, PktDescState{Created: d.created, Dst: d.dst, Size: d.size})
+			ns.Queue = append(ns.Queue, nc.q.buf[(nc.q.head+i)%len(nc.q.buf)])
 		}
 		st.NICs = append(st.NICs, ns)
 	}
@@ -182,21 +199,8 @@ func (n *Network) ExportState() (*State, error) {
 			len(s.latVals) != 0 || len(s.deliveries) != 0 {
 			return nil, fmt.Errorf("network: shard %d has undrained spools — checkpoint must run at a step boundary", s.idx)
 		}
-		ss := ShardState{
-			InjectedPkts:     s.injectedPkts,
-			DeliveredPkts:    s.deliveredPkts,
-			DeliveredFlits:   s.deliveredFlits,
-			LatCount:         s.latCount,
-			LatSum:           s.latSum,
-			LatMin:           s.latMin,
-			LatMax:           s.latMax,
-			HeadLatCount:     s.headLatCount,
-			HeadLatSum:       s.headLatSum,
-			LatHist:          s.latHist.ExportState(),
-			Reroutes:         s.reroutes,
-			Misroutes:        s.misroutes,
-			UnreachableDrops: s.unreachableDrops,
-		}
+		ss := ShardSnapshot{Counters: s.st}
+		ss.LatHist = s.st.LatHist.ExportState()
 		for _, o := range s.activeOuts {
 			ss.ActiveOuts = append(ss.ActiveOuts, outRef[o])
 		}
@@ -216,14 +220,8 @@ func (n *Network) ExportState() (*State, error) {
 		st.Fault = &is
 	}
 	if rec := n.rec; rec != nil {
-		rs := RecoveryState{
-			Live:       make([][4]bool, len(rec.live)),
-			ScanArmed:  rec.scanArmed,
-			WdReroutes: rec.wdReroutes,
-			WdDrops:    rec.wdDrops,
-			Recomputes: rec.recomputes,
-		}
-		copy(rs.Live, rec.live)
+		rs := rec.st
+		rs.Live = slices.Clone(rec.st.Live)
 		st.Recovery = &rs
 	}
 	if n.telem != nil {
@@ -232,8 +230,8 @@ func (n *Network) ExportState() (*State, error) {
 	}
 
 	st.Wheel = n.wheel.ExportState()
-	if st.Wheel.Now != n.now-1 {
-		return nil, fmt.Errorf("network: wheel clock %d out of phase with network cycle %d — checkpoint must run at a step boundary", st.Wheel.Now, n.now)
+	if st.Wheel.Now != n.st.Now-1 {
+		return nil, fmt.Errorf("network: wheel clock %d out of phase with network cycle %d — checkpoint must run at a step boundary", st.Wheel.Now, n.st.Now)
 	}
 
 	ids := make([]int64, 0, len(table))
@@ -290,13 +288,13 @@ func (n *Network) RestoreState(st *State) error {
 		ps.ApplyTo(p)
 		table[ps.ID] = p
 	}
-	resolve := func(id int64) (*router.Packet, error) {
+	resolve := router.PacketResolver(func(id int64) (*router.Packet, error) {
 		p, ok := table[id]
 		if !ok {
 			return nil, fmt.Errorf("network: snapshot references unknown packet %d", id)
 		}
 		return p, nil
-	}
+	})
 
 	for i, r := range n.routers {
 		if err := r.RestoreState(st.Routers[i], resolve); err != nil {
@@ -323,46 +321,30 @@ func (n *Network) RestoreState(st *State) error {
 	}
 	for i, nc := range n.nics {
 		ns := &st.NICs[i]
-		if len(ns.Credits) != len(nc.credits) {
-			return fmt.Errorf("network: NIC %d snapshot has %d VCs, NIC has %d", i, len(ns.Credits), len(nc.credits))
+		if len(ns.Credits) != len(nc.st.Credits) {
+			return fmt.Errorf("network: NIC %d snapshot has %d VCs, NIC has %d", i, len(ns.Credits), len(nc.st.Credits))
 		}
-		nc.pktSeq = ns.PktSeq
-		copy(nc.credits, ns.Credits)
+		cur, err := resolve.Ref(ns.CurPktID)
+		if err != nil {
+			return fmt.Errorf("NIC %d: %w", i, err)
+		}
+		credits := nc.st.Credits
+		copy(credits, ns.Credits)
+		nc.st, nc.cur = ns.NICState, cur
+		nc.st.Credits = credits
 		nc.q.buf = nc.q.buf[:0]
 		nc.q.head, nc.q.n = 0, 0
 		for _, d := range ns.Queue {
-			nc.q.push(pktDesc{created: d.Created, dst: d.Dst, size: d.Size})
+			nc.q.push(d)
 		}
-		nc.next = pktDesc{created: ns.Next.Created, dst: ns.Next.Dst, size: ns.Next.Size}
-		nc.cur = nil
-		if ns.CurPktID != 0 {
-			p, err := resolve(ns.CurPktID)
-			if err != nil {
-				return fmt.Errorf("NIC %d: %w", i, err)
-			}
-			nc.cur = p
-		}
-		nc.curSeq = ns.CurSeq
-		nc.curVC = ns.CurVC
-		nc.active = ns.Active
-		nc.wakePending = ns.WakePending
 	}
 
 	for si, s := range n.shards {
 		ss := &st.Shards[si]
-		s.injectedPkts = ss.InjectedPkts
-		s.deliveredPkts = ss.DeliveredPkts
-		s.deliveredFlits = ss.DeliveredFlits
-		s.latCount = ss.LatCount
-		s.latSum = ss.LatSum
-		s.latMin = ss.LatMin
-		s.latMax = ss.LatMax
-		s.headLatCount = ss.HeadLatCount
-		s.headLatSum = ss.HeadLatSum
-		s.latHist.RestoreState(ss.LatHist)
-		s.reroutes = ss.Reroutes
-		s.misroutes = ss.Misroutes
-		s.unreachableDrops = ss.UnreachableDrops
+		hist := s.st.LatHist
+		hist.RestoreState(ss.LatHist)
+		s.st = ss.Counters
+		s.st.LatHist = hist
 
 		s.activeOuts = s.activeOuts[:0]
 		for _, ref := range ss.ActiveOuts {
@@ -391,7 +373,7 @@ func (n *Network) RestoreState(st *State) error {
 			if nc.sh != s {
 				return fmt.Errorf("network: shard %d snapshot active NIC %d owned by another shard", si, node)
 			}
-			if !nc.active {
+			if !nc.st.Active {
 				return fmt.Errorf("network: shard %d work list references inactive NIC %d", si, node)
 			}
 			s.activeNICs = append(s.activeNICs, nc)
@@ -410,15 +392,14 @@ func (n *Network) RestoreState(st *State) error {
 	}
 	if st.Recovery != nil {
 		rec := n.rec
-		if len(st.Recovery.Live) != len(rec.live) {
-			return fmt.Errorf("network: snapshot liveness table has %d routers, network has %d", len(st.Recovery.Live), len(rec.live))
+		if len(st.Recovery.Live) != len(rec.st.Live) {
+			return fmt.Errorf("network: snapshot liveness table has %d routers, network has %d", len(st.Recovery.Live), len(rec.st.Live))
 		}
-		copy(rec.live, st.Recovery.Live)
+		live := rec.st.Live
+		copy(live, st.Recovery.Live)
 		rec.recompute()
-		rec.scanArmed = st.Recovery.ScanArmed
-		rec.wdReroutes = st.Recovery.WdReroutes
-		rec.wdDrops = st.Recovery.WdDrops
-		rec.recomputes = st.Recovery.Recomputes
+		rec.st = *st.Recovery
+		rec.st.Live = live
 	}
 	if st.Telemetry != nil {
 		if err := n.telem.RestoreState(*st.Telemetry); err != nil {
@@ -433,11 +414,7 @@ func (n *Network) RestoreState(st *State) error {
 		n.debugCheckRestored(st)
 	}
 
-	n.now = st.Now
-	n.nextPolicyTick = st.NextPolicyTick
-	n.measureFrom = st.MeasureFrom
-	n.ffSkips = st.FFSkips
-	n.ffCycles = st.FFCycles
+	n.st = st.ClockState
 	return nil
 }
 
@@ -445,10 +422,10 @@ func (n *Network) RestoreState(st *State) error {
 // monotonic past the restore point (enforced by Wheel.RestoreState) and the
 // restored network conserves flits and credits.
 func (n *Network) debugCheckRestored(st *State) {
-	saved := n.now
-	n.now = st.Now
+	saved := n.st.Now
+	n.st.Now = st.Now
 	if err := n.audit(); err != nil {
 		panic("simdebug: restored state fails conservation audit: " + err.Error())
 	}
-	n.now = saved
+	n.st.Now = saved
 }

@@ -122,7 +122,7 @@ func (n *Network) initTelemetry() {
 		})
 	}
 
-	reg.Start(n.now)
+	reg.Start(n.st.Now)
 }
 
 // addMeshLinkProbes registers the per-link instrument set for mesh link li.

@@ -23,6 +23,7 @@ package powerlink
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/linkmodel"
 	"repro/internal/optics"
@@ -190,33 +191,13 @@ const offLevel = OffLevel
 // internal state machine; callers must present non-decreasing times.
 type Link struct {
 	cfg Config
-
-	level    int // current electrical level (index into LevelRates), or offLevel
-	target   int // level being transitioned to (== level when steady)
-	phase    phase
-	phaseEnd sim.Cycle
-
-	opticalLevel int // current optical level index (modulator multi-level)
-
-	// Piecewise energy accounting.
-	powerW   float64
-	energyJ  float64
-	lastTime sim.Cycle
-
-	// Diagnostics.
-	timeAtLevel []sim.Cycle // per electrical level; off time tracked separately
-	timeOff     sim.Cycle
-	transitions int
-	lastLevelT  sim.Cycle
-	disabledFor sim.Cycle // total cycles spent with the link disabled
+	st  State
 
 	// CDR relock fault injection (nil = relocks always succeed).
 	//optolint:derived fault-injector wiring, re-installed by SetRelockFaults at construction
 	relock RelockFaults
 	//optolint:derived fault-injector wiring, re-installed by SetRelockFaults at construction
-	relockMax   int
-	relockRetry int
-	relockFails int
+	relockMax int
 
 	// Observability hooks (nil when telemetry is disabled). They fire
 	// during the lazy advance, which can be later than the transition's
@@ -262,17 +243,17 @@ func New(cfg Config) (*Link, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l := &Link{
-		cfg:         cfg,
-		level:       len(cfg.LevelRates) - 1,
-		target:      len(cfg.LevelRates) - 1,
-		phase:       phaseSteady,
-		timeAtLevel: make([]sim.Cycle, len(cfg.LevelRates)),
-	}
+	top := len(cfg.LevelRates) - 1
+	l := &Link{cfg: cfg, st: State{
+		Level:       top,
+		Target:      top,
+		Phase:       phaseSteady,
+		TimeAtLevel: make([]sim.Cycle, len(cfg.LevelRates)),
+	}}
 	if cfg.Optical != nil {
-		l.opticalLevel = len(cfg.Optical.PowersW) - 1
+		l.st.OpticalLevel = len(cfg.Optical.PowersW) - 1
 	}
-	l.powerW = l.steadyPower(l.level)
+	l.st.PowerW = l.steadyPower(l.st.Level)
 	return l, nil
 }
 
@@ -295,7 +276,7 @@ func (l *Link) LevelRate(i int) float64 { return l.cfg.LevelRates[i] }
 // modulator (modulator scheme only; full power otherwise).
 func (l *Link) opticalPowerW() float64 {
 	if l.cfg.Scheme == linkmodel.SchemeModulator && l.cfg.Optical != nil {
-		return l.cfg.Optical.PowersW[l.opticalLevel]
+		return l.cfg.Optical.PowersW[l.st.OpticalLevel]
 	}
 	return l.cfg.Params.ModInputOpticalW
 }
@@ -321,50 +302,50 @@ func (l *Link) transitionPower(a, b int) float64 {
 
 // accrue integrates energy up to time t at the current power.
 func (l *Link) accrue(t sim.Cycle) {
-	if t < l.lastTime {
-		panic(fmt.Sprintf("powerlink: time went backwards: %d < %d", t, l.lastTime))
+	if t < l.st.LastTime {
+		panic(fmt.Sprintf("powerlink: time went backwards: %d < %d", t, l.st.LastTime))
 	}
-	dt := t - l.lastTime
+	dt := t - l.st.LastTime
 	if dt == 0 {
 		return
 	}
-	l.energyJ += l.powerW * sim.Cycle(dt).Seconds()
-	if l.phase == phaseFreqSwitch || l.phase == phaseWake {
-		l.disabledFor += dt
+	l.st.EnergyJ += l.st.PowerW * sim.Cycle(dt).Seconds()
+	if l.st.Phase == phaseFreqSwitch || l.st.Phase == phaseWake {
+		l.st.DisabledFor += dt
 	}
-	if l.level == offLevel {
-		l.timeOff += dt
+	if l.st.Level == offLevel {
+		l.st.TimeOff += dt
 	} else {
-		l.timeAtLevel[l.level] += dt
+		l.st.TimeAtLevel[l.st.Level] += dt
 	}
-	l.lastTime = t
+	l.st.LastTime = t
 }
 
 // setPhase moves to a new phase ending at end, re-deriving billed power.
 func (l *Link) setPhase(p phase, end sim.Cycle) {
-	l.phase = p
-	l.phaseEnd = end
+	l.st.Phase = p
+	l.st.PhaseEnd = end
 	switch p {
 	case phaseSteady, phaseOff:
-		l.powerW = l.steadyPower(l.level)
+		l.st.PowerW = l.steadyPower(l.st.Level)
 	case phaseWaitOptical:
-		l.powerW = l.steadyPower(l.level)
+		l.st.PowerW = l.steadyPower(l.st.Level)
 	case phaseVoltUp, phaseVoltDown, phaseFreqSwitch, phaseWake:
-		l.powerW = l.transitionPower(l.level, l.target)
+		l.st.PowerW = l.transitionPower(l.st.Level, l.st.Target)
 	}
 }
 
 // advance processes all phase completions at or before now.
 func (l *Link) advance(now sim.Cycle) {
-	for l.phase != phaseSteady && l.phase != phaseOff && now >= l.phaseEnd {
-		end := l.phaseEnd
+	for l.st.Phase != phaseSteady && l.st.Phase != phaseOff && now >= l.st.PhaseEnd {
+		end := l.st.PhaseEnd
 		l.accrue(end)
-		switch l.phase {
+		switch l.st.Phase {
 		case phaseWaitOptical:
 			// Attenuator has finished raising the light level; begin the
 			// electrical sequence: voltage first, then frequency.
 			if l.cfg.Optical != nil {
-				l.opticalLevel = l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[l.target])
+				l.st.OpticalLevel = l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[l.st.Target])
 			}
 			l.setPhase(phaseVoltUp, end+l.cfg.Tv)
 		case phaseVoltUp:
@@ -374,38 +355,38 @@ func (l *Link) advance(now sim.Cycle) {
 			// before the link is usable. A fault-injected relock failure
 			// extends the disable with doubled backoff, bounded by
 			// relockMax consecutive retries.
-			if l.relock != nil && l.relockRetry < l.relockMax && l.relock.RelockFails() {
-				l.relockRetry++
-				l.relockFails++
+			if l.relock != nil && l.st.RelockRetry < l.relockMax && l.relock.RelockFails() {
+				l.st.RelockRetry++
+				l.st.RelockFails++
 				if l.onRelock != nil {
-					l.onRelock(end, l.relockRetry)
+					l.onRelock(end, l.st.RelockRetry)
 				}
-				l.setPhase(phaseFreqSwitch, end+l.cfg.Tbr<<uint(l.relockRetry))
+				l.setPhase(phaseFreqSwitch, end+l.cfg.Tbr<<uint(l.st.RelockRetry))
 				continue
 			}
-			l.relockRetry = 0
-			old := l.level
-			decrease := l.target < l.level
-			l.level = l.target
-			l.transitions++
+			l.st.RelockRetry = 0
+			old := l.st.Level
+			decrease := l.st.Target < l.st.Level
+			l.st.Level = l.st.Target
+			l.st.Transitions++
 			if l.onLevel != nil {
-				l.onLevel(end, old, l.level)
+				l.onLevel(end, old, l.st.Level)
 			}
 			if decrease {
 				l.setPhase(phaseVoltDown, end+l.cfg.Tv)
 				// The voltage is still at the old (higher) level while it
 				// ramps down; bill the old level's power for the ramp.
-				l.powerW = l.transitionPower(old, l.level)
+				l.st.PowerW = l.transitionPower(old, l.st.Level)
 			} else {
 				l.setPhase(phaseSteady, 0)
 			}
 		case phaseVoltDown:
 			l.setPhase(phaseSteady, 0)
 		case phaseWake:
-			l.level = l.target
-			l.transitions++
+			l.st.Level = l.st.Target
+			l.st.Transitions++
 			if l.onLevel != nil {
-				l.onLevel(end, offLevel, l.level)
+				l.onLevel(end, offLevel, l.st.Level)
 			}
 			l.setPhase(phaseSteady, 0)
 		}
@@ -417,13 +398,13 @@ func (l *Link) advance(now sim.Cycle) {
 // off (ablation mode).
 func (l *Link) Level(now sim.Cycle) int {
 	l.advance(now)
-	return l.level
+	return l.st.Level
 }
 
 // Transitioning reports whether a level transition is in progress.
 func (l *Link) Transitioning(now sim.Cycle) bool {
 	l.advance(now)
-	return l.phase != phaseSteady && l.phase != phaseOff
+	return l.st.Phase != phaseSteady && l.st.Phase != phaseOff
 }
 
 // BitRateGbps returns the current usable bit rate: 0 while the link is
@@ -432,16 +413,16 @@ func (l *Link) Transitioning(now sim.Cycle) bool {
 // already runs at the new rate (decrease), exactly as in Section 3.2.1.
 func (l *Link) BitRateGbps(now sim.Cycle) float64 {
 	l.advance(now)
-	switch l.phase {
+	switch l.st.Phase {
 	case phaseFreqSwitch, phaseWake:
 		return 0
 	case phaseOff:
 		return 0
 	default:
-		if l.level == offLevel {
+		if l.st.Level == offLevel {
 			return 0
 		}
-		return l.cfg.LevelRates[l.level]
+		return l.cfg.LevelRates[l.st.Level]
 	}
 }
 
@@ -451,26 +432,25 @@ func (l *Link) BitRateGbps(now sim.Cycle) float64 {
 // callers that observe an off link should issue RequestStep(now, +1) first.
 func (l *Link) AvailableAt(now sim.Cycle) sim.Cycle {
 	l.advance(now)
-	switch l.phase {
+	switch l.st.Phase {
 	case phaseFreqSwitch, phaseWake:
-		return l.phaseEnd
+		return l.st.PhaseEnd
 	case phaseOff:
-		return now + l.cfg.OffWakeCycles
-	default:
-		return now
+		now += l.cfg.OffWakeCycles
 	}
+	return now
 }
 
 // PowerW returns the link's current electrical power draw.
 func (l *Link) PowerW(now sim.Cycle) float64 {
 	l.advance(now)
-	return l.powerW
+	return l.st.PowerW
 }
 
 // EnergyJ returns the total energy consumed up to now, in joules.
 func (l *Link) EnergyJ(now sim.Cycle) float64 {
 	l.advance(now)
-	return l.energyJ
+	return l.st.EnergyJ
 }
 
 // LevelPowerW returns the steady-state electrical power at the given
@@ -485,7 +465,7 @@ func (l *Link) LevelPowerW(level int) float64 { return l.steadyPower(level) }
 // loss-aware policy's per-window differencing (Stats copies slices).
 func (l *Link) RelockFailures(now sim.Cycle) int64 {
 	l.advance(now)
-	return int64(l.relockFails)
+	return int64(l.st.RelockFails)
 }
 
 // VddV returns the supply voltage currently applied (V): the voltage of the
@@ -493,9 +473,9 @@ func (l *Link) RelockFailures(now sim.Cycle) int64 {
 // way up and lags it on the way down), or 0 while the link is off.
 func (l *Link) VddV(now sim.Cycle) float64 {
 	l.advance(now)
-	lv := l.level
-	if l.target > lv {
-		lv = l.target
+	lv := l.st.Level
+	if l.st.Target > lv {
+		lv = l.st.Target
 	}
 	if lv == offLevel {
 		return 0
@@ -508,7 +488,7 @@ func (l *Link) VddV(now sim.Cycle) float64 {
 // average emitted power at the present supply. 0 while the link is off.
 func (l *Link) OpticalPowerW(now sim.Cycle) float64 {
 	l.advance(now)
-	if l.level == offLevel && l.target == offLevel {
+	if l.st.Level == offLevel && l.st.Target == offLevel {
 		return 0
 	}
 	if l.cfg.Scheme == linkmodel.SchemeVCSEL {
@@ -525,7 +505,7 @@ func (l *Link) OpticalPowerW(now sim.Cycle) float64 {
 // retries at its next window). A step up from "off" wakes the link.
 func (l *Link) RequestStep(now sim.Cycle, dir int) bool {
 	l.advance(now)
-	if l.phase != phaseSteady && l.phase != phaseOff {
+	if l.st.Phase != phaseSteady && l.st.Phase != phaseOff {
 		return false
 	}
 	switch {
@@ -539,21 +519,21 @@ func (l *Link) RequestStep(now sim.Cycle, dir int) bool {
 }
 
 func (l *Link) requestUp(now sim.Cycle) bool {
-	if l.level == offLevel {
-		l.target = 0
+	if l.st.Level == offLevel {
+		l.st.Target = 0
 		l.setPhase(phaseWake, now+l.cfg.OffWakeCycles)
 		return true
 	}
-	if l.level >= len(l.cfg.LevelRates)-1 {
+	if l.st.Level >= len(l.cfg.LevelRates)-1 {
 		return false
 	}
-	l.target = l.level + 1
+	l.st.Target = l.st.Level + 1
 	// If the new rate needs more light than the attenuator currently
 	// passes, the optical transition gates the electrical one: send Pinc
 	// and hold rate/voltage until the light arrives (Section 3.3).
 	if l.cfg.Scheme == linkmodel.SchemeModulator && l.cfg.Optical != nil {
-		need := l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[l.target])
-		if need > l.opticalLevel {
+		need := l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[l.st.Target])
+		if need > l.st.OpticalLevel {
 			l.setPhase(phaseWaitOptical, now+l.cfg.Optical.TransitionCycles)
 			return true
 		}
@@ -563,25 +543,25 @@ func (l *Link) requestUp(now sim.Cycle) bool {
 }
 
 func (l *Link) requestDown(now sim.Cycle) bool {
-	if l.level == offLevel {
+	if l.st.Level == offLevel {
 		return false
 	}
-	if l.level == 0 {
+	if l.st.Level == 0 {
 		if !l.cfg.OffEnabled {
 			return false
 		}
 		l.accrue(now)
-		old := l.level
-		l.level = offLevel
-		l.target = offLevel
-		l.transitions++
+		old := l.st.Level
+		l.st.Level = offLevel
+		l.st.Target = offLevel
+		l.st.Transitions++
 		if l.onLevel != nil {
 			l.onLevel(now, old, offLevel)
 		}
 		l.setPhase(phaseOff, 0)
 		return true
 	}
-	l.target = l.level - 1
+	l.st.Target = l.st.Level - 1
 	l.setPhase(phaseFreqSwitch, now+l.cfg.Tbr)
 	return true
 }
@@ -597,15 +577,15 @@ func (l *Link) LowerOptical(now sim.Cycle) bool {
 	if l.cfg.Scheme != linkmodel.SchemeModulator || l.cfg.Optical == nil {
 		return false
 	}
-	if l.phase != phaseSteady || l.opticalLevel == 0 || l.level == offLevel {
+	if l.st.Phase != phaseSteady || l.st.OpticalLevel == 0 || l.st.Level == offLevel {
 		return false
 	}
-	need := l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[l.level])
-	if need >= l.opticalLevel {
+	need := l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[l.st.Level])
+	if need >= l.st.OpticalLevel {
 		return false
 	}
 	l.accrue(now)
-	l.opticalLevel--
+	l.st.OpticalLevel--
 	l.setPhase(phaseSteady, 0) // re-derive power with the new light level
 	return true
 }
@@ -619,14 +599,14 @@ func (l *Link) CouldUseLowerOptical(now sim.Cycle) bool {
 	if l.cfg.Scheme != linkmodel.SchemeModulator || l.cfg.Optical == nil {
 		return false
 	}
-	if l.opticalLevel == 0 || l.level == offLevel {
+	if l.st.OpticalLevel == 0 || l.st.Level == offLevel {
 		return false
 	}
-	lvl := l.level
-	if l.target > lvl {
-		lvl = l.target
+	lvl := l.st.Level
+	if l.st.Target > lvl {
+		lvl = l.st.Target
 	}
-	return l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[lvl]) < l.opticalLevel
+	return l.cfg.Optical.RequiredLevel(l.cfg.LevelRates[lvl]) < l.st.OpticalLevel
 }
 
 // MarginDBAt returns the receiver's optical margin (dB) the link would have
@@ -650,8 +630,8 @@ func (l *Link) MarginDBAt(now sim.Cycle, lv int) float64 {
 		inW := p.ModInputOpticalW
 		if l.cfg.Optical != nil {
 			opt := l.cfg.Optical.RequiredLevel(rate)
-			if l.opticalLevel > opt {
-				opt = l.opticalLevel
+			if l.st.OpticalLevel > opt {
+				opt = l.st.OpticalLevel
 			}
 			inW = l.cfg.Optical.PowersW[opt]
 		}
@@ -674,10 +654,10 @@ func (l *Link) MarginDBAt(now sim.Cycle, lv int) float64 {
 // operating point (-Inf while off).
 func (l *Link) ReceiverMarginDB(now sim.Cycle) float64 {
 	l.advance(now)
-	if l.level == offLevel {
+	if l.st.Level == offLevel {
 		return math.Inf(-1)
 	}
-	return l.MarginDBAt(now, l.level)
+	return l.MarginDBAt(now, l.st.Level)
 }
 
 // ProjectedBER returns the margin-derived bit error rate the link would see
@@ -694,7 +674,7 @@ func (l *Link) OpticalLevel(now sim.Cycle) int {
 	if l.cfg.Optical == nil {
 		return 0
 	}
-	return l.opticalLevel
+	return l.st.OpticalLevel
 }
 
 // Stats is a snapshot of the link's lifetime counters.
@@ -713,15 +693,13 @@ type Stats struct {
 // Stats returns lifetime counters up to now.
 func (l *Link) Stats(now sim.Cycle) Stats {
 	l.advance(now)
-	tal := make([]sim.Cycle, len(l.timeAtLevel))
-	copy(tal, l.timeAtLevel)
 	return Stats{
-		EnergyJ:        l.energyJ,
-		Transitions:    l.transitions,
-		DisabledFor:    l.disabledFor,
-		TimeAtLevel:    tal,
-		TimeOff:        l.timeOff,
-		CurrentPowerW:  l.powerW,
-		RelockFailures: l.relockFails,
+		EnergyJ:        l.st.EnergyJ,
+		Transitions:    l.st.Transitions,
+		DisabledFor:    l.st.DisabledFor,
+		TimeAtLevel:    slices.Clone(l.st.TimeAtLevel),
+		TimeOff:        l.st.TimeOff,
+		CurrentPowerW:  l.st.PowerW,
+		RelockFailures: l.st.RelockFails,
 	}
 }

@@ -67,38 +67,22 @@ type txFlit struct {
 	crc   uint16
 }
 
-// relState is the retransmission protocol state of one channel: go-back-N
+// reliability is the retransmission protocol of one channel: go-back-N
 // sender (retransmit ring, cumulative ack, replay cursor, watchdog) and
 // receiver (expected sequence, CRC check, ACK/NACK feedback). All timing —
 // feedback, replay pumping, watchdog — runs as wheel events, so the
 // simulator's event-driven fast-forward can never skip past a retransmit
-// deadline.
-type relState struct {
+// deadline. The protocol's scalars are its record st (RelState).
+type reliability struct {
 	cfg ReliabilityConfig
+	st  RelState
 
-	// Sender: retx holds the Window most recent flits; seqs in
-	// [ackSeq, sendSeq) are unacknowledged and replayable. replayNext <
-	// sendSeq means a go-back-N replay is in progress and new sends are
-	// held (preserving flit order on the wire).
-	retx         []txFlit
-	sendSeq      uint64
-	ackSeq       uint64
-	replayNext   uint64
-	retries      int
-	downUntil    sim.Cycle // escalated reset: link down until this cycle
-	lastProgress sim.Cycle
-	wdArmed      bool
-	pumpArmed    bool
-	wdH          sim.Handler
-	pumpH        sim.Handler
-
-	// Receiver: delivers exactly seq == rxExpect with a valid CRC, in
-	// order; anything else is dropped and (for losses ahead of rxExpect)
-	// answered with a replay request on the next feedback.
-	rxExpect   uint64
-	wantReplay bool
-	fbArmed    bool
-	fbH        sim.Handler
+	// retx holds the Window most recent flits; seqs in [st.AckSeq,
+	// st.SendSeq) are unacknowledged and replayable.
+	retx  []txFlit
+	wdH   sim.Handler
+	pumpH sim.Handler
+	fbH   sim.Handler
 
 	// Accepted flits cross one rx pipeline register before entering the
 	// downstream buffer: relArrival (which mutates sender-owned protocol
@@ -109,8 +93,6 @@ type relState struct {
 	// uniformly (even within one shard) so timing is shard-count-invariant.
 	rx      rxFIFO
 	acceptH sim.Handler
-
-	stats RelStats
 }
 
 // Channel is the transmit side of one unidirectional opto-electronic link.
@@ -140,9 +122,7 @@ type Channel struct {
 	//optolint:derived ordering key assigned once by SetKeys during construction
 	deliverKey uint32
 
-	busyUntilMC int64   // milli-cycles; channel idle when <= now*1000
-	busyCycles  float64 // cumulative serialisation time, for policy Lu
-	flits       int64
+	st ChannelState
 
 	// In-flight flits awaiting their (cycle-rounded) delivery event. With
 	// sub-cycle serialisation starts, a new flit can begin while the
@@ -154,7 +134,7 @@ type Channel struct {
 	pending  pendingFIFO
 	deliverH sim.Handler
 
-	rel *relState // nil = lossless channel, zero reliability overhead
+	rel *reliability // nil = lossless channel, zero reliability overhead
 
 	// downNotify, when set, is called on each watchdog escalation that
 	// resets the link (see SetDownNotify).
@@ -217,7 +197,7 @@ func (c *Channel) EnableReliability(cfg ReliabilityConfig) {
 		cfg.MaxRetries <= 0 || cfg.ResetCycles <= 0 {
 		panic(fmt.Sprintf("router: bad reliability config %+v", cfg))
 	}
-	c.rel = &relState{
+	c.rel = &reliability{
 		cfg:     cfg,
 		retx:    make([]txFlit, cfg.Window),
 		acceptH: c.sched.Register(c.accept),
@@ -242,10 +222,10 @@ func (c *Channel) accept(now sim.Cycle) {
 // feedback sends the receiver's pending ACK/NACK to the sender.
 func (c *Channel) feedback(now sim.Cycle) {
 	r := c.rel
-	r.fbArmed = false
-	nack := r.wantReplay
-	r.wantReplay = false
-	c.processFeedback(now, r.rxExpect, nack)
+	r.st.FbArmed = false
+	nack := r.st.WantReplay
+	r.st.WantReplay = false
+	c.processFeedback(now, r.st.RxExpect, nack)
 }
 
 // ReliabilityEnabled reports whether this channel runs the retransmission
@@ -260,7 +240,7 @@ func (c *Channel) PLink() *powerlink.Link { return c.plink }
 // 6 Gb/s must not round up to whole cycles, or the link would lose real
 // capacity) and the link is powered and locked.
 func (c *Channel) physUsable(now sim.Cycle) bool {
-	return c.busyUntilMC < (int64(now)+1)*1000 && c.plink.BitRateGbps(now) > 0
+	return c.st.BusyUntilMC < (int64(now)+1)*1000 && c.plink.BitRateGbps(now) > 0
 }
 
 // Usable reports whether a new flit could start serialising during cycle
@@ -275,7 +255,7 @@ func (c *Channel) Usable(now sim.Cycle) bool {
 	if r == nil {
 		return true
 	}
-	if r.sendSeq-r.ackSeq >= uint64(r.cfg.Window) || r.replayNext < r.sendSeq || r.downUntil > now {
+	if r.st.SendSeq-r.st.AckSeq >= uint64(r.cfg.Window) || r.st.ReplayNext < r.st.SendSeq || r.st.DownUntil > now {
 		return false
 	}
 	if down, _ := r.cfg.Source.DownWindow(r.cfg.Link, now); down {
@@ -292,7 +272,7 @@ func (c *Channel) Usable(now sim.Cycle) bool {
 // so reliability stalls (window full, replay, reset) report the feedback
 // timescale and the polling loop converges once the stall clears.
 func (c *Channel) NextUsableAt(now sim.Cycle) sim.Cycle {
-	t := sim.Cycle(c.busyUntilMC / 1000)
+	t := sim.Cycle(c.st.BusyUntilMC / 1000)
 	if t < now {
 		t = now
 	}
@@ -305,13 +285,13 @@ func (c *Channel) NextUsableAt(now sim.Cycle) sim.Cycle {
 		t = at
 	}
 	if r := c.rel; r != nil {
-		if r.downUntil > t {
-			t = r.downUntil
+		if r.st.DownUntil > t {
+			t = r.st.DownUntil
 		}
 		if down, until := r.cfg.Source.DownWindow(r.cfg.Link, now); down && until > t {
 			t = until
 		}
-		if r.sendSeq-r.ackSeq >= uint64(r.cfg.Window) || r.replayNext < r.sendSeq {
+		if r.st.SendSeq-r.st.AckSeq >= uint64(r.cfg.Window) || r.st.ReplayNext < r.st.SendSeq {
 			if at := now + r.cfg.AckDelay; at > t {
 				t = at
 			}
@@ -328,22 +308,22 @@ func (c *Channel) NextUsableAt(now sim.Cycle) sim.Cycle {
 func (c *Channel) Send(now sim.Cycle, f FlitRef) sim.Cycle {
 	tf := txFlit{f: f}
 	if r := c.rel; r != nil {
-		if r.sendSeq-r.ackSeq >= uint64(r.cfg.Window) {
+		if r.st.SendSeq-r.st.AckSeq >= uint64(r.cfg.Window) {
 			panic("router: Send with full retransmit window")
 		}
-		if r.replayNext < r.sendSeq {
+		if r.st.ReplayNext < r.st.SendSeq {
 			panic("router: Send during go-back-N replay")
 		}
-		tf.seq = r.sendSeq
+		tf.seq = r.st.SendSeq
 		tf.pktID = f.Pkt.ID
 		r.retx[tf.seq%uint64(r.cfg.Window)] = tf
-		if r.ackSeq == r.sendSeq {
+		if r.st.AckSeq == r.st.SendSeq {
 			// First unacknowledged flit: start the progress clock.
-			r.lastProgress = now
-			c.armWatchdog(now + r.cfg.Timeout)
+			r.st.LastProgress = now
+			c.armWatchdog(r, now+r.cfg.Timeout)
 		}
-		r.sendSeq++
-		r.replayNext = r.sendSeq
+		r.st.SendSeq++
+		r.st.ReplayNext = r.st.SendSeq
 	}
 	return c.transmit(now, tf)
 }
@@ -358,13 +338,13 @@ func (c *Channel) transmit(now sim.Cycle, tf txFlit) sim.Cycle {
 		panic("router: Send on disabled link")
 	}
 	startMC := int64(now) * 1000
-	if c.busyUntilMC >= startMC+1000 {
+	if c.st.BusyUntilMC >= startMC+1000 {
 		panic("router: Send on busy channel")
 	}
 	// Continue from the exact point the previous flit finished, so the
 	// sub-cycle remainder of fractional flit times is not lost.
-	if c.busyUntilMC > startMC {
-		startMC = c.busyUntilMC
+	if c.st.BusyUntilMC > startMC {
+		startMC = c.st.BusyUntilMC
 	}
 	if r := c.rel; r != nil {
 		tf.crc = flitCRC(tf.pktID, tf.seq, tf.f.VC)
@@ -377,11 +357,11 @@ func (c *Channel) transmit(now sim.Cycle, tf txFlit) sim.Cycle {
 	if durMC < 1 {
 		durMC = 1
 	}
-	c.busyUntilMC = startMC + durMC
-	c.busyCycles += float64(durMC) / 1000
-	c.flits++
+	c.st.BusyUntilMC = startMC + durMC
+	c.st.BusyCycles += float64(durMC) / 1000
+	c.st.Flits++
 
-	arrival := sim.Cycle((c.busyUntilMC + 999) / 1000)
+	arrival := sim.Cycle((c.st.BusyUntilMC + 999) / 1000)
 	if arrival <= now {
 		arrival = now + 1
 	}
@@ -406,37 +386,37 @@ func (c *Channel) transmit(now sim.Cycle, tf txFlit) sim.Cycle {
 // is dropped, and gaps or corruption trigger a NACK on the next feedback.
 func (c *Channel) relArrival(now sim.Cycle, tf txFlit) {
 	r := c.rel
-	if r.downUntil > now {
-		r.stats.LostToDown++
+	if r.st.DownUntil > now {
+		r.st.Stats.LostToDown++
 		return // lost in the reset; the sender's watchdog replays it
 	}
 	if down, _ := r.cfg.Source.DownWindow(r.cfg.Link, now); down {
-		r.stats.LostToDown++
+		r.st.Stats.LostToDown++
 		return // lost in the failure window; ditto
 	}
 	switch {
-	case tf.seq < r.rxExpect:
+	case tf.seq < r.st.RxExpect:
 		// Go-back-N replays everything from the last cumulative ack, so
 		// already-delivered flits reappear. Drop them by sequence number
 		// alone — the *Packet may already be recycled.
-		r.stats.Duplicates++
-	case tf.seq > r.rxExpect:
+		r.st.Stats.Duplicates++
+	case tf.seq > r.st.RxExpect:
 		// A gap: an earlier flit was lost while the link was down.
-		r.wantReplay = true
+		r.st.WantReplay = true
 	default:
 		if flitCRC(tf.pktID, tf.seq, tf.f.VC) != tf.crc {
-			r.stats.Corrupted++
-			r.wantReplay = true
+			r.st.Stats.Corrupted++
+			r.st.WantReplay = true
 			break
 		}
-		r.rxExpect++
+		r.st.RxExpect++
 		r.rx.push(tf.f)
 		c.sched.Schedule(now+1, c.deliverKey, r.acceptH)
 	}
 	// Every arrival (even a drop) is worth reporting: the cumulative ack
-	// releases sender window space, and wantReplay rides along.
-	if !r.fbArmed {
-		r.fbArmed = true
+	// releases sender window space, and WantReplay rides along.
+	if !r.st.FbArmed {
+		r.st.FbArmed = true
 		c.sched.Schedule(now+r.cfg.AckDelay, c.selfKey, r.fbH)
 	}
 }
@@ -446,40 +426,40 @@ func (c *Channel) relArrival(now sim.Cycle, tf txFlit) {
 // first unacknowledged flit (go-back-N).
 func (c *Channel) processFeedback(now sim.Cycle, cumAck uint64, nack bool) {
 	r := c.rel
-	if cumAck > r.ackSeq {
-		r.ackSeq = cumAck
-		r.lastProgress = now
-		r.retries = 0
-		if r.replayNext < r.ackSeq {
-			r.replayNext = r.ackSeq
+	if cumAck > r.st.AckSeq {
+		r.st.AckSeq = cumAck
+		r.st.LastProgress = now
+		r.st.Retries = 0
+		if r.st.ReplayNext < r.st.AckSeq {
+			r.st.ReplayNext = r.st.AckSeq
 		}
 	}
-	if nack && r.ackSeq < r.sendSeq {
-		r.stats.Nacks++
-		r.replayNext = r.ackSeq
-		c.armPump(now + 1)
+	if nack && r.st.AckSeq < r.st.SendSeq {
+		r.st.Stats.Nacks++
+		r.st.ReplayNext = r.st.AckSeq
+		c.armPump(r, now+1)
 	}
 }
 
 // pumpReplay retransmits the flit at the replay cursor once the physical
 // channel can carry it, rescheduling itself until the replay catches up
-// with sendSeq. Replays traverse the same serialisation path as fresh
+// with SendSeq. Replays traverse the same serialisation path as fresh
 // flits, so busy time and flit counts reflect the real wire occupancy.
 func (c *Channel) pumpReplay(now sim.Cycle) {
 	r := c.rel
-	r.pumpArmed = false
-	if r.replayNext < r.ackSeq {
-		r.replayNext = r.ackSeq // acked mid-replay; skip ahead
+	r.st.PumpArmed = false
+	if r.st.ReplayNext < r.st.AckSeq {
+		r.st.ReplayNext = r.st.AckSeq // acked mid-replay; skip ahead
 	}
-	if r.replayNext >= r.sendSeq {
+	if r.st.ReplayNext >= r.st.SendSeq {
 		return // replay complete (or everything acked)
 	}
-	if r.downUntil > now {
-		c.armPump(r.downUntil)
+	if r.st.DownUntil > now {
+		c.armPump(r, r.st.DownUntil)
 		return
 	}
 	if down, until := r.cfg.Source.DownWindow(r.cfg.Link, now); down {
-		c.armPump(until)
+		c.armPump(r, until)
 		return
 	}
 	if c.plink.BitRateGbps(now) <= 0 {
@@ -487,23 +467,23 @@ func (c *Channel) pumpReplay(now sim.Cycle) {
 		if at <= now {
 			at = now + 1
 		}
-		c.armPump(at)
+		c.armPump(r, at)
 		return
 	}
-	if c.busyUntilMC >= (int64(now)+1)*1000 {
-		at := sim.Cycle(c.busyUntilMC / 1000)
+	if c.st.BusyUntilMC >= (int64(now)+1)*1000 {
+		at := sim.Cycle(c.st.BusyUntilMC / 1000)
 		if at <= now {
 			at = now + 1
 		}
-		c.armPump(at)
+		c.armPump(r, at)
 		return
 	}
-	tf := r.retx[r.replayNext%uint64(r.cfg.Window)]
-	r.replayNext++
-	r.stats.Retransmits++
+	tf := r.retx[r.st.ReplayNext%uint64(r.cfg.Window)]
+	r.st.ReplayNext++
+	r.st.Stats.Retransmits++
 	c.transmit(now, tf)
-	if r.replayNext < r.sendSeq {
-		c.armPump(now + 1)
+	if r.st.ReplayNext < r.st.SendSeq {
+		c.armPump(r, now+1)
 	}
 }
 
@@ -513,46 +493,44 @@ func (c *Channel) pumpReplay(now sim.Cycle) {
 // ResetCycles, then replay resumes).
 func (c *Channel) watchdog(now sim.Cycle) {
 	r := c.rel
-	r.wdArmed = false
-	if r.ackSeq >= r.sendSeq {
+	r.st.WdArmed = false
+	if r.st.AckSeq >= r.st.SendSeq {
 		return // everything acked; disarm until the next send
 	}
-	if due := r.lastProgress + r.cfg.Timeout; now < due {
-		c.armWatchdog(due)
+	if due := r.st.LastProgress + r.cfg.Timeout; now < due {
+		c.armWatchdog(r, due)
 		return
 	}
-	r.stats.Timeouts++
-	r.retries++
-	if r.retries > r.cfg.MaxRetries {
-		r.stats.Escalations++
-		r.retries = 0
-		r.downUntil = now + r.cfg.ResetCycles
+	r.st.Stats.Timeouts++
+	r.st.Retries++
+	if r.st.Retries > r.cfg.MaxRetries {
+		r.st.Stats.Escalations++
+		r.st.Retries = 0
+		r.st.DownUntil = now + r.cfg.ResetCycles
 		if c.downNotify != nil {
-			c.downNotify(now, r.downUntil)
+			c.downNotify(now, r.st.DownUntil)
 		}
 	}
-	r.lastProgress = now
-	r.replayNext = r.ackSeq
-	c.armPump(now + 1)
-	c.armWatchdog(now + r.cfg.Timeout)
+	r.st.LastProgress = now
+	r.st.ReplayNext = r.st.AckSeq
+	c.armPump(r, now+1)
+	c.armWatchdog(r, now+r.cfg.Timeout)
 }
 
-func (c *Channel) armPump(at sim.Cycle) {
-	r := c.rel
-	if r.pumpArmed {
-		return
+// armPump schedules r's replay pump at at unless it is already armed.
+func (c *Channel) armPump(r *reliability, at sim.Cycle) {
+	if !r.st.PumpArmed {
+		r.st.PumpArmed = true
+		c.sched.Schedule(at, c.selfKey, r.pumpH)
 	}
-	r.pumpArmed = true
-	c.sched.Schedule(at, c.selfKey, r.pumpH)
 }
 
-func (c *Channel) armWatchdog(at sim.Cycle) {
-	r := c.rel
-	if r.wdArmed {
-		return
+// armWatchdog schedules r's watchdog at at unless it is already armed.
+func (c *Channel) armWatchdog(r *reliability, at sim.Cycle) {
+	if !r.st.WdArmed {
+		r.st.WdArmed = true
+		c.sched.Schedule(at, c.selfKey, r.wdH)
 	}
-	r.wdArmed = true
-	c.sched.Schedule(at, c.selfKey, r.wdH)
 }
 
 // OutstandingFlits returns the number of flits granted onto this channel
@@ -563,7 +541,7 @@ func (c *Channel) OutstandingFlits() int {
 	if c.rel == nil {
 		return 0
 	}
-	return int(c.rel.sendSeq - c.rel.rxExpect)
+	return int(c.rel.st.SendSeq - c.rel.st.RxExpect)
 }
 
 // RxPending returns the number of accepted flits still waiting in the rx
@@ -593,8 +571,8 @@ func (c *Channel) DownUntil(now sim.Cycle) sim.Cycle {
 		return now
 	}
 	t := now
-	if r.downUntil > t {
-		t = r.downUntil
+	if r.st.DownUntil > t {
+		t = r.st.DownUntil
 	}
 	if down, until := r.cfg.Source.DownWindow(r.cfg.Link, now); down && until > t {
 		t = until
@@ -609,7 +587,7 @@ func (c *Channel) DownAt(now sim.Cycle) bool {
 	if r == nil {
 		return false
 	}
-	if r.downUntil > now {
+	if r.st.DownUntil > now {
 		return true
 	}
 	down, _ := r.cfg.Source.DownWindow(r.cfg.Link, now)
@@ -622,19 +600,19 @@ func (c *Channel) RelStats() RelStats {
 	if c.rel == nil {
 		return RelStats{}
 	}
-	return c.rel.stats
+	return c.rel.st.Stats
 }
 
 // BusyCycles returns the cumulative serialisation time in (fractional)
 // router cycles — the policy controller's Lu numerator.
-func (c *Channel) BusyCycles() float64 { return c.busyCycles }
+func (c *Channel) BusyCycles() float64 { return c.st.BusyCycles }
 
 // Flits returns the number of flits transmitted (including replays).
-func (c *Channel) Flits() int64 { return c.flits }
+func (c *Channel) Flits() int64 { return c.st.Flits }
 
 // String implements fmt.Stringer for debugging.
 func (c *Channel) String() string {
-	return fmt.Sprintf("channel{busyUntilMC=%d flits=%d}", c.busyUntilMC, c.flits)
+	return fmt.Sprintf("channel{busyUntilMC=%d flits=%d}", c.st.BusyUntilMC, c.st.Flits)
 }
 
 // crcTable maps the top byte of a CRC-16/CCITT register (polynomial 0x1021,

@@ -168,7 +168,7 @@ func TestChannelSnapshotRoundTrip(t *testing.T) {
 			t.Run(fmt.Sprintf("reliable=%v/%s", reliable, k.name), func(t *testing.T) {
 				orig := newRig(reliable, k.crossing, 30)
 				var (
-					st  ChannelState
+					st  ChannelSnapshot
 					now sim.Cycle
 				)
 				for ; now < 200; now++ {
@@ -224,14 +224,14 @@ func TestChannelRestoreRejectsOversizedFIFOs(t *testing.T) {
 	for _, k := range fifoKinds {
 		t.Run("pending/"+k.name, func(t *testing.T) {
 			ch := newRig(false, k.crossing, 0).ch
-			err := ch.RestoreState(ChannelState{Pending: make([]TxFlitState, pendingCap+1)}, resolve)
+			err := ch.RestoreState(ChannelSnapshot{Pending: make([]TxFlitState, pendingCap+1)}, resolve)
 			if err == nil || !strings.Contains(err.Error(), "5 flits in flight, capacity is 4") {
 				t.Fatalf("restore of 5 pending flits: err = %v", err)
 			}
 		})
 		t.Run("rx/"+k.name, func(t *testing.T) {
 			ch := newRig(true, k.crossing, 0).ch
-			st := ChannelState{Rel: &RelChannelState{Rx: make([]FlitDesc, rxCap+1)}}
+			st := ChannelSnapshot{Rel: &RelSnapshot{Rx: make([]FlitDesc, rxCap+1)}}
 			err := ch.RestoreState(st, resolve)
 			if err == nil || !strings.Contains(err.Error(), "holds 9 flits, capacity is 8") {
 				t.Fatalf("restore of 9 rx flits: err = %v", err)

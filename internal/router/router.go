@@ -67,7 +67,9 @@ type Config struct {
 	EscapeVCs int
 }
 
-// Router is one 5-stage pipelined virtual-channel wormhole router.
+// Router is one 5-stage pipelined virtual-channel wormhole router. Its
+// mutable state lives in records that are also its checkpoint: st for the
+// router itself, and one per input VC and per output (see snapshot.go).
 type Router struct {
 	id        int
 	ports     int
@@ -78,40 +80,23 @@ type Router struct {
 	sched     Scheduler
 	selfKey   uint32 // ordering key for self-scheduled events (HOL, wake)
 
-	ins       []inputVC
-	outs      []Output
-	inputBusy []sim.Cycle // per input port: cycle of the last crossbar grant
-
-	flitsRouted    int64
-	flitsDiscarded int64 // killed-packet flits dropped at this router
-	escGrants      int64 // flits granted onto an escape VC
+	ins  []inputVC
+	outs []Output
+	st   RouterState
 }
 
+// inputVC is one input virtual channel: its record, its flit buffer, the
+// packet whose wormhole owns it, and its credit-return wiring.
 type inputVC struct {
+	st     InputVCState
 	buf    *Buffer
-	route  int     // output port for the current packet, -1 when unset
-	outVC  int     // allocated output VC at that port, -1 when unset
-	vcMask uint32  // downstream VCs the current packet may claim
 	curPkt *Packet // packet whose wormhole currently owns this input VC
-	inReq  bool    // currently queued in an output's request list
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
 	upstream CreditSink
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
 	upVC int
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
 	creditKey uint32 // ordering key for credit returns: (upstream owner, us)
-	// creditsSent - creditsReturned counts credit returns scheduled but not
-	// yet delivered upstream. Burst discards put several in flight at
-	// once; the conservation audit needs the exact count to bracket
-	// tightly. The credit event runs on the upstream owner's shard, so each
-	// counter has one writing shard and the audit reads both at a barrier.
-	creditsSent     int
-	creditsReturned int
-
-	// progressAt is the cycle of the last forward progress on this VC —
-	// a pop, or an arrival into an empty buffer. The stall watchdog
-	// measures head-of-line blockage against it.
-	progressAt sim.Cycle
 
 	holH    sim.Handler // fires register() when the HOL flit becomes ready
 	creditH sim.Handler // returns one credit upstream
@@ -119,33 +104,21 @@ type inputVC struct {
 
 // Output is one router output port: the request list competing for it, its
 // output virtual channels (tracking downstream buffer credits and wormhole
-// ownership), and the physical channel.
+// ownership), and the physical channel. Its mutable state is its record
+// st, which is also its checkpoint.
 type Output struct {
 	router *Router
 	port   int
 	//optolint:derived physical-channel wiring re-installed by ConnectOutput during construction
-	ch     *Channel
-	ovc    []outVC
-	req    []int // input-VC indices with a ready HOL flit routed here
-	rr     int   // round-robin scan start
-	active bool
-
-	wakePending bool
-	wakeH       sim.Handler
-
-	grants       int64
-	creditStalls int64
+	ch    *Channel
+	st    OutputState
+	wakeH sim.Handler
 }
 
 // CreditStalls returns how many grant attempts this output port rejected
 // because the chosen output VC had no downstream credits — a direct measure
 // of backpressure on the port.
-func (o *Output) CreditStalls() int64 { return o.creditStalls }
-
-type outVC struct {
-	credits int
-	owner   int // input-VC index holding this output VC, -1 when free
-}
+func (o *Output) CreditStalls() int64 { return o.st.CreditStalls }
 
 // New builds a router with all ports and VCs initialised. Channels are
 // attached afterwards via ConnectOutput; input-port upstreams via
@@ -168,21 +141,20 @@ func New(cfg Config, sched Scheduler) *Router {
 		selfKey:   cfg.Key,
 		ins:       make([]inputVC, cfg.Ports*cfg.VCs),
 		outs:      make([]Output, cfg.Ports),
-		inputBusy: make([]sim.Cycle, cfg.Ports),
+		st:        RouterState{InputBusy: make([]sim.Cycle, cfg.Ports)},
 	}
-	for i := range r.inputBusy {
-		r.inputBusy[i] = -1
+	for i := range r.st.InputBusy {
+		r.st.InputBusy[i] = -1
 	}
 	for i := range r.ins {
 		in := &r.ins[i]
 		in.buf = NewBuffer(cfg.BufDepth)
-		in.route = -1
-		in.outVC = -1
+		in.st = InputVCState{Route: -1, OutVC: -1}
 		idx := i
 		in.holH = sched.Register(func(now sim.Cycle) { r.register(now, idx) })
 		in.creditH = sched.Register(func(now sim.Cycle) {
 			in := &r.ins[idx]
-			in.creditsReturned++
+			in.st.CreditsReturned++
 			if up := in.upstream; up != nil {
 				up.ReturnCredit(now, in.upVC)
 			}
@@ -192,13 +164,13 @@ func New(cfg Config, sched Scheduler) *Router {
 		o := &r.outs[p]
 		o.router = r
 		o.port = p
-		o.ovc = make([]outVC, cfg.VCs)
-		for v := range o.ovc {
-			o.ovc[v] = outVC{credits: cfg.BufDepth, owner: -1}
+		o.st.OVC = make([]OutVCState, cfg.VCs)
+		for v := range o.st.OVC {
+			o.st.OVC[v] = OutVCState{Credits: cfg.BufDepth, Owner: -1}
 		}
 		o.wakeH = sched.Register(func(now sim.Cycle) {
-			o.wakePending = false
-			if len(o.req) > 0 {
+			o.st.WakePending = false
+			if len(o.st.Req) > 0 {
 				r.sched.ActivateOutput(o)
 			}
 		})
@@ -216,7 +188,7 @@ func (r *Router) Ports() int { return r.ports }
 func (r *Router) VCs() int { return r.vcs }
 
 // FlitsRouted returns the number of flits this router has switched.
-func (r *Router) FlitsRouted() int64 { return r.flitsRouted }
+func (r *Router) FlitsRouted() int64 { return r.st.FlitsRouted }
 
 // Output returns output port p.
 func (r *Router) Output(p int) *Output { return &r.outs[p] }
@@ -231,7 +203,7 @@ func (r *Router) InputBuffer(p, v int) *Buffer { return r.ins[p*r.vcs+v].buf }
 // flight at once).
 func (r *Router) CreditsInFlight(p, v int) int { return r.ins[p*r.vcs+v].creditsInFlight() }
 
-func (in *inputVC) creditsInFlight() int { return in.creditsSent - in.creditsReturned }
+func (in *inputVC) creditsInFlight() int { return in.st.CreditsSent - in.st.CreditsReturned }
 
 // SetUpstream wires the credit-return path for input port p, VC v: when a
 // flit leaves that buffer, sink.ReturnCredit(·, upVC) is invoked after
@@ -270,7 +242,7 @@ func (r *Router) AcceptFlit(p int) DeliverFunc {
 		wasEmpty := in.buf.Len() == 0
 		in.buf.Push(now, f)
 		if wasEmpty {
-			in.progressAt = now
+			in.st.ProgressAt = now
 			r.register(now, ivc)
 		}
 	}
@@ -281,7 +253,7 @@ func (r *Router) AcceptFlit(p int) DeliverFunc {
 // Flits of packets killed at this router are discarded here instead.
 func (r *Router) register(now sim.Cycle, ivc int) {
 	in := &r.ins[ivc]
-	if in.inReq || in.buf.Len() == 0 {
+	if in.st.InReq || in.buf.Len() == 0 {
 		return
 	}
 	f := in.buf.Front()
@@ -296,7 +268,7 @@ func (r *Router) register(now sim.Cycle, ivc int) {
 		r.sched.Schedule(f.ReadyAt, r.selfKey, in.holH)
 		return
 	}
-	if f.IsHead() && in.route < 0 {
+	if f.IsHead() && in.st.Route < 0 {
 		port, mask := r.route(r.id, f.Pkt, ivc%r.vcs) // route computation stage
 		if port < 0 || port >= r.ports {
 			panic(fmt.Sprintf("router %d: route for packet %d -> invalid port %d", r.id, f.Pkt.ID, port))
@@ -304,13 +276,13 @@ func (r *Router) register(now sim.Cycle, ivc int) {
 		if mask == 0 {
 			panic(fmt.Sprintf("router %d: empty VC mask for packet %d", r.id, f.Pkt.ID))
 		}
-		in.route = port
-		in.vcMask = mask
+		in.st.Route = port
+		in.st.VCMask = mask
 		in.curPkt = f.Pkt
 	}
-	o := &r.outs[in.route]
-	in.inReq = true
-	o.req = append(o.req, ivc)
+	o := &r.outs[in.st.Route]
+	in.st.InReq = true
+	o.st.Req = append(o.st.Req, ivc)
 	r.sched.ActivateOutput(o)
 }
 
@@ -327,18 +299,18 @@ func (r *Router) discardKilled(now sim.Cycle, ivc int) {
 			return
 		}
 		in.buf.Pop(now)
-		in.progressAt = now
-		r.flitsDiscarded++
+		in.st.ProgressAt = now
+		r.st.FlitsDiscarded++
 		if in.upstream != nil {
-			in.creditsSent++
+			in.st.CreditsSent++
 			r.sched.Schedule(now+CreditDelay, in.creditKey, in.creditH)
 		}
 		if f.IsTail() && in.curPkt == p {
-			if in.outVC >= 0 {
-				r.outs[in.route].ovc[in.outVC].owner = -1
-				in.outVC = -1
+			if in.st.OutVC >= 0 {
+				r.outs[in.st.Route].st.OVC[in.st.OutVC].Owner = -1
+				in.st.OutVC = -1
 			}
-			in.route = -1
+			in.st.Route = -1
 			in.curPkt = nil
 		}
 	}
@@ -346,23 +318,23 @@ func (r *Router) discardKilled(now sim.Cycle, ivc int) {
 
 // detach removes input VC ivc from its output's request list, if queued.
 func (r *Router) detach(ivc int) {
-	in := &r.ins[ivc]
-	if !in.inReq {
+	in := &r.ins[ivc].st
+	if !in.InReq {
 		return
 	}
-	o := &r.outs[in.route]
-	for i, q := range o.req {
+	o := &r.outs[in.Route].st
+	for i, q := range o.Req {
 		if q == ivc {
-			o.req = append(o.req[:i], o.req[i+1:]...)
+			o.Req = append(o.Req[:i], o.Req[i+1:]...)
 			break
 		}
 	}
-	if len(o.req) == 0 {
-		o.rr = 0
+	if len(o.Req) == 0 {
+		o.RR = 0
 	} else {
-		o.rr %= len(o.req)
+		o.RR %= len(o.Req)
 	}
-	in.inReq = false
+	in.InReq = false
 }
 
 // InputVCs returns the number of input virtual channels (ports × VCs);
@@ -379,7 +351,7 @@ func (r *Router) HOL(ivc int) (FlitRef, bool) {
 }
 
 // ProgressAt returns the cycle of input VC ivc's last forward progress.
-func (r *Router) ProgressAt(ivc int) sim.Cycle { return r.ins[ivc].progressAt }
+func (r *Router) ProgressAt(ivc int) sim.Cycle { return r.ins[ivc].st.ProgressAt }
 
 // RerouteHOL redirects the head-of-line packet of input VC ivc to (port,
 // vcMask), releasing any request-list slot and output VC it held. Only a
@@ -395,19 +367,19 @@ func (r *Router) RerouteHOL(now sim.Cycle, ivc, port int, vcMask uint32) bool {
 	if !f.IsHead() {
 		return false
 	}
-	if in.route == port && in.vcMask == vcMask {
+	if in.st.Route == port && in.st.VCMask == vcMask {
 		// Already restricted to exactly this route: re-registering would be
 		// a no-op, and reporting success would let a caller's escalation
 		// counter tick on every scan for one stuck packet.
 		return false
 	}
 	r.detach(ivc)
-	if in.outVC >= 0 {
-		r.outs[in.route].ovc[in.outVC].owner = -1
-		in.outVC = -1
+	if in.st.OutVC >= 0 {
+		r.outs[in.st.Route].st.OVC[in.st.OutVC].Owner = -1
+		in.st.OutVC = -1
 	}
-	in.route = port
-	in.vcMask = vcMask
+	in.st.Route = port
+	in.st.VCMask = vcMask
 	in.curPkt = f.Pkt
 	r.register(now, ivc)
 	return true
@@ -430,11 +402,11 @@ func (r *Router) KillHOL(now sim.Cycle, ivc int) *Packet {
 	}
 	p := f.Pkt
 	r.detach(ivc)
-	if in.outVC >= 0 {
-		r.outs[in.route].ovc[in.outVC].owner = -1
-		in.outVC = -1
+	if in.st.OutVC >= 0 {
+		r.outs[in.st.Route].st.OVC[in.st.OutVC].Owner = -1
+		in.st.OutVC = -1
 	}
-	in.route = -1
+	in.st.Route = -1
 	in.curPkt = nil
 	p.Killed = true
 	p.KillRouter = r.id
@@ -446,10 +418,10 @@ func (r *Router) KillHOL(now sim.Cycle, ivc int) *Packet {
 }
 
 // DiscardedFlits returns how many killed-packet flits this router dropped.
-func (r *Router) DiscardedFlits() int64 { return r.flitsDiscarded }
+func (r *Router) DiscardedFlits() int64 { return r.st.FlitsDiscarded }
 
 // EscapeGrants returns how many flits this router granted onto escape VCs.
-func (r *Router) EscapeGrants() int64 { return r.escGrants }
+func (r *Router) EscapeGrants() int64 { return r.st.EscGrants }
 
 // BufferedFlits returns the number of flits currently occupying this
 // router's input buffers across all ports and VCs — the telemetry probe for
@@ -467,13 +439,13 @@ func (r *Router) BufferedFlits() int {
 // historical ascending order.
 func (o *Output) pickVC(mask uint32) int {
 	esc := o.router.escapeVCs
-	for v := esc; v < len(o.ovc); v++ {
-		if mask&(1<<uint(v)) != 0 && o.ovc[v].owner < 0 {
+	for v := esc; v < len(o.st.OVC); v++ {
+		if mask&(1<<uint(v)) != 0 && o.st.OVC[v].Owner < 0 {
 			return v
 		}
 	}
 	for v := 0; v < esc; v++ {
-		if mask&(1<<uint(v)) != 0 && o.ovc[v].owner < 0 {
+		if mask&(1<<uint(v)) != 0 && o.st.OVC[v].Owner < 0 {
 			return v
 		}
 	}
@@ -485,17 +457,17 @@ func (o *Output) pickVC(mask uint32) int {
 // remain on the active list for the next cycle.
 func (o *Output) TryGrant(now sim.Cycle) bool {
 	r := o.router
-	if len(o.req) == 0 {
-		o.active = false
+	if len(o.st.Req) == 0 {
+		o.st.Active = false
 		return false
 	}
 	// Link/channel availability gates everything: when the channel is
 	// serialising or the link is mid-frequency-switch, sleep until it is
 	// expected back.
 	if !o.ch.Usable(now) {
-		o.active = false
-		if !o.wakePending {
-			o.wakePending = true
+		o.st.Active = false
+		if !o.st.WakePending {
+			o.st.WakePending = true
 			at := o.ch.NextUsableAt(now)
 			if at <= now {
 				at = now + 1
@@ -505,88 +477,88 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 		return false
 	}
 
-	n := len(o.req)
+	n := len(o.st.Req)
 	for k := 0; k < n; k++ {
-		i := (o.rr + k) % n
-		ivc := o.req[i]
+		i := (o.st.RR + k) % n
+		ivc := o.st.Req[i]
 		in := &r.ins[ivc]
 		inPort := ivc / r.vcs
-		if r.inputBusy[inPort] == now {
+		if r.st.InputBusy[inPort] == now {
 			continue // crossbar input already used this cycle
 		}
 		if hol := in.buf.Front(); hol.Pkt.Killed && hol.Pkt.KillRouter == r.id {
 			// Killed between registration and grant: discard instead of
 			// forwarding (the watchdog normally sweeps these out first).
-			o.req = append(o.req[:i], o.req[i+1:]...)
-			in.inReq = false
-			if len(o.req) > 0 {
-				o.rr = i % len(o.req)
+			o.st.Req = append(o.st.Req[:i], o.st.Req[i+1:]...)
+			in.st.InReq = false
+			if len(o.st.Req) > 0 {
+				o.st.RR = i % len(o.st.Req)
 			} else {
-				o.rr = 0
+				o.st.RR = 0
 			}
 			r.discardKilled(now, ivc)
 			if in.buf.Len() > 0 {
 				r.register(now, ivc)
 			}
-			o.active = len(o.req) > 0
-			return o.active
+			o.st.Active = len(o.st.Req) > 0
+			return o.st.Active
 		}
 		// VC allocation for head flits that have not yet acquired an
 		// output VC.
-		if in.outVC < 0 {
-			free := o.pickVC(in.vcMask)
+		if in.st.OutVC < 0 {
+			free := o.pickVC(in.st.VCMask)
 			if free < 0 {
 				continue // all permitted output VCs owned; wait for a tail
 			}
-			o.ovc[free].owner = ivc
-			in.outVC = free
+			o.st.OVC[free].Owner = ivc
+			in.st.OutVC = free
 		}
-		v := in.outVC
-		if o.ovc[v].credits == 0 {
-			o.creditStalls++
+		v := in.st.OutVC
+		if o.st.OVC[v].Credits == 0 {
+			o.st.CreditStalls++
 			continue // downstream buffer full; credit return reactivates us
 		}
 
 		// Grant: switch traversal and link transmission.
-		o.ovc[v].credits--
+		o.st.OVC[v].Credits--
 		f := in.buf.Pop(now)
-		in.progressAt = now
-		r.inputBusy[inPort] = now
-		r.flitsRouted++
-		o.grants++
+		in.st.ProgressAt = now
+		r.st.InputBusy[inPort] = now
+		r.st.FlitsRouted++
+		o.st.Grants++
 		if v < r.escapeVCs {
-			r.escGrants++
+			r.st.EscGrants++
 		}
 		if in.upstream != nil {
-			in.creditsSent++
+			in.st.CreditsSent++
 			r.sched.Schedule(now+CreditDelay, in.creditKey, in.creditH)
 		}
 		f.VC = int8(v)
 		o.ch.Send(now, f)
 
 		if f.IsTail() {
-			o.ovc[v].owner = -1
-			in.outVC = -1
-			in.route = -1
+			o.st.OVC[v].Owner = -1
+			in.st.OutVC = -1
+			in.st.Route = -1
 			in.curPkt = nil
 		}
 
 		// Remove ivc from the request list (ordered, for stable fairness)
 		// and advance the round-robin pointer past the granted slot.
-		o.req = append(o.req[:i], o.req[i+1:]...)
-		in.inReq = false
-		if len(o.req) > 0 {
-			o.rr = i % len(o.req)
+		o.st.Req = append(o.st.Req[:i], o.st.Req[i+1:]...)
+		in.st.InReq = false
+		if len(o.st.Req) > 0 {
+			o.st.RR = i % len(o.st.Req)
 		} else {
-			o.rr = 0
+			o.st.RR = 0
 		}
 		// Re-register the next flit in this VC (it may target the same or,
 		// after a tail, a different output).
 		if in.buf.Len() > 0 {
 			r.register(now, ivc)
 		}
-		o.active = len(o.req) > 0
-		return o.active
+		o.st.Active = len(o.st.Req) > 0
+		return o.st.Active
 	}
 	// Requests exist but none could be granted this cycle (input-port
 	// conflicts, VC exhaustion, or zero credits). Stay active: conflicts
@@ -597,32 +569,32 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 // ReturnCredit implements CreditSink for the downstream side of this
 // output's link: a flit left the downstream input buffer, freeing a slot.
 func (o *Output) ReturnCredit(now sim.Cycle, vc int) {
-	o.ovc[vc].credits++
+	o.st.OVC[vc].Credits++
 	if sim.Debug {
-		sim.Assertf(o.ovc[vc].credits <= o.router.depth,
+		sim.Assertf(o.st.OVC[vc].Credits <= o.router.depth,
 			"router %d output %d vc %d: %d credits exceed buffer depth %d (credit conservation broken)",
-			o.router.id, o.port, vc, o.ovc[vc].credits, o.router.depth)
+			o.router.id, o.port, vc, o.st.OVC[vc].Credits, o.router.depth)
 	}
-	if len(o.req) > 0 {
+	if len(o.st.Req) > 0 {
 		o.router.sched.ActivateOutput(o)
 	}
 }
 
 // Credits returns the available credits on output VC v (tests/diagnostics).
-func (o *Output) Credits(v int) int { return o.ovc[v].credits }
+func (o *Output) Credits(v int) int { return o.st.OVC[v].Credits }
 
 // TotalCredits returns the credits summed over the output's VCs — the
 // congestion signal adaptive routing selects by.
 func (o *Output) TotalCredits() int {
 	var sum int
-	for v := range o.ovc {
-		sum += o.ovc[v].credits
+	for v := range o.st.OVC {
+		sum += o.st.OVC[v].Credits
 	}
 	return sum
 }
 
 // Grants returns the number of flits this output has switched.
-func (o *Output) Grants() int64 { return o.grants }
+func (o *Output) Grants() int64 { return o.st.Grants }
 
 // Channel returns the attached physical channel.
 func (o *Output) Channel() *Channel { return o.ch }
@@ -631,7 +603,7 @@ func (o *Output) Channel() *Channel { return o.ch }
 func (o *Output) Port() int { return o.port }
 
 // Active reports whether the output is on the scheduler's work list.
-func (o *Output) Active() bool { return o.active }
+func (o *Output) Active() bool { return o.st.Active }
 
 // SetActive marks the output as queued; used by the Scheduler only.
-func (o *Output) SetActive(v bool) { o.active = v }
+func (o *Output) SetActive(v bool) { o.st.Active = v }

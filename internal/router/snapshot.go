@@ -2,17 +2,24 @@ package router
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
 
-// This file is the router package's checkpoint surface: plain-data State
-// structs for packets, buffers, input VCs, outputs, routers, and channels,
-// plus Export/Restore methods that move the mutable simulation state in and
-// out of freshly constructed topology. Closures, configuration, and wiring
-// (upstream sinks, schedulers, routing functions) are never serialized — a
-// restore target is a newly built network with identical configuration, and
-// only the dynamic fields below are overwritten.
+// This file is the router package's checkpoint surface. The mutable
+// scalars of routers, input VCs, outputs, channels and the retransmission
+// protocol live in exported records — RouterState, InputVCState,
+// OutputState, ChannelState, RelState — that are at once the components'
+// live state and their checkpoint: export copies a record and clones its
+// slices, and restore checks it against the target's configuration and
+// assigns it, copying slices into the target's own backing arrays so one
+// snapshot can be restored any number of times. Only references are
+// translated: packets, and the contents of buffers, FIFOs and retransmit
+// rings, which the *Snapshot types carry next to the records. Closures,
+// configuration, and wiring (upstream sinks, schedulers, routing
+// functions) are never serialized — a restore target is a newly built
+// network with identical configuration.
 //
 // Packets travel by reference through buffers, rings, and wormhole state, so
 // the checkpoint flattens every *Packet into an ID and rebuilds the aliasing
@@ -28,6 +35,23 @@ type PacketCollector func(p *Packet)
 // time. IDs unknown to the table are an error (a corrupt or inconsistent
 // snapshot).
 type PacketResolver func(id int64) (*Packet, error)
+
+// ID registers p and returns its ID, or 0 for a nil reference.
+func (collect PacketCollector) ID(p *Packet) int64 {
+	if p == nil {
+		return 0
+	}
+	collect(p)
+	return p.ID
+}
+
+// Ref resolves an ID recorded by PacketCollector.ID: nil for 0.
+func (resolve PacketResolver) Ref(id int64) (*Packet, error) {
+	if id == 0 {
+		return nil, nil
+	}
+	return resolve(id)
+}
 
 // PacketState is the serializable form of one Packet (pool linkage dropped).
 type PacketState struct {
@@ -84,28 +108,19 @@ type FlitDesc struct {
 }
 
 func exportFlit(f FlitRef, collect PacketCollector) FlitDesc {
-	d := FlitDesc{Seq: f.Seq, VC: f.VC, ReadyAt: f.ReadyAt}
-	if f.Pkt != nil {
-		collect(f.Pkt)
-		d.PktID = f.Pkt.ID
-	}
-	return d
+	return FlitDesc{PktID: collect.ID(f.Pkt), Seq: f.Seq, VC: f.VC, ReadyAt: f.ReadyAt}
 }
 
 func resolveFlit(d FlitDesc, resolve PacketResolver) (FlitRef, error) {
-	f := FlitRef{Seq: d.Seq, VC: d.VC, ReadyAt: d.ReadyAt}
-	if d.PktID != 0 {
-		p, err := resolve(d.PktID)
-		if err != nil {
-			return FlitRef{}, err
-		}
-		f.Pkt = p
+	p, err := resolve.Ref(d.PktID)
+	if err != nil {
+		return FlitRef{}, err
 	}
-	return f, nil
+	return FlitRef{Pkt: p, Seq: d.Seq, VC: d.VC, ReadyAt: d.ReadyAt}, nil
 }
 
 // TxFlitState is one wire transmission (txFlit) flattened. Flit.PktID is 0
-// for retransmit-ring entries already delivered downstream (Seq < rxExpect):
+// for retransmit-ring entries already delivered downstream (Seq < RxExpect):
 // their *Packet may have been recycled, they are only ever replayed and
 // dropped as duplicates by sequence number, and the protocol never
 // dereferences them — so the checkpoint severs the pointer rather than
@@ -119,15 +134,10 @@ type TxFlitState struct {
 
 func (c *Channel) exportTxFlit(tf txFlit, collect PacketCollector) TxFlitState {
 	st := TxFlitState{Seq: tf.seq, PktID: tf.pktID, CRC: tf.crc}
-	live := true
-	if c.rel != nil && tf.seq < c.rel.rxExpect {
-		live = false
+	if c.rel != nil && tf.seq < c.rel.st.RxExpect {
+		tf.f.Pkt = nil // delivered: sever the possibly recycled packet
 	}
-	if live {
-		st.Flit = exportFlit(tf.f, collect)
-	} else {
-		st.Flit = FlitDesc{Seq: tf.f.Seq, VC: tf.f.VC, ReadyAt: tf.f.ReadyAt}
-	}
+	st.Flit = exportFlit(tf.f, collect)
 	return st
 }
 
@@ -181,30 +191,47 @@ func (b *Buffer) RestoreState(st BufferState, resolve PacketResolver) error {
 	return nil
 }
 
-// InputVCState is one input VC's wormhole and arbitration state.
-type InputVCState struct {
-	Buf        BufferState
-	Route      int
-	OutVC      int
-	VCMask     uint32
-	CurPktID   int64 // 0 = no wormhole in progress
-	InReq      bool
-	ProgressAt sim.Cycle
-	// CreditsInFlight mirrors the scheduled-but-undelivered credit
-	// returns; the wheel snapshot re-creates the events themselves.
-	CreditsInFlight int
+// RouterState is a router's own record: the cycle of each input port's
+// last crossbar grant and the router's flit counters.
+type RouterState struct {
+	InputBusy      []sim.Cycle
+	FlitsRouted    int64
+	FlitsDiscarded int64 // killed-packet flits dropped at this router
+	EscGrants      int64 // flits granted onto an escape VC
 }
 
-// OutVCState is one output VC's credit and ownership state.
+// InputVCState is one input VC's wormhole, arbitration and credit record.
+type InputVCState struct {
+	Route  int    // output port for the current packet, -1 when unset
+	OutVC  int    // allocated output VC at that port, -1 when unset
+	VCMask uint32 // downstream VCs the current packet may claim
+	InReq  bool   // currently queued in an output's request list
+
+	// ProgressAt is the cycle of the last forward progress on this VC — a
+	// pop, or an arrival into an empty buffer. The stall watchdog measures
+	// head-of-line blockage against it.
+	ProgressAt sim.Cycle
+
+	// CreditsSent - CreditsReturned counts credit returns scheduled but
+	// not yet delivered upstream. Burst discards put several in flight at
+	// once; the conservation audit needs the exact count to bracket
+	// tightly. The credit event runs on the upstream owner's shard, so
+	// each counter has one writing shard and the audit reads both at a
+	// barrier.
+	CreditsSent     int
+	CreditsReturned int
+}
+
+// OutVCState is one output VC's credit and ownership record.
 type OutVCState struct {
 	Credits int
-	Owner   int
+	Owner   int // input-VC index holding this output VC, -1 when free
 }
 
-// OutputState is one output port's arbitration state. Req preserves the
-// request-list order (grant fairness is order-dependent), RR the round-robin
-// cursor, and Active whether the port sat on its shard's work list at the
-// checkpoint barrier.
+// OutputState is one output port's record. Req is the request list — the
+// input VCs with a ready head-of-line flit routed here, in arrival order,
+// which grant fairness depends on; RR is the round-robin scan start; and
+// Active says whether the port sits on its shard's work list.
 type OutputState struct {
 	OVC          []OutVCState
 	Req          []int
@@ -215,56 +242,36 @@ type OutputState struct {
 	CreditStalls int64
 }
 
-// RouterState is one router's complete mutable state.
-type RouterState struct {
-	Ins            []InputVCState
-	Outs           []OutputState
-	InputBusy      []sim.Cycle
-	FlitsRouted    int64
-	FlitsDiscarded int64
-	EscGrants      int64
+// InputVCSnapshot is one input VC's checkpoint: its record, its buffer and
+// the packet whose wormhole owns it.
+type InputVCSnapshot struct {
+	InputVCState
+	Buf      BufferState
+	CurPktID int64 // 0 = no wormhole in progress
+}
+
+// RouterSnapshot is one router's checkpoint.
+type RouterSnapshot struct {
+	RouterState
+	Ins  []InputVCSnapshot
+	Outs []OutputState
 }
 
 // ExportState captures the router's mutable state, registering every live
 // packet it references with collect.
-func (r *Router) ExportState(collect PacketCollector) RouterState {
-	st := RouterState{
-		Ins:            make([]InputVCState, len(r.ins)),
-		Outs:           make([]OutputState, len(r.outs)),
-		InputBusy:      make([]sim.Cycle, len(r.inputBusy)),
-		FlitsRouted:    r.flitsRouted,
-		FlitsDiscarded: r.flitsDiscarded,
-		EscGrants:      r.escGrants,
+func (r *Router) ExportState(collect PacketCollector) RouterSnapshot {
+	st := RouterSnapshot{
+		RouterState: r.st,
+		Ins:         make([]InputVCSnapshot, len(r.ins)),
+		Outs:        make([]OutputState, len(r.outs)),
 	}
-	copy(st.InputBusy, r.inputBusy)
+	st.InputBusy = slices.Clone(r.st.InputBusy)
 	for i := range r.ins {
 		in := &r.ins[i]
-		is := &st.Ins[i]
-		is.Buf = in.buf.ExportState(collect)
-		is.Route = in.route
-		is.OutVC = in.outVC
-		is.VCMask = in.vcMask
-		if in.curPkt != nil {
-			collect(in.curPkt)
-			is.CurPktID = in.curPkt.ID
-		}
-		is.InReq = in.inReq
-		is.ProgressAt = in.progressAt
-		is.CreditsInFlight = in.creditsInFlight()
+		st.Ins[i] = InputVCSnapshot{InputVCState: in.st, Buf: in.buf.ExportState(collect), CurPktID: collect.ID(in.curPkt)}
 	}
 	for p := range r.outs {
-		o := &r.outs[p]
-		os := &st.Outs[p]
-		os.OVC = make([]OutVCState, len(o.ovc))
-		for v := range o.ovc {
-			os.OVC[v] = OutVCState{Credits: o.ovc[v].credits, Owner: o.ovc[v].owner}
-		}
-		os.Req = append([]int(nil), o.req...)
-		os.RR = o.rr
-		os.Active = o.active
-		os.WakePending = o.wakePending
-		os.Grants = o.grants
-		os.CreditStalls = o.creditStalls
+		st.Outs[p] = r.outs[p].exportState()
 	}
 	return st
 }
@@ -272,10 +279,10 @@ func (r *Router) ExportState(collect PacketCollector) RouterState {
 // RestoreState overwrites the router's mutable state from a snapshot. The
 // router must have been built with the same configuration (ports, VCs,
 // buffer depth).
-func (r *Router) RestoreState(st RouterState, resolve PacketResolver) error {
-	if len(st.Ins) != len(r.ins) || len(st.Outs) != len(r.outs) || len(st.InputBusy) != len(r.inputBusy) {
+func (r *Router) RestoreState(st RouterSnapshot, resolve PacketResolver) error {
+	if len(st.Ins) != len(r.ins) || len(st.Outs) != len(r.outs) || len(st.InputBusy) != len(r.st.InputBusy) {
 		return fmt.Errorf("router %d: snapshot shape %d/%d/%d, router has %d/%d/%d",
-			r.id, len(st.Ins), len(st.Outs), len(st.InputBusy), len(r.ins), len(r.outs), len(r.inputBusy))
+			r.id, len(st.Ins), len(st.Outs), len(st.InputBusy), len(r.ins), len(r.outs), len(r.st.InputBusy))
 	}
 	for i := range st.Ins {
 		in := &r.ins[i]
@@ -286,111 +293,120 @@ func (r *Router) RestoreState(st RouterState, resolve PacketResolver) error {
 		if is.Route < -1 || is.Route >= r.ports || is.OutVC < -1 || is.OutVC >= r.vcs {
 			return fmt.Errorf("router %d input VC %d: snapshot route %d/outVC %d out of range", r.id, i, is.Route, is.OutVC)
 		}
-		in.route = is.Route
-		in.outVC = is.OutVC
-		in.vcMask = is.VCMask
-		in.curPkt = nil
-		if is.CurPktID != 0 {
-			p, err := resolve(is.CurPktID)
-			if err != nil {
-				return fmt.Errorf("router %d input VC %d: %w", r.id, i, err)
-			}
-			in.curPkt = p
+		p, err := resolve.Ref(is.CurPktID)
+		if err != nil {
+			return fmt.Errorf("router %d input VC %d: %w", r.id, i, err)
 		}
-		in.inReq = is.InReq
-		in.progressAt = is.ProgressAt
-		in.creditsSent, in.creditsReturned = is.CreditsInFlight, 0
+		in.st, in.curPkt = is.InputVCState, p
 	}
 	for p := range st.Outs {
-		o := &r.outs[p]
-		os := &st.Outs[p]
-		if len(os.OVC) != len(o.ovc) {
-			return fmt.Errorf("router %d output %d: snapshot has %d VCs, output has %d", r.id, p, len(os.OVC), len(o.ovc))
+		if err := r.outs[p].restoreState(&st.Outs[p]); err != nil {
+			return err
 		}
-		for v := range os.OVC {
-			if os.OVC[v].Credits < 0 || os.OVC[v].Credits > r.depth {
-				return fmt.Errorf("router %d output %d VC %d: snapshot credits %d outside [0,%d]", r.id, p, v, os.OVC[v].Credits, r.depth)
-			}
-			o.ovc[v] = outVC{credits: os.OVC[v].Credits, owner: os.OVC[v].Owner}
-		}
-		o.req = o.req[:0]
-		for _, ivc := range os.Req {
-			if ivc < 0 || ivc >= len(r.ins) {
-				return fmt.Errorf("router %d output %d: snapshot request %d out of range", r.id, p, ivc)
-			}
-			o.req = append(o.req, ivc)
-		}
-		o.rr = os.RR
-		o.active = os.Active
-		o.wakePending = os.WakePending
-		o.grants = os.Grants
-		o.creditStalls = os.CreditStalls
 	}
-	copy(r.inputBusy, st.InputBusy)
-	r.flitsRouted = st.FlitsRouted
-	r.flitsDiscarded = st.FlitsDiscarded
-	r.escGrants = st.EscGrants
+	busy := r.st.InputBusy
+	copy(busy, st.InputBusy)
+	r.st = st.RouterState
+	r.st.InputBusy = busy
 	return nil
 }
 
-// RelChannelState is the retransmission-protocol half of a ChannelState.
-// Retx holds only the replayable window [AckSeq, SendSeq) — older ring
-// slots are dead and restore as zero values.
-type RelChannelState struct {
-	Retx         []TxFlitState
-	SendSeq      uint64
-	AckSeq       uint64
-	ReplayNext   uint64
-	Retries      int
-	DownUntil    sim.Cycle
-	LastProgress sim.Cycle
-	WdArmed      bool
-	PumpArmed    bool
-	RxExpect     uint64
-	WantReplay   bool
-	FbArmed      bool
-	Rx           []FlitDesc
-	Stats        RelStats
+// exportState copies the output's record.
+func (o *Output) exportState() OutputState {
+	st := o.st
+	st.OVC = slices.Clone(o.st.OVC)
+	st.Req = slices.Clone(o.st.Req)
+	return st
 }
 
-// ChannelState is one channel's complete mutable state.
+// restoreState checks st against the output's router and assigns it,
+// keeping the output's own OVC and Req backing arrays.
+func (o *Output) restoreState(st *OutputState) error {
+	r := o.router
+	if len(st.OVC) != len(o.st.OVC) {
+		return fmt.Errorf("router %d output %d: snapshot has %d VCs, output has %d", r.id, o.port, len(st.OVC), len(o.st.OVC))
+	}
+	for v, ov := range st.OVC {
+		if ov.Credits < 0 || ov.Credits > r.depth {
+			return fmt.Errorf("router %d output %d VC %d: snapshot credits %d outside [0,%d]", r.id, o.port, v, ov.Credits, r.depth)
+		}
+	}
+	for _, ivc := range st.Req {
+		if ivc < 0 || ivc >= len(r.ins) {
+			return fmt.Errorf("router %d output %d: snapshot request %d out of range", r.id, o.port, ivc)
+		}
+	}
+	ovc, req := o.st.OVC, o.st.Req[:0]
+	copy(ovc, st.OVC)
+	o.st = *st
+	o.st.OVC, o.st.Req = ovc, append(req, st.Req...)
+	return nil
+}
+
+// ChannelState is a channel's serialisation record. BusyUntilMC is in
+// milli-cycles: the channel is idle from cycle now on when BusyUntilMC <=
+// now*1000. BusyCycles, the cumulative serialisation time, is the policy's
+// Lu numerator.
 type ChannelState struct {
 	BusyUntilMC int64
 	BusyCycles  float64
 	Flits       int64
-	Pending     []TxFlitState
-	Rel         *RelChannelState
+}
+
+// RelState is the retransmission protocol's record. Sender: sequence
+// numbers in [AckSeq, SendSeq) are unacknowledged and replayable, and
+// ReplayNext < SendSeq means a go-back-N replay is in progress, holding new
+// sends so flit order on the wire is preserved. Receiver: exactly seq ==
+// RxExpect with a valid CRC is delivered, in order; anything else is
+// dropped and, for losses ahead of RxExpect, answered with a replay request
+// on the next feedback.
+type RelState struct {
+	SendSeq      uint64
+	AckSeq       uint64
+	ReplayNext   uint64
+	Retries      int
+	DownUntil    sim.Cycle // escalated reset: link down until this cycle
+	LastProgress sim.Cycle
+	WdArmed      bool
+	PumpArmed    bool
+
+	RxExpect   uint64
+	WantReplay bool
+	FbArmed    bool
+
+	Stats RelStats
+}
+
+// RelSnapshot is the retransmission protocol's checkpoint: its record,
+// the replayable window [AckSeq, SendSeq) of the retransmit ring (older
+// slots are dead and restore as zero values), and the rx pipeline
+// register.
+type RelSnapshot struct {
+	RelState
+	Retx []TxFlitState
+	Rx   []FlitDesc
+}
+
+// ChannelSnapshot is one channel's checkpoint: its record, its in-flight
+// flits, and its protocol when reliability is enabled.
+type ChannelSnapshot struct {
+	ChannelState
+	Pending []TxFlitState
+	Rel     *RelSnapshot
 }
 
 // ExportState captures the channel's mutable state. The in-flight FIFOs
 // are drained and refilled, which preserves their contents and order
 // exactly; export must therefore run with the simulation quiesced, like
 // every other checkpoint operation.
-func (c *Channel) ExportState(collect PacketCollector) ChannelState {
-	st := ChannelState{
-		BusyUntilMC: c.busyUntilMC,
-		BusyCycles:  c.busyCycles,
-		Flits:       c.flits,
-	}
+func (c *Channel) ExportState(collect PacketCollector) ChannelSnapshot {
+	st := ChannelSnapshot{ChannelState: c.st}
 	c.pending.each(func(tf txFlit) {
 		st.Pending = append(st.Pending, c.exportTxFlit(tf, collect))
 	})
 	if r := c.rel; r != nil {
-		rs := &RelChannelState{
-			SendSeq:      r.sendSeq,
-			AckSeq:       r.ackSeq,
-			ReplayNext:   r.replayNext,
-			Retries:      r.retries,
-			DownUntil:    r.downUntil,
-			LastProgress: r.lastProgress,
-			WdArmed:      r.wdArmed,
-			PumpArmed:    r.pumpArmed,
-			RxExpect:     r.rxExpect,
-			WantReplay:   r.wantReplay,
-			FbArmed:      r.fbArmed,
-			Stats:        r.stats,
-		}
-		for seq := r.ackSeq; seq < r.sendSeq; seq++ {
+		rs := &RelSnapshot{RelState: r.st}
+		for seq := r.st.AckSeq; seq < r.st.SendSeq; seq++ {
 			rs.Retx = append(rs.Retx, c.exportTxFlit(r.retx[seq%uint64(r.cfg.Window)], collect))
 		}
 		r.rx.each(func(f FlitRef) {
@@ -404,7 +420,7 @@ func (c *Channel) ExportState(collect PacketCollector) ChannelState {
 // RestoreState overwrites the channel's mutable state from a snapshot. The
 // channel must have been built with the same reliability configuration. A
 // snapshot FIFO longer than the channel's capacity is an error.
-func (c *Channel) RestoreState(st ChannelState, resolve PacketResolver) error {
+func (c *Channel) RestoreState(st ChannelSnapshot, resolve PacketResolver) error {
 	if (st.Rel != nil) != (c.rel != nil) {
 		return fmt.Errorf("router: snapshot reliability %v, channel reliability %v", st.Rel != nil, c.rel != nil)
 	}
@@ -414,9 +430,7 @@ func (c *Channel) RestoreState(st ChannelState, resolve PacketResolver) error {
 	if st.Rel != nil && len(st.Rel.Rx) > rxCap {
 		return fmt.Errorf("router: snapshot rx register holds %d flits, capacity is %d", len(st.Rel.Rx), rxCap)
 	}
-	c.busyUntilMC = st.BusyUntilMC
-	c.busyCycles = st.BusyCycles
-	c.flits = st.Flits
+	c.st = st.ChannelState
 	for c.pending.len() > 0 {
 		c.pending.pop()
 	}
@@ -450,17 +464,6 @@ func (c *Channel) RestoreState(st ChannelState, resolve PacketResolver) error {
 			}
 			r.retx[ts.Seq%w] = tf
 		}
-		r.sendSeq = rs.SendSeq
-		r.ackSeq = rs.AckSeq
-		r.replayNext = rs.ReplayNext
-		r.retries = rs.Retries
-		r.downUntil = rs.DownUntil
-		r.lastProgress = rs.LastProgress
-		r.wdArmed = rs.WdArmed
-		r.pumpArmed = rs.PumpArmed
-		r.rxExpect = rs.RxExpect
-		r.wantReplay = rs.WantReplay
-		r.fbArmed = rs.FbArmed
 		for r.rx.len() > 0 {
 			r.rx.pop()
 		}
@@ -471,7 +474,7 @@ func (c *Channel) RestoreState(st ChannelState, resolve PacketResolver) error {
 			}
 			r.rx.push(f)
 		}
-		r.stats = rs.Stats
+		r.st = rs.RelState
 	}
 	return nil
 }

@@ -8,10 +8,12 @@ import (
 
 // Histogram is a log-bucketed latency histogram: cheap to update, compact,
 // and accurate to ~9 % anywhere on the range — good enough for the tail
-// percentiles papers report (p95/p99).
+// percentiles papers report (p95/p99). Its fields are exported so that a
+// histogram is its own checkpoint record; change them only through the
+// methods.
 type Histogram struct {
-	counts []int64
-	total  int64
+	Counts []int64 // observations per bucket
+	Total  int64
 }
 
 // bucketsPerOctave controls resolution: 8 sub-buckets per power of two
@@ -32,51 +34,51 @@ func bucketLow(i int) float64 {
 // Record adds one observation.
 func (h *Histogram) Record(v sim.Cycle) {
 	i := histBucket(v)
-	for len(h.counts) <= i {
-		h.counts = append(h.counts, 0)
+	for len(h.Counts) <= i {
+		h.Counts = append(h.Counts, 0)
 	}
-	h.counts[i]++
-	h.total++
+	h.Counts[i]++
+	h.Total++
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.total }
+func (h *Histogram) Count() int64 { return h.Total }
 
 // Quantile returns an estimate of the q-quantile (0 < q <= 1) as the lower
 // bound of the bucket containing it; 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
+	if h.Total == 0 {
 		return 0
 	}
-	target := int64(math.Ceil(q * float64(h.total)))
+	target := int64(math.Ceil(q * float64(h.Total)))
 	if target < 1 {
 		target = 1
 	}
 	var cum int64
-	for i, c := range h.counts {
+	for i, c := range h.Counts {
 		cum += c
 		if cum >= target {
 			return bucketLow(i)
 		}
 	}
-	return bucketLow(len(h.counts) - 1)
+	return bucketLow(len(h.Counts) - 1)
 }
 
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	for len(h.counts) < len(other.counts) {
-		h.counts = append(h.counts, 0)
+	for len(h.Counts) < len(other.Counts) {
+		h.Counts = append(h.Counts, 0)
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for i, c := range other.Counts {
+		h.Counts[i] += c
 	}
-	h.total += other.total
+	h.Total += other.Total
 }
 
 // Reset clears the histogram.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
+	for i := range h.Counts {
+		h.Counts[i] = 0
 	}
-	h.total = 0
+	h.Total = 0
 }

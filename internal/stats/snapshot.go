@@ -1,20 +1,15 @@
 package stats
 
-// HistogramState is the serializable form of a Histogram.
-type HistogramState struct {
-	Counts []int64
-	Total  int64
+import "slices"
+
+// ExportState returns a deep copy of the histogram, its checkpoint.
+func (h *Histogram) ExportState() Histogram {
+	return Histogram{Counts: slices.Clone(h.Counts), Total: h.Total}
 }
 
-// ExportState captures the histogram's buckets.
-func (h *Histogram) ExportState() HistogramState {
-	st := HistogramState{Counts: make([]int64, len(h.counts)), Total: h.total}
-	copy(st.Counts, h.counts)
-	return st
-}
-
-// RestoreState overwrites the histogram from a snapshot.
-func (h *Histogram) RestoreState(st HistogramState) {
-	h.counts = append(h.counts[:0], st.Counts...)
-	h.total = st.Total
+// RestoreState overwrites the histogram from a snapshot, keeping its own
+// backing array.
+func (h *Histogram) RestoreState(st Histogram) {
+	h.Counts = append(h.Counts[:0], st.Counts...)
+	h.Total = st.Total
 }

@@ -57,7 +57,7 @@ func WriteChromeTrace(w io.Writer, r *Registry) error {
 		"source":            "optosim telemetry",
 		"cycle_ns":          1.6,
 		"sample_every":      int64(r.cfg.SampleEvery),
-		"samples":           r.samples,
+		"samples":           r.st.Samples,
 		"dropped_events":    r.flight.Dropped(),
 		"flight_retained":   r.flight.Len(),
 		"series_ring_cap":   r.cfg.RingCap,

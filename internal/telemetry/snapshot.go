@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -51,17 +52,16 @@ type SeriesState struct {
 // HistogramState is one named histogram's buckets.
 type HistogramState struct {
 	Name string
-	Hist stats.HistogramState
+	Hist stats.Histogram
 }
 
-// RegistryState is the registry's complete mutable state. Instruments and
-// the sampler and marker handlers are re-registered during network
-// construction in a deterministic order; only their dynamic state travels.
+// RegistryState is the registry's record: its sampler and dump
+// bookkeeping. Pending counts registry-owned wheel events (the sampler plus
+// any scheduled flight-recorder markers) not yet fired; the network's
+// quiescence check subtracts it, because telemetry only observes and its
+// events must not keep a drained network "busy". Dumped, Dumps and
+// Suppressed track the once-per-run automatic flight dump.
 type RegistryState struct {
-	Series []SeriesState
-	Hists  []HistogramState
-	Flight FlightState
-
 	SamplerArmed bool
 	Pending      int
 	Samples      int64
@@ -71,21 +71,22 @@ type RegistryState struct {
 	Suppressed int64
 }
 
+// RegistrySnapshot is the registry's checkpoint: its record plus every
+// instrument's dynamic state. Instruments and the sampler and marker
+// handlers are re-registered during network construction in a
+// deterministic order; only their dynamic state travels.
+type RegistrySnapshot struct {
+	RegistryState
+	Series []SeriesState
+	Hists  []HistogramState
+	Flight FlightState
+}
+
 // ExportState captures the registry's mutable state in registration order.
-func (r *Registry) ExportState() RegistryState {
-	st := RegistryState{
-		Flight:       r.flight.ExportState(),
-		SamplerArmed: r.samplerArmed,
-		Pending:      r.pending,
-		Samples:      r.samples,
-		Dumped:       r.dumped,
-		Dumps:        r.dumps,
-		Suppressed:   r.suppressed,
-	}
+func (r *Registry) ExportState() RegistrySnapshot {
+	st := RegistrySnapshot{RegistryState: r.st, Flight: r.flight.ExportState()}
 	for _, s := range r.series {
-		pts := make([]stats.Point, len(s.pts))
-		copy(pts, s.pts)
-		st.Series = append(st.Series, SeriesState{Name: s.name, Points: pts, Stride: s.stride, Tick: s.tick})
+		st.Series = append(st.Series, SeriesState{Name: s.name, Points: slices.Clone(s.pts), Stride: s.stride, Tick: s.tick})
 	}
 	for _, name := range r.horder {
 		st.Hists = append(st.Hists, HistogramState{Name: name, Hist: r.hists[name].ExportState()})
@@ -96,7 +97,7 @@ func (r *Registry) ExportState() RegistryState {
 // RestoreState overwrites the registry's mutable state. Every snapshot
 // series and histogram must already be registered (the restore target is a
 // freshly constructed network with identical telemetry wiring).
-func (r *Registry) RestoreState(st RegistryState) error {
+func (r *Registry) RestoreState(st RegistrySnapshot) error {
 	for _, ss := range st.Series {
 		s, ok := r.byName[ss.Name]
 		if !ok {
@@ -122,11 +123,6 @@ func (r *Registry) RestoreState(st RegistryState) error {
 	if err := r.flight.RestoreState(st.Flight); err != nil {
 		return err
 	}
-	r.samplerArmed = st.SamplerArmed
-	r.pending = st.Pending
-	r.samples = st.Samples
-	r.dumped = st.Dumped
-	r.dumps = st.Dumps
-	r.suppressed = st.Suppressed
+	r.st = st.RegistryState
 	return nil
 }

@@ -162,22 +162,11 @@ type Registry struct {
 
 	flight *FlightRecorder
 
-	samplerArmed bool
-	sampleH      sim.Handler
-
-	// pending counts registry-owned wheel events (the sampler plus any
-	// scheduled flight-recorder markers) not yet fired. The network's
-	// quiescence check subtracts it: telemetry only observes, so its
-	// events must not keep a drained network "busy".
-	pending int
-
-	samples int64
+	st      RegistryState
+	sampleH sim.Handler
 
 	//optolint:derived host-process dump sink, not simulated state
-	dumpW      io.Writer
-	dumped     bool
-	dumps      int
-	suppressed int64
+	dumpW io.Writer
 }
 
 // NewRegistry builds a registry sampling on wheel w and registers the
@@ -192,8 +181,8 @@ func NewRegistry(cfg Config, w *sim.Wheel) *Registry {
 		flight: NewFlightRecorder(flightCap),
 	}
 	r.sampleH = w.Register(func(now sim.Cycle) {
-		r.samplerArmed = false
-		r.pending--
+		r.st.SamplerArmed = false
+		r.st.Pending--
 		r.sampleAll(now)
 		r.arm(now)
 	})
@@ -242,16 +231,16 @@ func (r *Registry) Start(now sim.Cycle) {
 }
 
 func (r *Registry) arm(now sim.Cycle) {
-	if r.samplerArmed {
+	if r.st.SamplerArmed {
 		return
 	}
-	r.samplerArmed = true
-	r.pending++
+	r.st.SamplerArmed = true
+	r.st.Pending++
 	r.wheel.Schedule(now+r.cfg.SampleEvery, 0, r.sampleH)
 }
 
 func (r *Registry) sampleAll(now sim.Cycle) {
-	r.samples++
+	r.st.Samples++
 	for _, s := range r.series {
 		s.sample(now)
 	}
@@ -259,22 +248,22 @@ func (r *Registry) sampleAll(now sim.Cycle) {
 
 // Samples returns how many sampling rounds have run (including the Start
 // baseline).
-func (r *Registry) Samples() int64 { return r.samples }
+func (r *Registry) Samples() int64 { return r.st.Samples }
 
 // PendingEvents returns the number of registry-owned wheel events currently
 // scheduled. Quiescence checks subtract this from the wheel's pending
 // count: telemetry never mutates simulator state, so its events must not
 // count as outstanding work.
-func (r *Registry) PendingEvents() int { return r.pending }
+func (r *Registry) PendingEvents() int { return r.st.Pending }
 
 // ScheduleMarker registers fn on the wheel and schedules it with the
 // registry's pending accounting — used during construction for
 // flight-recorder markers at known future times (e.g. scheduled fault
 // windows).
 func (r *Registry) ScheduleMarker(at sim.Cycle, fn sim.Event) {
-	r.pending++
+	r.st.Pending++
 	r.wheel.Schedule(at, 0, r.wheel.Register(func(now sim.Cycle) {
-		r.pending--
+		r.st.Pending--
 		fn(now)
 	}))
 }
@@ -333,25 +322,25 @@ func (r *Registry) openDump() (io.Writer, func(), bool) {
 // later triggers are counted but suppressed (the first is the one closest
 // to the root cause, and a wedged network can escalate every scan).
 func (r *Registry) TriggerDump(at sim.Cycle, reason string) {
-	if r.dumped {
-		r.suppressed++
+	if r.st.Dumped {
+		r.st.Suppressed++
 		return
 	}
-	r.dumped = true
+	r.st.Dumped = true
 	w, done, ok := r.openDump()
 	if !ok {
 		return
 	}
 	defer done()
 	if err := r.DumpFlight(w, at, reason); err == nil {
-		r.dumps++
+		r.st.Dumps++
 	}
 }
 
 // Dumps returns how many automatic dumps were written, and how many
 // triggers were suppressed after the first.
 func (r *Registry) Dumps() (written int, suppressed int64) {
-	return r.dumps, r.suppressed
+	return r.st.Dumps, r.st.Suppressed
 }
 
 // Digest is the compact machine-readable summary of a telemetry-enabled
@@ -379,12 +368,12 @@ type Digest struct {
 // Digest summarises the registry.
 func (r *Registry) Digest() Digest {
 	d := Digest{
-		Samples:       r.samples,
+		Samples:       r.st.Samples,
 		SeriesCount:   len(r.series),
 		SampleEvery:   int64(r.cfg.SampleEvery),
 		Events:        r.flight.Len(),
 		DroppedEvents: r.flight.Dropped(),
-		Dumps:         r.dumps,
+		Dumps:         r.st.Dumps,
 	}
 	if h, ok := r.hists["packet_latency"]; ok && h.Count() > 0 {
 		d.LatencyP50 = h.Quantile(0.50)
