@@ -90,6 +90,15 @@ func (s *System) Warmup(w sim.Cycle) {
 	s.StartMeasure()
 }
 
+// StartMeasure begins the measured window at the current cycle, equivalent
+// to the tail of Warmup without re-running: it restricts latency statistics
+// to later packets and zeroes the energy meter.
+func (s *System) StartMeasure() {
+	now := s.Net.Now()
+	s.Net.SetMeasureFrom(now)
+	s.st = MeterState{WarmupEnergy: s.Net.LinkEnergyJ(), WarmupFabricEnergy: s.Net.FabricEnergyJ()}
+}
+
 // Measure runs for m further cycles and returns the result.
 func (s *System) Measure(m sim.Cycle) Result {
 	end := s.Net.MeasureFrom() + m

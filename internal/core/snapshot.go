@@ -49,15 +49,6 @@ func (s *System) Now() sim.Cycle { return s.Net.Now() }
 // RunTo advances the network to the given cycle (no-op if already past).
 func (s *System) RunTo(c sim.Cycle) { s.Net.RunTo(c) }
 
-// StartMeasure begins the measured window at the current cycle, equivalent
-// to the tail of Warmup without re-running: it restricts latency statistics
-// to later packets and zeroes the energy meter.
-func (s *System) StartMeasure() {
-	now := s.Net.Now()
-	s.Net.SetMeasureFrom(now)
-	s.st = MeterState{WarmupEnergy: s.Net.LinkEnergyJ(), WarmupFabricEnergy: s.Net.FabricEnergyJ()}
-}
-
 // ResultAt computes the standard result for a measured window ending at end.
 // It is the checkpoint-aware sibling of Measure: a supervisor that restored
 // mid-measurement calls RunTo(end) then ResultAt(end).

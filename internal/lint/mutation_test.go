@@ -37,6 +37,17 @@ func TestMutations(t *testing.T) {
 			wantRe:   `mutable field engine\.acc .* missing from the export path`,
 		},
 		{
+			// A state record dropped from the export path: the record's
+			// fields are only ever written through it.
+			name:     "snapshotcomplete-dropped-export-record",
+			dir:      "record",
+			file:     "snapshot.go",
+			old:      "return e.st",
+			new:      "return EngineState{}",
+			analyzer: lint.SnapshotCompleteAnalyzer,
+			wantRe:   `mutable field engine\.st .* missing from the export path`,
+		},
+		{
 			// A per-shard counter dropped from the merge-on-read loop:
 			// readers would see shard-0-only numbers.
 			name:     "mergecomplete-unmerged-counter",

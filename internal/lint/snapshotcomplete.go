@@ -38,9 +38,10 @@ import (
 // record that is live storage and checkpoint at once (DESIGN.md §6h): the
 // live struct holds it as one field, export copies that field whole and
 // restore assigns it whole. A field added to such a record is
-// checkpointed by construction, so the analyzer's work is the state
-// outside the records: references, contents, wiring, and components
-// without a record.
+// checkpointed by construction, so the analyzer checks the record field
+// itself — a write through it (l.st.Level = …) makes it mutable — and
+// the state outside the records: references, contents, wiring, and
+// components without a record.
 var SnapshotCompleteAnalyzer = &Analyzer{
 	Name: "snapshotcomplete",
 	Doc: "every mutable field of a checkpointed struct must be written by " +
@@ -269,17 +270,19 @@ func elementTypes(t types.Type) []types.Type {
 // functions.
 func (sc *snapshotCheck) collectMutations(liveFiles []*ast.File, reachable map[*types.Named]bool) {
 	info := sc.pass.TypesInfo
+	// A write through a chain of value fields (l.st.Level = …) mutates
+	// each of them, so a record field st is mutable too; the walk stops at
+	// a pointer, whose target another struct owns.
 	record := func(lhs ast.Expr) {
-		sel := baseSelector(lhs)
-		if sel == nil {
-			return
-		}
-		fv, ok := info.Uses[sel.Sel].(*types.Var)
-		if !ok || !reachable[sc.fieldOwner[fv]] {
-			return
-		}
-		if _, seen := sc.mutatedAt[fv]; !seen {
-			sc.mutatedAt[fv] = lhs.Pos()
+		for sel := baseSelector(lhs); sel != nil; sel = baseSelector(sel.X) {
+			if fv, ok := info.Uses[sel.Sel].(*types.Var); ok && reachable[sc.fieldOwner[fv]] {
+				if _, seen := sc.mutatedAt[fv]; !seen {
+					sc.mutatedAt[fv] = lhs.Pos()
+				}
+			}
+			if tv, ok := info.Types[sel.X]; !ok || isPointer(tv.Type) {
+				return
+			}
 		}
 	}
 	for _, f := range liveFiles {
@@ -424,6 +427,12 @@ func (sc *snapshotCheck) report(reachable map[*types.Named]bool) {
 		sc.pass.Reportf(decl.Pos(), "mutable field %s.%s (written at %s:%d) is %s: a checkpoint would resume it stale — export it or mark it //optolint:derived <reason>",
 			owner, decl.Name, filepath.Base(mut.Filename), mut.Line, miss)
 	}
+}
+
+// isPointer reports whether t's underlying type is a pointer.
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }
 
 // funcValued reports whether t is (or contains, through containers) a
