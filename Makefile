@@ -45,8 +45,8 @@ optolint:
 	$(GO) run ./cmd/optolint -tags simdebug ./...
 
 # lint-mutation re-proves the completeness analyzers can still fire: each
-# case mutates a clean fixture (dropped export field, dropped state record,
-# unmerged counter, unstaged cross-shard write) and requires a report.
+# of its three cases mutates a clean fixture (dropped export field, dropped
+# state record, unstaged cross-shard write) and requires a report.
 lint-mutation:
 	$(GO) test ./internal/lint -run TestMutations -count=1
 

@@ -27,9 +27,11 @@
 //	                  schedules through the coordinator wheel directly — all
 //	                  cross-shard effects go through staged mailboxes, and
 //	                  draining a mailbox requires a sort first
-//	mergecomplete     per-shard counters and histograms appear in the
-//	                  merge-on-read loops, so a new counter cannot silently
-//	                  report shard-0-only numbers
+//
+// (That every per-shard counter is merged is a type property, not a code
+// pattern: internal/network's TestShardCountersLiveInRecord requires the
+// shard struct to keep its counters and histograms in its Counters record,
+// which totals merges and a checkpoint saves merged.)
 //
 // A finding is suppressed by an annotation on the same line or the line
 // directly above:
@@ -315,7 +317,6 @@ func Analyzers() []*Analyzer {
 		JSONTagsAnalyzer,
 		SnapshotCompleteAnalyzer,
 		ShardBarrierAnalyzer,
-		MergeCompleteAnalyzer,
 	}
 }
 

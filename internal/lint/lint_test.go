@@ -43,10 +43,6 @@ func TestSnapshotComplete(t *testing.T) {
 	linttest.Run(t, testdata(t, "snapshotcomplete"), "repro/internal/network", lint.SnapshotCompleteAnalyzer)
 }
 
-func TestMergeComplete(t *testing.T) {
-	linttest.Run(t, testdata(t, "mergecomplete"), "repro/internal/network", lint.MergeCompleteAnalyzer)
-}
-
 // TestDSESimCore: the design-space exploration package is sim-core — a
 // deterministic function of (study seed, space) — so the determinism,
 // maprange, and rngstream rules all apply to it.

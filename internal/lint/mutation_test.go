@@ -48,17 +48,6 @@ func TestMutations(t *testing.T) {
 			wantRe:   `mutable field engine\.st .* missing from the export path`,
 		},
 		{
-			// A per-shard counter dropped from the merge-on-read loop:
-			// readers would see shard-0-only numbers.
-			name:     "mergecomplete-unmerged-counter",
-			dir:      "merge",
-			file:     "merge.go",
-			old:      "total += s.delivered",
-			new:      "_ = s",
-			analyzer: lint.MergeCompleteAnalyzer,
-			wantRe:   `per-shard counter shard\.delivered is never read`,
-		},
-		{
 			// A shard-local write turned into a direct coordinator write:
 			// a data race at K>1 and partition-dependent either way.
 			name:     "shardbarrier-unstaged-cross-shard-write",

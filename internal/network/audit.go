@@ -61,46 +61,34 @@ func (n *Network) audit() error {
 			}
 		}
 	}
-	// Credit conservation across inter-router links: upstream credits +
-	// downstream occupancy must bracket the depth once in-flight slack (at
-	// most 2 flits on the wire + 1 credit in flight) is allowed.
-	idx := 0
-	for r := range n.routers {
-		x, y := cfg.routerXY(r)
-		neigh := [][3]int{
-			{DirE, DirW, cfg.RouterAt(min(x+1, cfg.MeshW-1), y)},
-			{DirW, DirE, cfg.RouterAt(max(x-1, 0), y)},
-			{DirS, DirN, cfg.RouterAt(x, min(y+1, cfg.MeshH-1))},
-			{DirN, DirS, cfg.RouterAt(x, max(y-1, 0))},
-		}
-		for _, h := range neigh {
-			if h[2] == r {
-				continue // edge of the mesh: no link wired
+	// Credit conservation across inter-router links, walked in wiring
+	// order (router, then E, W, S, N): upstream credits + downstream
+	// occupancy must bracket the depth once in-flight slack (at most 2
+	// flits on the wire + 1 credit in flight) is allowed.
+	for _, m := range n.meshRef {
+		dst, rev, _ := cfg.neighbor(m.r, m.dir)
+		up := n.routers[m.r].Output(cfg.meshPort(m.dir))
+		down := n.routers[dst]
+		// With link-level reliability, flits granted (credits held)
+		// but not yet delivered — corrupted, lost to a down window,
+		// or awaiting replay — widen the bracket. OutstandingFlits
+		// counts them across VCs, so apply it to each VC's bound
+		// conservatively; the upper bound (no credit re-materialises,
+		// no flit delivered twice) stays exact.
+		// The reliable receive path holds accepted flits for one cycle
+		// in the rx pipeline register; those widen the bracket too,
+		// as do credit returns already scheduled but not yet
+		// delivered (a killed packet's discard puts one per flit in
+		// flight at once, so the per-VC count is exact, not a
+		// constant).
+		slack := 2 + up.Channel().OutstandingFlits() + up.Channel().RxPending()
+		for v := 0; v < cfg.VCs; v++ {
+			vcSlack := slack + down.CreditsInFlight(cfg.meshPort(rev), v)
+			sum := up.Credits(v) + down.InputBuffer(cfg.meshPort(rev), v).Len()
+			if sum > cfg.BufDepth || sum < cfg.BufDepth-vcSlack {
+				return fmt.Errorf("network: link router %d dir %d vc %d: credits+occupancy = %d, want within [%d,%d]",
+					m.r, m.dir, v, sum, cfg.BufDepth-vcSlack, cfg.BufDepth)
 			}
-			up := n.routers[r].Output(cfg.meshPort(h[0]))
-			down := n.routers[h[2]]
-			// With link-level reliability, flits granted (credits held)
-			// but not yet delivered — corrupted, lost to a down window,
-			// or awaiting replay — widen the bracket. OutstandingFlits
-			// counts them across VCs, so apply it to each VC's bound
-			// conservatively; the upper bound (no credit re-materialises,
-			// no flit delivered twice) stays exact.
-			// The reliable receive path holds accepted flits for one cycle
-			// in the rx pipeline register; those widen the bracket too,
-			// as do credit returns already scheduled but not yet
-			// delivered (a killed packet's discard puts one per flit in
-			// flight at once, so the per-VC count is exact, not a
-			// constant).
-			slack := 2 + up.Channel().OutstandingFlits() + up.Channel().RxPending()
-			for v := 0; v < cfg.VCs; v++ {
-				vcSlack := slack + down.CreditsInFlight(cfg.meshPort(h[1]), v)
-				sum := up.Credits(v) + down.InputBuffer(cfg.meshPort(h[1]), v).Len()
-				if sum > cfg.BufDepth || sum < cfg.BufDepth-vcSlack {
-					return fmt.Errorf("network: link router %d dir %d vc %d: credits+occupancy = %d, want within [%d,%d]",
-						r, h[0], v, sum, cfg.BufDepth-vcSlack, cfg.BufDepth)
-				}
-			}
-			idx++
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,11 +21,26 @@ import (
 // as a cross product of axis lists instead of enumerating it test by test.
 // Each case runs one reference (K = 1, fast-forward off, no checkpoint);
 // every variant (straight and resumed, each K in invarianceShards that
-// divides MeshW, fast-forward on) must match it byte for byte.
+// divides MeshW, fast-forward on) must match it byte for byte. A resumed
+// variant saves at its K and restores at the next count on the axis that
+// divides MeshW (1→2→4→8→1 on an 8-wide mesh), so every resume the mesh
+// allows also changes the shard count.
 
 // invarianceShards is the shard-count axis; a case runs the counts that
 // divide its MeshW.
 var invarianceShards = []int{1, 2, 4, 8}
+
+// nextShards returns the count after k on invarianceShards that divides
+// meshW, wrapping around to the first (1, which divides every width).
+func nextShards(k, meshW int) int {
+	i := slices.Index(invarianceShards, k)
+	for {
+		i = (i + 1) % len(invarianceShards)
+		if meshW%invarianceShards[i] == 0 {
+			return invarianceShards[i]
+		}
+	}
+}
 
 // invCase is one configuration of the matrix.
 type invCase struct {
@@ -128,7 +144,8 @@ func invarianceCases(t *testing.T) []invCase {
 }
 
 // TestInvariance runs the invariance matrix. A failing subtest is named
-// [<family>/]<case>/straight/K=<k> or [<family>/]<case>/resume=<cycle>/K=<k>.
+// [<family>/]<case>/straight/K=<k> or [<family>/]<case>/resume=<cycle>/K=<k>,
+// where a resumed variant's K is the count it saved at.
 func TestInvariance(t *testing.T) {
 	t.Parallel()
 	var families []string
@@ -203,8 +220,8 @@ const straight = sim.Cycle(-1)
 // and then to exact quiescence, and returns the run's fingerprint and the
 // final network. Unless resumeAt is straight, the run is checkpointed at
 // that cycle through checkpoint.Save and Load and finished in a freshly
-// built network; the flight-recorder dump is then the two networks' output
-// concatenated.
+// built network at nextShards(k) shards; the flight-recorder dump is then
+// the two networks' output concatenated.
 func (c invCase) run(t *testing.T, k int, ff bool, resumeAt sim.Cycle) (string, *Network) {
 	t.Helper()
 	cfg := c.cfg
@@ -238,6 +255,7 @@ func (c invCase) run(t *testing.T, k int, ff bool, resumeAt sim.Cycle) (string, 
 		if info, err := checkpoint.Load(path, &restored); err != nil || info.Cycle != int64(resumeAt) {
 			t.Fatalf("load: cycle %d, %v; want cycle %d", info.Cycle, err, resumeAt)
 		}
+		cfg.Shards = nextShards(k, cfg.MeshW)
 		n, gen = build()
 		if err := n.RestoreState(&restored); err != nil {
 			t.Fatalf("restore: %v", err)

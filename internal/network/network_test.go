@@ -11,6 +11,7 @@ import (
 	"repro/internal/powerlink"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -441,5 +442,28 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 	total.add(&c)
 	if !reflect.DeepEqual(total, c) {
 		t.Errorf("merged total\n%+v\nwant\n%+v", total, c)
+	}
+}
+
+// TestShardCountersLiveInRecord: the shard struct holds no counter or
+// histogram outside its record st, so totals, which merges the records,
+// and a checkpoint, which saves the merged record, see every measurement a
+// shard takes. A counter kept beside st would be read from one shard only
+// and lost on every restore.
+func TestShardCountersLiveInRecord(t *testing.T) {
+	hist := reflect.TypeOf(stats.Histogram{})
+	st := reflect.TypeOf(shard{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Name == "st" {
+			continue
+		}
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Int64 || ft == hist {
+			t.Errorf("shard.%s (%s) is a counter outside the record st: totals and checkpoints miss it", f.Name, f.Type)
+		}
 	}
 }

@@ -57,6 +57,9 @@ type NIC struct {
 	selfKey uint32
 	st      NICState
 	arriveH sim.Handler
+	// active says whether the NIC sits on its shard's work list.
+	//optolint:derived cleared and set again by RestoreState from the work list, the one record of activity
+	active bool
 
 	q   descQueue
 	cur *router.Packet
@@ -125,7 +128,7 @@ func (nc *NIC) ReturnCredit(now sim.Cycle, vc int) {
 func (nc *NIC) tryInject(now sim.Cycle) bool {
 	for nc.cur == nil {
 		if nc.q.n == 0 {
-			nc.st.Active = false
+			nc.active = false
 			return false
 		}
 		d := nc.q.pop()
@@ -159,7 +162,7 @@ func (nc *NIC) tryInject(now sim.Cycle) bool {
 	}
 
 	if !nc.ch.Usable(now) {
-		nc.st.Active = false
+		nc.active = false
 		if !nc.st.WakePending {
 			nc.st.WakePending = true
 			at := nc.ch.NextUsableAt(now)
@@ -172,7 +175,7 @@ func (nc *NIC) tryInject(now sim.Cycle) bool {
 	}
 	if nc.st.Credits[nc.st.CurVC] == 0 {
 		// Out of credits: the router's credit return reactivates us.
-		nc.st.Active = false
+		nc.active = false
 		return false
 	}
 

@@ -135,8 +135,8 @@ func (s *shard) ActivateOutput(o *router.Output) {
 }
 
 func (s *shard) activateNIC(nc *NIC) {
-	if !nc.st.Active {
-		nc.st.Active = true
+	if !nc.active {
+		nc.active = true
 		s.activeNICs = append(s.activeNICs, nc)
 	}
 	if s.n.rec != nil {
@@ -239,9 +239,6 @@ func (n *Network) shardOfRouter(r int) int {
 	x, _ := n.cfg.routerXY(r)
 	return x / n.shardWidth
 }
-
-// Shards returns the configured shard count the core is running with.
-func (n *Network) Shards() int { return len(n.shards) }
 
 // Close releases the worker pool of a sharded network (Shards > 1), whose
 // K-1 workers otherwise outlive the run. Whoever builds a network closes

@@ -23,14 +23,23 @@ import (
 // handler in the same order, and RestoreState overwrites only the dynamic
 // state.
 //
-// The network, its NICs and shards and the recovery subsystem keep their
+// The network, its NICs and the recovery subsystem keep their
 // pointer-free state in records that are also their checkpoint
-// (ClockState, NICState, Counters, RecoveryState), like the router, link,
-// policy and telemetry records beside them in State. Export copies a record and clones its slices;
-// restore checks it, assigns it, and copies the slices into the target's
-// own backing arrays, so one snapshot can seed any number of restores. The
-// *Snapshot wrappers add what must be translated: packets by ID, queued
-// descriptors, and work lists by index.
+// (ClockState, NICState, RecoveryState), like the router, link, policy and
+// telemetry records beside them in State. Export copies a record and
+// clones its slices; restore checks it, assigns it, and copies the slices
+// into the target's own backing arrays, so one snapshot can seed any
+// number of restores. The *Snapshot wrappers add what must be translated:
+// packets by ID and queued descriptors.
+//
+// The shard partition is a run mode (DESIGN.md §6g), so nothing in State
+// depends on it: the shards' Counters are saved merged, as totals reads
+// them, and their work lists concatenated in shard order. Restore hands
+// the merged record to shard 0, starts the other shards empty and appends
+// each work-list entry to the shard that owns it, so a snapshot saved at
+// any shard count resumes at any other. The work lists are the only
+// record of which outputs and NICs are active: the live active flags are
+// cleared everywhere and set from the lists.
 
 // NICState is a NIC's record. PktSeq numbers the packets the NIC creates
 // (IDs are per-source, so shards never contend). Next is the source's next
@@ -44,7 +53,6 @@ type NICState struct {
 	Credits     []int
 	CurSeq      int32
 	CurVC       int
-	Active      bool
 	WakePending bool
 }
 
@@ -62,7 +70,8 @@ type OutputRef struct {
 	Port   int
 }
 
-// Counters is one shard's measurement record; Network.totals merges them.
+// Counters is one shard's measurement record; Network.totals merges them,
+// and a checkpoint holds the merged record.
 // The latency fields cover measured (post-warm-up) packets only: LatMin is
 // -1 while there are none, and the head-flit latency is kept alongside the
 // paper's creation-to-tail metric. Reroutes and Misroutes count route-time
@@ -84,15 +93,6 @@ type Counters struct {
 	Reroutes         int64
 	Misroutes        int64
 	UnreachableDrops int64
-}
-
-// ShardSnapshot is one shard's checkpoint: its record and its work lists,
-// exported in list order, which persists across cycles and is part of the
-// state.
-type ShardSnapshot struct {
-	Counters
-	ActiveOuts []OutputRef
-	ActiveNICs []int
 }
 
 // RecoveryState is the recovery subsystem's record. Live[r][dir] is false
@@ -122,9 +122,12 @@ type ClockState struct {
 	FFCycles       int64
 }
 
-// State is the complete mutable state of a Network at a step boundary.
+// State is the complete mutable state of a Network at a step boundary. It
+// does not depend on the shard count.
 type State struct {
 	ClockState
+	// Counters is the shards' measurement records, merged.
+	Counters
 
 	// Packets is the table of every live packet, sorted by ID; all packet
 	// references elsewhere in the snapshot resolve into it.
@@ -138,7 +141,11 @@ type State struct {
 	// the run records one.
 	PolicyTrace *policy.TraceState
 	NICs        []NICSnapshot
-	Shards      []ShardSnapshot
+	// ActiveOuts and ActiveNICs are the shards' work lists, concatenated in
+	// shard order. List order persists across cycles and is part of the
+	// state; an output or NIC is active exactly when it is listed.
+	ActiveOuts []OutputRef
+	ActiveNICs []int
 
 	NodeRNGs []sim.RNGState
 
@@ -199,16 +206,15 @@ func (n *Network) ExportState() (*State, error) {
 			len(s.latVals) != 0 || len(s.deliveries) != 0 {
 			return nil, fmt.Errorf("network: shard %d has undrained spools — checkpoint must run at a step boundary", s.idx)
 		}
-		ss := ShardSnapshot{Counters: s.st}
-		ss.LatHist = s.st.LatHist.ExportState()
 		for _, o := range s.activeOuts {
-			ss.ActiveOuts = append(ss.ActiveOuts, outRef[o])
+			st.ActiveOuts = append(st.ActiveOuts, outRef[o])
 		}
 		for _, nc := range s.activeNICs {
-			ss.ActiveNICs = append(ss.ActiveNICs, nc.node)
+			st.ActiveNICs = append(st.ActiveNICs, nc.node)
 		}
-		st.Shards = append(st.Shards, ss)
 	}
+	st.Counters = *n.totals()
+	st.LatHist = st.LatHist.ExportState()
 
 	if n.rngs != nil {
 		for _, r := range n.rngs {
@@ -251,10 +257,10 @@ func (n *Network) ExportState() (*State, error) {
 func (n *Network) RestoreState(st *State) error {
 	if len(st.Routers) != len(n.routers) || len(st.Channels) != len(n.channels) ||
 		len(st.Links) != len(n.channels) || len(st.NICs) != len(n.nics) ||
-		len(st.Shards) != len(n.shards) || len(st.Controllers) != len(n.controllers) {
-		return fmt.Errorf("network: snapshot shape (%d routers, %d channels, %d links, %d NICs, %d shards, %d controllers) does not match network (%d, %d, %d, %d, %d, %d)",
-			len(st.Routers), len(st.Channels), len(st.Links), len(st.NICs), len(st.Shards), len(st.Controllers),
-			len(n.routers), len(n.channels), len(n.channels), len(n.nics), len(n.shards), len(n.controllers))
+		len(st.Controllers) != len(n.controllers) {
+		return fmt.Errorf("network: snapshot shape (%d routers, %d channels, %d links, %d NICs, %d controllers) does not match network (%d, %d, %d, %d, %d)",
+			len(st.Routers), len(st.Channels), len(st.Links), len(st.NICs), len(st.Controllers),
+			len(n.routers), len(n.channels), len(n.channels), len(n.nics), len(n.controllers))
 	}
 	if (st.Fault != nil) != (n.injector != nil) {
 		return fmt.Errorf("network: snapshot fault injection %v, network %v", st.Fault != nil, n.injector != nil)
@@ -330,7 +336,7 @@ func (n *Network) RestoreState(st *State) error {
 		}
 		credits := nc.st.Credits
 		copy(credits, ns.Credits)
-		nc.st, nc.cur = ns.NICState, cur
+		nc.st, nc.cur, nc.active = ns.NICState, cur, false
 		nc.st.Credits = credits
 		nc.q.buf = nc.q.buf[:0]
 		nc.q.head, nc.q.n = 0, 0
@@ -339,46 +345,48 @@ func (n *Network) RestoreState(st *State) error {
 		}
 	}
 
-	for si, s := range n.shards {
-		ss := &st.Shards[si]
+	// Shard 0 takes the merged record; the others start empty.
+	for i, s := range n.shards {
+		c := Counters{LatMin: -1}
+		if i == 0 {
+			c = st.Counters
+		}
 		hist := s.st.LatHist
-		hist.RestoreState(ss.LatHist)
-		s.st = ss.Counters
+		hist.RestoreState(c.LatHist)
+		s.st = c
 		s.st.LatHist = hist
-
 		s.activeOuts = s.activeOuts[:0]
-		for _, ref := range ss.ActiveOuts {
-			if ref.Router < 0 || ref.Router >= len(n.routers) {
-				return fmt.Errorf("network: shard %d snapshot active output router %d out of range", si, ref.Router)
-			}
-			r := n.routers[ref.Router]
-			if ref.Port < 0 || ref.Port >= r.Ports() {
-				return fmt.Errorf("network: shard %d snapshot active output port %d out of range", si, ref.Port)
-			}
-			if n.shards[n.shardOfRouter(ref.Router)] != s {
-				return fmt.Errorf("network: shard %d snapshot active output on router %d owned by another shard", si, ref.Router)
-			}
-			o := r.Output(ref.Port)
-			if !o.Active() {
-				return fmt.Errorf("network: shard %d work list references inactive output %d/%d", si, ref.Router, ref.Port)
-			}
-			s.activeOuts = append(s.activeOuts, o)
-		}
 		s.activeNICs = s.activeNICs[:0]
-		for _, node := range ss.ActiveNICs {
-			if node < 0 || node >= len(n.nics) {
-				return fmt.Errorf("network: shard %d snapshot active NIC %d out of range", si, node)
-			}
-			nc := n.nics[node]
-			if nc.sh != s {
-				return fmt.Errorf("network: shard %d snapshot active NIC %d owned by another shard", si, node)
-			}
-			if !nc.st.Active {
-				return fmt.Errorf("network: shard %d work list references inactive NIC %d", si, node)
-			}
-			s.activeNICs = append(s.activeNICs, nc)
-		}
 		s.wantScan = false
+	}
+	// The work lists. Every output and NIC restored inactive above; each
+	// listed one is marked and appended to its owner's list, in list order.
+	for _, ref := range st.ActiveOuts {
+		if ref.Router < 0 || ref.Router >= len(n.routers) {
+			return fmt.Errorf("network: snapshot active output router %d out of range", ref.Router)
+		}
+		r := n.routers[ref.Router]
+		if ref.Port < 0 || ref.Port >= r.Ports() {
+			return fmt.Errorf("network: snapshot active output port %d out of range", ref.Port)
+		}
+		o := r.Output(ref.Port)
+		if o.Active() {
+			return fmt.Errorf("network: snapshot work list has output %d/%d twice", ref.Router, ref.Port)
+		}
+		o.SetActive(true)
+		s := n.shards[n.shardOfRouter(ref.Router)]
+		s.activeOuts = append(s.activeOuts, o)
+	}
+	for _, node := range st.ActiveNICs {
+		if node < 0 || node >= len(n.nics) {
+			return fmt.Errorf("network: snapshot active NIC %d out of range", node)
+		}
+		nc := n.nics[node]
+		if nc.active {
+			return fmt.Errorf("network: snapshot work list has NIC %d twice", node)
+		}
+		nc.active = true
+		nc.sh.activeNICs = append(nc.sh.activeNICs, nc)
 	}
 
 	for i, rs := range st.NodeRNGs {

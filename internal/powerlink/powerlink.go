@@ -107,8 +107,8 @@ type Config struct {
 	OffWakeCycles sim.Cycle
 	// PathLossDB is the optical loss (dB) between the transmitter's output
 	// and the receiver's photodetector — coupling, connectors, fibre. It
-	// erodes the receiver margin that ReceiverMarginDB/ProjectedBER report,
-	// and through them the fault injector's corruption rate. Zero (the
+	// erodes the receiver margin that MarginDBAt/ProjectedBER report, and
+	// through them the fault injector's corruption rate. Zero (the
 	// default) models the paper's idealized lossless path.
 	PathLossDB float64
 }
@@ -648,16 +648,6 @@ func (l *Link) MarginDBAt(now sim.Cycle, lv int) float64 {
 		return math.Inf(-1)
 	}
 	return optics.DB(rxW / sens)
-}
-
-// ReceiverMarginDB returns the receiver margin at the link's current
-// operating point (-Inf while off).
-func (l *Link) ReceiverMarginDB(now sim.Cycle) float64 {
-	l.advance(now)
-	if l.st.Level == offLevel {
-		return math.Inf(-1)
-	}
-	return l.MarginDBAt(now, l.st.Level)
 }
 
 // ProjectedBER returns the margin-derived bit error rate the link would see

@@ -113,6 +113,9 @@ type Output struct {
 	ch    *Channel
 	st    OutputState
 	wakeH sim.Handler
+	// active says whether the output sits on its scheduler's work list.
+	//optolint:derived cleared by restoreState and set again by the scheduler's restore from its work list, the one record of activity
+	active bool
 }
 
 // CreditStalls returns how many grant attempts this output port rejected
@@ -458,14 +461,14 @@ func (o *Output) pickVC(mask uint32) int {
 func (o *Output) TryGrant(now sim.Cycle) bool {
 	r := o.router
 	if len(o.st.Req) == 0 {
-		o.st.Active = false
+		o.active = false
 		return false
 	}
 	// Link/channel availability gates everything: when the channel is
 	// serialising or the link is mid-frequency-switch, sleep until it is
 	// expected back.
 	if !o.ch.Usable(now) {
-		o.st.Active = false
+		o.active = false
 		if !o.st.WakePending {
 			o.st.WakePending = true
 			at := o.ch.NextUsableAt(now)
@@ -500,8 +503,8 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 			if in.buf.Len() > 0 {
 				r.register(now, ivc)
 			}
-			o.st.Active = len(o.st.Req) > 0
-			return o.st.Active
+			o.active = len(o.st.Req) > 0
+			return o.active
 		}
 		// VC allocation for head flits that have not yet acquired an
 		// output VC.
@@ -557,8 +560,8 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 		if in.buf.Len() > 0 {
 			r.register(now, ivc)
 		}
-		o.st.Active = len(o.st.Req) > 0
-		return o.st.Active
+		o.active = len(o.st.Req) > 0
+		return o.active
 	}
 	// Requests exist but none could be granted this cycle (input-port
 	// conflicts, VC exhaustion, or zero credits). Stay active: conflicts
@@ -603,7 +606,8 @@ func (o *Output) Channel() *Channel { return o.ch }
 func (o *Output) Port() int { return o.port }
 
 // Active reports whether the output is on the scheduler's work list.
-func (o *Output) Active() bool { return o.st.Active }
+func (o *Output) Active() bool { return o.active }
 
-// SetActive marks the output as queued; used by the Scheduler only.
-func (o *Output) SetActive(v bool) { o.st.Active = v }
+// SetActive marks the output as queued or not; used by the Scheduler, and
+// by a checkpoint restore that rebuilds the work lists, only.
+func (o *Output) SetActive(v bool) { o.active = v }

@@ -230,13 +230,13 @@ type OutVCState struct {
 
 // OutputState is one output port's record. Req is the request list — the
 // input VCs with a ready head-of-line flit routed here, in arrival order,
-// which grant fairness depends on; RR is the round-robin scan start; and
-// Active says whether the port sits on its shard's work list.
+// which grant fairness depends on; and RR is the round-robin scan start.
+// Whether the port sits on its scheduler's work list is not recorded here:
+// the work list is the scheduler's own state, and its checkpoint.
 type OutputState struct {
 	OVC          []OutVCState
 	Req          []int
 	RR           int
-	Active       bool
 	WakePending  bool
 	Grants       int64
 	CreditStalls int64
@@ -320,7 +320,8 @@ func (o *Output) exportState() OutputState {
 }
 
 // restoreState checks st against the output's router and assigns it,
-// keeping the output's own OVC and Req backing arrays.
+// keeping the output's own OVC and Req backing arrays. The output leaves
+// its scheduler's work list; the scheduler's own restore puts it back.
 func (o *Output) restoreState(st *OutputState) error {
 	r := o.router
 	if len(st.OVC) != len(o.st.OVC) {
@@ -340,6 +341,7 @@ func (o *Output) restoreState(st *OutputState) error {
 	copy(ovc, st.OVC)
 	o.st = *st
 	o.st.OVC, o.st.Req = ovc, append(req, st.Req...)
+	o.active = false
 	return nil
 }
 

@@ -65,10 +65,25 @@ func mustJSON(t *testing.T, sum report.Summary) []byte {
 func runThreeWays(t *testing.T, sc *scenario.Scenario, name string, every int64) (plain, ckpt, resumed []byte, resumedAt int64) {
 	t.Helper()
 	plain = runJSON(t, sc, name, scenario.Checkpoints{})
+	ckpt, saves, frozen, resumedAt := runFrozen(t, sc, name, every)
+	resumedSaves := 0
+	resumed = runJSON(t, sc, name, scenario.Checkpoints{Dir: frozen, Every: every,
+		AfterSave: func(saved int) { resumedSaves = saved }})
+	if resumedSaves != saves-2 {
+		t.Errorf("resumed run saved %d checkpoints, want the %d after the second", resumedSaves, saves-2)
+	}
+	return plain, ckpt, resumed, resumedAt
+}
 
+// runFrozen runs sc with a checkpoint every `every` cycles and returns its
+// summary, how many checkpoints it saved (at least 3), and a copy of its
+// checkpoint directory as it stood right after the second save, with that
+// save's cycle.
+func runFrozen(t *testing.T, sc *scenario.Scenario, name string, every int64) (ckpt []byte, saves int, frozen string, frozenAt int64) {
+	t.Helper()
 	dir := t.TempDir()
-	ckptDir, frozen := filepath.Join(dir, "live"), filepath.Join(dir, "second")
-	saves := 0
+	ckptDir := filepath.Join(dir, "live")
+	frozen = filepath.Join(dir, "second")
 	ckpt = runJSON(t, sc, name, scenario.Checkpoints{
 		Dir:   ckptDir,
 		Every: every,
@@ -82,19 +97,12 @@ func runThreeWays(t *testing.T, sc *scenario.Scenario, name string, every int64)
 	if saves < 3 {
 		t.Fatalf("checkpointed run saved %d checkpoints, want at least 3", saves)
 	}
-
 	var st core.State
 	info, err := checkpoint.LoadLatest(frozen, &st)
 	if err != nil {
 		t.Fatalf("second checkpoint: %v", err)
 	}
-	resumedSaves := 0
-	resumed = runJSON(t, sc, name, scenario.Checkpoints{Dir: frozen, Every: every,
-		AfterSave: func(saved int) { resumedSaves = saved }})
-	if resumedSaves != saves-2 {
-		t.Errorf("resumed run saved %d checkpoints, want the %d after the second", resumedSaves, saves-2)
-	}
-	return plain, ckpt, resumed, info.Cycle
+	return ckpt, saves, frozen, info.Cycle
 }
 
 func copyDir(t *testing.T, from, to string) {
@@ -154,6 +162,24 @@ func TestRunSummaryResumeByteIdentical(t *testing.T) {
 	trial.Params = nil
 	if got := mustJSON(t, trial); !bytes.Equal(got, plain) {
 		t.Errorf("ExecuteTrial diverges from RunSummary:\n--- RunSummary\n%s\n--- ExecuteTrial\n%s", plain, got)
+	}
+}
+
+// TestRunSummaryResumesAcrossShardCounts: the shard count is a run mode, so
+// a checkpoint a two-shard run wrote resumes in a one-shard run to the
+// straight run's bytes.
+func TestRunSummaryResumesAcrossShardCounts(t *testing.T) {
+	const name = "faulty"
+	two := load(t, faultyScenario)
+	two.System.Shards = 2
+	one := load(t, faultyScenario)
+	plain := runJSON(t, one, name, scenario.Checkpoints{})
+	_, _, frozen, at := runFrozen(t, two, name, 5000)
+	if at != 5000 {
+		t.Errorf("second checkpoint at cycle %d, want 5000", at)
+	}
+	if resumed := runJSON(t, one, name, scenario.Checkpoints{Dir: frozen, Every: 5000}); !bytes.Equal(resumed, plain) {
+		t.Errorf("one-shard run resumed from a two-shard checkpoint diverges from the straight run:\n--- straight\n%s\n--- resumed\n%s", plain, resumed)
 	}
 }
 
