@@ -1,23 +1,23 @@
 // Package checkpoint serializes complete simulation snapshots to disk with
 // enough armour that a crash can never leave a state file that restores
-// silently wrong: every file is written atomically (temp file + rename in
-// the same directory), carries a magic number and format version, and
+// silently wrong: every file is written atomically through
+// internal/atomicio, carries a magic number and format version, and
 // guards the payload with a CRC checked *before* decoding. A truncated,
 // bit-flipped, or foreign file yields an error, never a panic and never a
 // half-restored simulation.
 //
-// The payload is gob-encoded caller state (typically *core.State or
-// *network.State); the fixed header additionally records a digest of the
-// payload's type tree, so a file written by a build whose state records
-// had other fields is refused rather than decoded into them, and the
-// snapshot cycle, so a supervisor can pick the newest checkpoint without
-// decoding megabytes of wheel state.
+// The payload is the caller's state record (typically *core.State or
+// *network.State) in the positional binary layout of package wire: each
+// record lists its fields in declaration order, and decoding assigns
+// every one of them. The fixed header additionally records a digest of
+// the payload's type tree, which fixes that layout, so a file written by
+// a build whose state records had other fields is refused rather than
+// decoded into them, and the snapshot cycle, so a supervisor can pick the
+// newest checkpoint without decoding megabytes of wheel state.
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -29,7 +29,14 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+
+	"repro/internal/atomicio"
+	"repro/internal/checkpoint/wire"
 )
+
+// Record is a state record the codec can write and read: it lists its
+// fields, in declaration order, to a wire.Codec.
+type Record = wire.Record
 
 // Magic identifies a checkpoint file.
 const Magic = "OPTOCKPT"
@@ -51,8 +58,9 @@ const Magic = "OPTOCKPT"
 // without error, leaving every source silent. Version 7: the header
 // carries the payload's schema digest after the version, and the live
 // components keep their mutable fields in the state records themselves,
-// which moved fields between records.
-const Version uint32 = 7
+// which moved fields between records. Version 8: the payload is the
+// positional wire layout instead of a gob stream.
+const Version uint32 = 8
 
 // headerLen is the fixed prefix: magic(8) + version(4) + schema digest(8)
 // + cycle(8) + payload length(8) + payload CRC(4).
@@ -75,37 +83,41 @@ type Info struct {
 	Cycle   int64
 }
 
+// encode returns the checkpoint file for state (snapshotted at the given
+// cycle): header and payload in one buffer, allocated once at the size a
+// sizing pass over state gives.
+func encode(cycle int64, state Record) []byte {
+	b := make([]byte, headerLen+wire.Size(state))
+	wire.Put(b[headerLen:], state)
+	copy(b, Magic)
+	binary.BigEndian.PutUint32(b[8:], Version)
+	binary.BigEndian.PutUint64(b[12:], schemaDigest(reflect.TypeOf(state)))
+	binary.BigEndian.PutUint64(b[20:], uint64(cycle))
+	binary.BigEndian.PutUint64(b[28:], uint64(len(b)-headerLen))
+	binary.BigEndian.PutUint32(b[headerLen-4:], fileCRC(b))
+	return b
+}
+
+// fileCRC is the CRC a checkpoint file's header stores. It covers the
+// header fields before it plus the payload, so a bit flip anywhere in the
+// file (including the snapshot cycle) is caught.
+func fileCRC(b []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(b[:headerLen-4]), crc32.IEEETable, b[headerLen:])
+}
+
 // Encode writes a checkpoint for state (snapshotted at the given cycle)
 // to w.
-func Encode(w io.Writer, cycle int64, state any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(state); err != nil {
-		return fmt.Errorf("checkpoint: encoding state: %w", err)
-	}
-	hdr := make([]byte, headerLen)
-	copy(hdr, Magic)
-	binary.BigEndian.PutUint32(hdr[8:], Version)
-	binary.BigEndian.PutUint64(hdr[12:], schemaDigest(reflect.TypeOf(state)))
-	binary.BigEndian.PutUint64(hdr[20:], uint64(cycle))
-	binary.BigEndian.PutUint64(hdr[28:], uint64(payload.Len()))
-	// The CRC covers the header fields before it plus the payload, so a bit
-	// flip anywhere in the file (including the snapshot cycle) is caught.
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:headerLen-4])
-	crc.Write(payload.Bytes())
-	binary.BigEndian.PutUint32(hdr[headerLen-4:], crc.Sum32())
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
+func Encode(w io.Writer, cycle int64, state Record) error {
+	_, err := w.Write(encode(cycle, state))
 	return err
 }
 
 // Decode parses a checkpoint from b into state (a pointer to the same
 // type that was encoded). The payload CRC and the schema digest are
 // verified before any decoding happens, so state is untouched unless the
-// bytes are intact and were encoded from the same type tree.
-func Decode(b []byte, state any) (Info, error) {
+// bytes are intact and were encoded from the same type tree; a decode
+// that then succeeds has assigned every field of state.
+func Decode(b []byte, state Record) (Info, error) {
 	if len(b) < headerLen {
 		return Info{}, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(b), headerLen)
 	}
@@ -125,18 +137,15 @@ func Decode(b []byte, state any) (Info, error) {
 	if uint64(len(payload)) != plen {
 		return Info{}, fmt.Errorf("%w: header says %d payload bytes, file has %d", ErrCorrupt, plen, len(payload))
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(b[:headerLen-4])
-	crc.Write(payload)
-	if got := crc.Sum32(); got != want {
+	if got := fileCRC(b); got != want {
 		return Info{}, fmt.Errorf("%w: CRC %08x, header says %08x", ErrCorrupt, got, want)
 	}
-	// Gob matches fields by name and leaves unmatched ones zero, so a
-	// payload from another type tree would decode without error.
+	// The payload names no fields, so one from another type tree could
+	// decode without error into the wrong ones.
 	if file, reader := binary.BigEndian.Uint64(b[12:]), schemaDigest(reflect.TypeOf(state)); file != reader {
 		return Info{}, fmt.Errorf("%w: file schema %016x, reader schema %016x", ErrVersion, file, reader)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(state); err != nil {
+	if err := wire.Decode(payload, state); err != nil {
 		return Info{}, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
 	}
 	return info, nil
@@ -145,10 +154,14 @@ func Decode(b []byte, state any) (Info, error) {
 // digests caches schemaDigest per type.
 var digests sync.Map // reflect.Type -> uint64
 
-// schemaDigest hashes the type tree gob encodes for values of type t:
-// every sent struct field's name, in declaration order, with its kind and,
-// recursively, its element, key and field types. Pointers are transparent
-// to gob and to the digest; type names are not part of either.
+// schemaDigest hashes the type tree of t: the name of every exported or
+// embedded struct field, in declaration order, with its kind and,
+// recursively, its pointer, element and field types; type names are not
+// part of it. Where a record's Wire method follows the wire layout rules,
+// its layout is a function of that tree, so equal digests mean equal
+// layouts. Unexported fields are outside the tree, and core's codec test
+// holds every Wire method under core.State to the rules and refuses an
+// unexported field there.
 func schemaDigest(t reflect.Type) uint64 {
 	if d, ok := digests.Load(t); ok {
 		return d.(uint64)
@@ -163,9 +176,6 @@ func schemaDigest(t reflect.Type) uint64 {
 // writeSchema writes t's tree to w; open holds the structs being written,
 // so a recursive type is written once.
 func writeSchema(w io.Writer, t reflect.Type, open map[reflect.Type]bool) {
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
 	fmt.Fprintf(w, "%s(", t.Kind())
 	switch t.Kind() {
 	case reflect.Struct:
@@ -174,7 +184,7 @@ func writeSchema(w io.Writer, t reflect.Type, open map[reflect.Type]bool) {
 		}
 		open[t] = true
 		for i := 0; i < t.NumField(); i++ {
-			if f := t.Field(i); gobSent(f) {
+			if f := t.Field(i); f.IsExported() || f.Anonymous {
 				fmt.Fprintf(w, "%s:", f.Name)
 				writeSchema(w, f.Type, open)
 			}
@@ -183,53 +193,22 @@ func writeSchema(w io.Writer, t reflect.Type, open map[reflect.Type]bool) {
 	case reflect.Array:
 		fmt.Fprintf(w, "%d:", t.Len())
 		writeSchema(w, t.Elem(), open)
-	case reflect.Slice:
-		writeSchema(w, t.Elem(), open)
-	case reflect.Map:
-		writeSchema(w, t.Key(), open)
+	case reflect.Pointer, reflect.Slice:
 		writeSchema(w, t.Elem(), open)
 	}
 	io.WriteString(w, ")")
 }
 
-// gobSent mirrors gob's field filter: exported, and neither a channel nor
-// a function (nor a pointer to one).
-func gobSent(f reflect.StructField) bool {
-	t := f.Type
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return f.IsExported() && t.Kind() != reflect.Chan && t.Kind() != reflect.Func
-}
-
-// Save atomically writes a checkpoint file: the bytes are staged in a
-// temporary file in the target directory and renamed into place, so a
-// crash mid-write leaves either the old checkpoint or the new one, never
-// a torn file.
-func Save(path string, cycle int64, state any) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, cycle, state); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+// Save atomically writes a checkpoint file through atomicio: a crash
+// mid-write leaves either the old checkpoint or the new one, never a torn
+// file.
+func Save(path string, cycle int64, state Record) error {
+	return atomicio.WriteFile(path, encode(cycle, state), 0o600)
 }
 
 // Load reads and verifies a checkpoint file, decoding its payload into
 // state.
-func Load(path string, state any) (Info, error) {
+func Load(path string, state Record) (Info, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Info{}, err
@@ -263,7 +242,7 @@ func list(dir string) ([]string, error) {
 // but the newest keep files. Keeping more than one means a checkpoint that
 // turns out to be unreadable (e.g. the disk lied about durability) still
 // leaves an older valid one for LoadLatest to fall back to.
-func SaveRotating(dir string, cycle int64, state any, keep int) error {
+func SaveRotating(dir string, cycle int64, state Record, keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -281,9 +260,12 @@ func SaveRotating(dir string, cycle int64, state any, keep int) error {
 }
 
 // LoadLatest finds the newest checkpoint in dir that verifies and decodes
-// cleanly, skipping (but not deleting) corrupt ones. It returns fs.ErrNotExist
-// when the directory holds no valid checkpoint.
-func LoadLatest(dir string, state any) (Info, error) {
+// cleanly, skipping (but not deleting) corrupt ones. A payload that fails
+// part-way leaves state partly overwritten, but the decode that succeeds
+// assigns every field, so state ends exactly as the file it returns
+// holds. It returns fs.ErrNotExist when the directory holds no valid
+// checkpoint.
+func LoadLatest(dir string, state Record) (Info, error) {
 	names, err := list(dir)
 	if err != nil {
 		return Info{}, err

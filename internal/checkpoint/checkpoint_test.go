@@ -8,14 +8,22 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/checkpoint/wire"
 )
 
 type payload struct {
 	Cycle  int64
 	Name   string
 	Floats []float64
-	Nested map[string][]int64
+}
+
+func (p *payload) Wire(c *wire.Codec) {
+	wire.Int(c, &p.Cycle)
+	wire.String(c, &p.Name)
+	wire.Slice(c, &p.Floats, wire.Float)
 }
 
 func samplePayload() payload {
@@ -23,7 +31,6 @@ func samplePayload() payload {
 		Cycle:  123_456,
 		Name:   "sample",
 		Floats: []float64{1.5, -2.25, 0},
-		Nested: map[string][]int64{"a": {1, 2, 3}, "b": nil},
 	}
 }
 
@@ -42,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 	if info.Version != Version || info.Cycle != want.Cycle {
 		t.Errorf("info = %+v, want version %d cycle %d", info, Version, want.Cycle)
 	}
-	if got.Name != want.Name || len(got.Floats) != len(want.Floats) || got.Nested["a"][2] != 3 {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("payload round trip mismatch: %+v", got)
 	}
 	// A leftover temp file would mean the atomic-rename path leaks staging
@@ -146,6 +153,46 @@ func TestRotationAndLoadLatest(t *testing.T) {
 	}
 }
 
+type abc struct{ A, B, C int }
+
+func (s *abc) Wire(c *wire.Codec) {
+	wire.Int(c, &s.A)
+	wire.Int(c, &s.B)
+	wire.Int(c, &s.C)
+}
+
+// TestLoadLatestFallbackIsExact: when the newest file passes its CRC and
+// schema checks but its payload fails after setting fields, LoadLatest
+// falls back to the older file and leaves exactly that file's state,
+// zero fields included, with nothing of the failed decode.
+func TestLoadLatestFallbackIsExact(t *testing.T) {
+	dir := t.TempDir()
+	older := abc{B: 5}
+	if err := Save(filepath.Join(dir, FileName(100)), 100, &older); err != nil {
+		t.Fatal(err)
+	}
+	// The newest payload encodes {7 9 11} and then a stray byte; its
+	// header length and CRC cover the stray byte, so only the decode
+	// fails, after every field is set.
+	b := append(encode(200, &abc{A: 7, B: 9, C: 11}), 0)
+	binary.BigEndian.PutUint64(b[28:], uint64(len(b)-headerLen))
+	binary.BigEndian.PutUint32(b[headerLen-4:], fileCRC(b))
+	if err := os.WriteFile(filepath.Join(dir, FileName(200)), b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var got abc
+	if _, err := Decode(b, &got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("fixture: newest file decodes with %v, want ErrCorrupt", err)
+	}
+	info, err := LoadLatest(dir, &got)
+	if err != nil || info.Cycle != 100 {
+		t.Fatalf("LoadLatest = %+v, %v; want cycle 100", info, err)
+	}
+	if got != older {
+		t.Errorf("LoadLatest left %+v, want the older file's %+v", got, older)
+	}
+}
+
 // TestDecodeRejectsSchemaChange: a payload decoded into a type whose tree
 // differs from the encoded one — a field added or renamed — is refused
 // with ErrVersion instead of decoding with fields silently zeroed, while
@@ -156,33 +203,47 @@ func TestDecodeRejectsSchemaChange(t *testing.T) {
 	if err := Encode(&buf, want.Cycle, &want); err != nil {
 		t.Fatal(err)
 	}
-	type added struct {
-		Cycle  int64
-		Name   string
-		Floats []float64
-		Nested map[string][]int64
-		Extra  int
-	}
-	type renamed struct {
-		Cycle  int64
-		Label  string
-		Floats []float64
-		Nested map[string][]int64
-	}
-	type same struct {
-		Cycle  int64
-		Name   string
-		Floats []float64
-		Nested map[string][]int64
-	}
-	if _, err := Decode(buf.Bytes(), &added{}); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(buf.Bytes(), &payloadAdded{}); !errors.Is(err, ErrVersion) {
 		t.Errorf("field added: got %v, want ErrVersion", err)
 	}
-	if _, err := Decode(buf.Bytes(), &renamed{}); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(buf.Bytes(), &payloadRenamed{}); !errors.Is(err, ErrVersion) {
 		t.Errorf("field renamed: got %v, want ErrVersion", err)
 	}
-	var got same
+	var got payloadSame
 	if _, err := Decode(buf.Bytes(), &got); err != nil || got.Name != want.Name {
 		t.Errorf("same tree: got %+v, %v", got, err)
 	}
 }
+
+// payloadAdded is payload with a field appended.
+type payloadAdded struct {
+	Cycle  int64
+	Name   string
+	Floats []float64
+	Extra  int
+}
+
+func (p *payloadAdded) Wire(c *wire.Codec) {
+	wire.Int(c, &p.Cycle)
+	wire.String(c, &p.Name)
+	wire.Slice(c, &p.Floats, wire.Float)
+	wire.Int(c, &p.Extra)
+}
+
+// payloadRenamed is payload with Name renamed.
+type payloadRenamed struct {
+	Cycle  int64
+	Label  string
+	Floats []float64
+}
+
+func (p *payloadRenamed) Wire(c *wire.Codec) {
+	wire.Int(c, &p.Cycle)
+	wire.String(c, &p.Label)
+	wire.Slice(c, &p.Floats, wire.Float)
+}
+
+// payloadSame is payload's tree under another type name.
+type payloadSame payload
+
+func (p *payloadSame) Wire(c *wire.Codec) { (*payload)(p).Wire(c) }

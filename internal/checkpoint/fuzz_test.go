@@ -6,9 +6,11 @@ import (
 )
 
 // FuzzCheckpointLoad hammers the decode path with arbitrary bytes: any
-// input — truncated, bit-flipped, wrong version, wrong magic, hostile gob
-// stream — must produce an error or a verified payload, and must never
-// panic. A panic here would take down a run supervisor that encountered a
+// input — truncated, bit-flipped, wrong version, wrong magic, hostile
+// payload — must produce an error or a verified payload, and must never
+// panic. The CRC turns away nearly every mutation before the payload
+// decoder sees it; FuzzStateDecode in internal/core fuzzes that decoder
+// directly. A panic here would take down a run supervisor that encountered a
 // torn checkpoint, which is exactly the moment it must stay alive.
 func FuzzCheckpointLoad(f *testing.F) {
 	var buf bytes.Buffer

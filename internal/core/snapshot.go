@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/checkpoint/wire"
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -14,11 +15,24 @@ type MeterState struct {
 	WarmupFabricEnergy float64
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *MeterState) Wire(c *wire.Codec) {
+	wire.Float(c, &st.WarmupEnergy)
+	wire.Float(c, &st.WarmupFabricEnergy)
+}
+
 // State is the checkpointable state of a System: the network snapshot plus
 // the system's record.
 type State struct {
 	Net *network.State
 	MeterState
+}
+
+// Wire lists the state's fields to c in declaration order; it is the
+// layout of a checkpoint's payload.
+func (st *State) Wire(c *wire.Codec) {
+	wire.Ptr(c, &st.Net)
+	st.MeterState.Wire(c)
 }
 
 // ExportState captures the system's complete state. Must be called between

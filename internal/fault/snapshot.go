@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/sim"
 )
 
@@ -19,10 +20,24 @@ type LinkFaultState struct {
 	RelockFails int64
 }
 
+// Wire lists the link's fields to c in declaration order.
+func (st *LinkFaultState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Link)
+	st.CRNG.Wire(c)
+	st.RRNG.Wire(c)
+	wire.Int(c, &st.Corrupted)
+	wire.Int(c, &st.RelockFails)
+}
+
 // InjectorState is the exportable mutable state of an Injector. The failure
 // schedule and configuration are rebuilt from the scenario, not serialized.
 type InjectorState struct {
 	Links []LinkFaultState // sorted by Link
+}
+
+// Wire lists the injector's fields to c in declaration order.
+func (st *InjectorState) Wire(c *wire.Codec) {
+	wire.Records(c, &st.Links)
 }
 
 // ExportState captures every link's fault state in link-index order.

@@ -2,12 +2,12 @@ package network
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/fault"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -43,21 +43,18 @@ func restoreTarget(t *testing.T, cfg Config) *Network {
 	return n
 }
 
-// gobBytes encodes st as a checkpoint payload is encoded.
-func gobBytes(t *testing.T, st *State) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// payloadBytes encodes st as a checkpoint payload is encoded.
+func payloadBytes(st *State) []byte {
+	b := make([]byte, wire.Size(st))
+	wire.Put(b, st)
+	return b
 }
 
-// copyState deep-copies st through gob, the encoding checkpoints use.
+// copyState deep-copies st through the checkpoint codec.
 func copyState(t *testing.T, st *State) *State {
 	t.Helper()
 	out := new(State)
-	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, st))).Decode(out); err != nil {
+	if err := wire.Decode(payloadBytes(st), out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -149,8 +146,8 @@ func TestRestoreRefusals(t *testing.T) {
 }
 
 // TestRestoreExact pins restore to the byte: a loaded snapshot restored
-// into a fresh network exports the same gob bytes again, work-list order
-// included. It runs at one and at two shards, and saved at four shards
+// into a fresh network exports the same checkpoint payload bytes again,
+// work-list order included. It runs at one and at two shards, and saved at four shards
 // then restored at one, which keeps the concatenated list order. (Saved at
 // one and restored at four would regroup the list by tile: a harmless
 // reorder, since tiles never share a cycle's state, but not the same
@@ -178,7 +175,7 @@ func TestRestoreExact(t *testing.T) {
 			if len(st.ActiveOuts) == 0 || len(st.ActiveNICs) == 0 {
 				t.Fatalf("fixture: %d active outputs and %d active NICs, want some of each", len(st.ActiveOuts), len(st.ActiveNICs))
 			}
-			want := gobBytes(t, st)
+			want := payloadBytes(st)
 			dst := build(c.restore)
 			if err := dst.RestoreState(st); err != nil {
 				t.Fatal(err)
@@ -187,7 +184,7 @@ func TestRestoreExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(gobBytes(t, again), want) {
+			if !bytes.Equal(payloadBytes(again), want) {
 				t.Errorf("export after restore differs from the restored snapshot (outputs %v then %v, NICs %v then %v)",
 					st.ActiveOuts, again.ActiveOuts, st.ActiveNICs, again.ActiveNICs)
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/fault"
 	"repro/internal/policy"
 	"repro/internal/powerlink"
@@ -56,6 +57,23 @@ type NICState struct {
 	WakePending bool
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *NICState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.PktSeq)
+	st.Next.Wire(c)
+	wire.Slice(c, &st.Credits, wire.Int)
+	wire.Int(c, &st.CurSeq)
+	wire.Int(c, &st.CurVC)
+	wire.Bool(c, &st.WakePending)
+}
+
+// Wire lists the descriptor's fields to c in declaration order.
+func (d *PktDesc) Wire(c *wire.Codec) {
+	wire.Int(c, &d.Created)
+	wire.Int(c, &d.Dst)
+	wire.Int(c, &d.Size)
+}
+
 // NICSnapshot is one NIC's checkpoint: its record, its source queue in
 // FIFO order, and the packet being serialised (ID 0 for none).
 type NICSnapshot struct {
@@ -64,10 +82,23 @@ type NICSnapshot struct {
 	CurPktID int64
 }
 
+// Wire lists the snapshot's fields to c in declaration order.
+func (st *NICSnapshot) Wire(c *wire.Codec) {
+	st.NICState.Wire(c)
+	wire.Records(c, &st.Queue)
+	wire.Int(c, &st.CurPktID)
+}
+
 // OutputRef identifies a router output port.
 type OutputRef struct {
 	Router int
 	Port   int
+}
+
+// Wire lists the reference's fields to c in declaration order.
+func (ref *OutputRef) Wire(c *wire.Codec) {
+	wire.Int(c, &ref.Router)
+	wire.Int(c, &ref.Port)
 }
 
 // Counters is one shard's measurement record; Network.totals merges them,
@@ -95,6 +126,23 @@ type Counters struct {
 	UnreachableDrops int64
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *Counters) Wire(c *wire.Codec) {
+	wire.Int(c, &st.InjectedPkts)
+	wire.Int(c, &st.DeliveredPkts)
+	wire.Int(c, &st.DeliveredFlits)
+	wire.Int(c, &st.LatCount)
+	wire.Int(c, &st.LatSum)
+	wire.Int(c, &st.LatMin)
+	wire.Int(c, &st.LatMax)
+	st.LatHist.Wire(c)
+	wire.Int(c, &st.HeadLatCount)
+	wire.Int(c, &st.HeadLatSum)
+	wire.Int(c, &st.Reroutes)
+	wire.Int(c, &st.Misroutes)
+	wire.Int(c, &st.UnreachableDrops)
+}
+
 // RecoveryState is the recovery subsystem's record. Live[r][dir] is false
 // while the mesh link leaving router r in direction dir is hard-down
 // (scheduled window or escalated reset); the reachability table is a pure
@@ -109,6 +157,19 @@ type RecoveryState struct {
 	Recomputes int64
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *RecoveryState) Wire(c *wire.Codec) {
+	wire.Slice(c, &st.Live, func(c *wire.Codec, dirs *[4]bool) {
+		for d := range dirs {
+			wire.Bool(c, &dirs[d])
+		}
+	})
+	wire.Bool(c, &st.ScanArmed)
+	wire.Int(c, &st.WdReroutes)
+	wire.Int(c, &st.WdDrops)
+	wire.Int(c, &st.Recomputes)
+}
+
 // ClockState is the network's own record: the current cycle; the next
 // cycle at which the policy controllers run (never when the network has
 // none), which replaces a per-cycle modulo and bounds how far fast-forward
@@ -120,6 +181,15 @@ type ClockState struct {
 	MeasureFrom    sim.Cycle
 	FFSkips        int64
 	FFCycles       int64
+}
+
+// Wire lists the record's fields to c in declaration order.
+func (st *ClockState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Now)
+	wire.Int(c, &st.NextPolicyTick)
+	wire.Int(c, &st.MeasureFrom)
+	wire.Int(c, &st.FFSkips)
+	wire.Int(c, &st.FFCycles)
 }
 
 // State is the complete mutable state of a Network at a step boundary. It
@@ -156,11 +226,50 @@ type State struct {
 	Wheel sim.WheelState
 }
 
+// Wire lists the state's fields to c in declaration order.
+func (st *State) Wire(c *wire.Codec) {
+	st.ClockState.Wire(c)
+	st.Counters.Wire(c)
+	wire.Records(c, &st.Packets)
+	wire.Records(c, &st.Routers)
+	wire.Records(c, &st.Channels)
+	wire.Records(c, &st.Links)
+	wire.Records(c, &st.Controllers)
+	wire.Ptr(c, &st.PolicyTrace)
+	wire.Records(c, &st.NICs)
+	wire.Records(c, &st.ActiveOuts)
+	wire.Slice(c, &st.ActiveNICs, wire.Int)
+	wire.Records(c, &st.NodeRNGs)
+	wire.Ptr(c, &st.Fault)
+	wire.Ptr(c, &st.Recovery)
+	wire.Ptr(c, &st.Telemetry)
+	st.Wheel.Wire(c)
+}
+
 // ExportState captures the network's complete mutable state. It must be
 // called between Steps (never mid-cycle) and does not mutate simulation
 // state — an auto-checkpointing run continues unperturbed.
 func (n *Network) ExportState() (*State, error) {
-	st := &State{ClockState: n.st}
+	var outs, nics int
+	for _, s := range n.shards {
+		if len(s.staged) != 0 || len(s.downMailbox) != 0 || len(s.flightMailbox) != 0 ||
+			len(s.latVals) != 0 || len(s.deliveries) != 0 {
+			return nil, fmt.Errorf("network: shard %d has undrained spools — checkpoint must run at a step boundary", s.idx)
+		}
+		outs += len(s.activeOuts)
+		nics += len(s.activeNICs)
+	}
+	// Every slice the network fills is allocated at its final length.
+	st := &State{
+		ClockState:  n.st,
+		Routers:     make([]router.RouterSnapshot, len(n.routers)),
+		Channels:    make([]router.ChannelSnapshot, len(n.channels)),
+		Links:       make([]powerlink.State, len(n.channels)),
+		Controllers: make([]policy.PolicyState, len(n.controllers)),
+		NICs:        make([]NICSnapshot, len(n.nics)),
+		ActiveOuts:  make([]OutputRef, 0, outs),
+		ActiveNICs:  make([]int, 0, nics),
+	}
 
 	// Packet table, filled as the per-component exports walk their flit
 	// references. Dedup by ID; ID 0 is reserved for "no packet".
@@ -172,42 +281,33 @@ func (n *Network) ExportState() (*State, error) {
 		table[p.ID] = p
 	})
 
-	for _, r := range n.routers {
-		st.Routers = append(st.Routers, r.ExportState(collect))
+	for i, r := range n.routers {
+		st.Routers[i] = r.ExportState(collect)
 	}
-	for _, ch := range n.channels {
-		st.Channels = append(st.Channels, ch.ExportState(collect))
-		st.Links = append(st.Links, ch.PLink().ExportState())
+	for i, ch := range n.channels {
+		st.Channels[i] = ch.ExportState(collect)
+		st.Links[i] = ch.PLink().ExportState()
 	}
-	for _, c := range n.controllers {
-		st.Controllers = append(st.Controllers, c.ExportPolicy())
+	for i, c := range n.controllers {
+		st.Controllers[i] = c.ExportPolicy()
 	}
 	if n.policyRec != nil {
 		ts := n.policyRec.ExportState()
 		st.PolicyTrace = &ts
 	}
-	for _, nc := range n.nics {
+	for i, nc := range n.nics {
 		ns := NICSnapshot{NICState: nc.st, CurPktID: collect.ID(nc.cur)}
 		ns.Credits = slices.Clone(nc.st.Credits)
-		for i := 0; i < nc.q.n; i++ {
-			ns.Queue = append(ns.Queue, nc.q.buf[(nc.q.head+i)%len(nc.q.buf)])
+		ns.Queue = make([]PktDesc, nc.q.n)
+		for k := range ns.Queue {
+			ns.Queue[k] = nc.q.buf[(nc.q.head+k)%len(nc.q.buf)]
 		}
-		st.NICs = append(st.NICs, ns)
+		st.NICs[i] = ns
 	}
 
-	outRef := make(map[*router.Output]OutputRef)
-	for rid, r := range n.routers {
-		for p := 0; p < r.Ports(); p++ {
-			outRef[r.Output(p)] = OutputRef{Router: rid, Port: p}
-		}
-	}
 	for _, s := range n.shards {
-		if len(s.staged) != 0 || len(s.downMailbox) != 0 || len(s.flightMailbox) != 0 ||
-			len(s.latVals) != 0 || len(s.deliveries) != 0 {
-			return nil, fmt.Errorf("network: shard %d has undrained spools — checkpoint must run at a step boundary", s.idx)
-		}
 		for _, o := range s.activeOuts {
-			st.ActiveOuts = append(st.ActiveOuts, outRef[o])
+			st.ActiveOuts = append(st.ActiveOuts, OutputRef{Router: o.RouterID(), Port: o.Port()})
 		}
 		for _, nc := range s.activeNICs {
 			st.ActiveNICs = append(st.ActiveNICs, nc.node)
@@ -217,8 +317,9 @@ func (n *Network) ExportState() (*State, error) {
 	st.LatHist = st.LatHist.ExportState()
 
 	if n.rngs != nil {
-		for _, r := range n.rngs {
-			st.NodeRNGs = append(st.NodeRNGs, r.State())
+		st.NodeRNGs = make([]sim.RNGState, len(n.rngs))
+		for i, r := range n.rngs {
+			st.NodeRNGs[i] = r.State()
 		}
 	}
 	if n.injector != nil {
@@ -245,8 +346,9 @@ func (n *Network) ExportState() (*State, error) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st.Packets = append(st.Packets, router.ExportPacket(table[id]))
+	st.Packets = make([]router.PacketState, len(ids))
+	for i, id := range ids {
+		st.Packets[i] = router.ExportPacket(table[id])
 	}
 	return st, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/sim"
 )
 
@@ -50,6 +51,32 @@ type PolicyState struct {
 	Primed  bool
 
 	Stats Stats
+}
+
+// Wire lists the record's fields to c in declaration order.
+func (st *PolicyState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Kind)
+	wire.Float(c, &st.LastBusy)
+	wire.Int(c, &st.LastFlits)
+	wire.Float(c, &st.LastOccInt)
+	wire.Int(c, &st.LastRetx)
+	wire.Int(c, &st.LastCrc)
+	wire.Int(c, &st.LastEsc)
+	wire.Int(c, &st.LastRelock)
+	wire.Slice(c, &st.History, wire.Float)
+	wire.Int(c, &st.HIdx)
+	wire.Int(c, &st.HCount)
+	wire.Float(c, &st.EWMA)
+	wire.Int(c, &st.EpochEnd)
+	wire.Bool(c, &st.EWMASet)
+	wire.Bool(c, &st.EpochAllLower)
+	wire.Bool(c, &st.Holding)
+	wire.Int(c, &st.TimerAt)
+	wire.Int(c, &st.CleanStreak)
+	wire.Float(c, &st.Integ)
+	wire.Float(c, &st.LastErr)
+	wire.Bool(c, &st.Primed)
+	st.Stats.Wire(c)
 }
 
 // exportPolicy deep-copies the live state.
@@ -113,6 +140,19 @@ type TraceState struct {
 	Window    sim.Cycle
 	Links     []LinkTrace
 	LastFlits []int64
+}
+
+// Wire lists the trace's fields to c in declaration order.
+func (st *TraceState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Window)
+	wire.Records(c, &st.Links)
+	wire.Slice(c, &st.LastFlits, wire.Int)
+}
+
+// Wire lists the link trace's fields to c in declaration order.
+func (lt *LinkTrace) Wire(c *wire.Codec) {
+	wire.Slice(c, &lt.Flits, wire.Int)
+	wire.Slice(c, &lt.MaxSafe, wire.Int)
 }
 
 // ExportState captures the recorder (deep copy).

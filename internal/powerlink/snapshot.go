@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/sim"
 )
 
@@ -43,6 +44,24 @@ type State struct {
 	// failures; RelockFails all of them.
 	RelockRetry int
 	RelockFails int
+}
+
+// Wire lists the record's fields to c in declaration order.
+func (st *State) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Level)
+	wire.Int(c, &st.Target)
+	wire.Int(c, &st.Phase)
+	wire.Int(c, &st.PhaseEnd)
+	wire.Int(c, &st.OpticalLevel)
+	wire.Float(c, &st.PowerW)
+	wire.Float(c, &st.EnergyJ)
+	wire.Int(c, &st.LastTime)
+	wire.Slice(c, &st.TimeAtLevel, wire.Int)
+	wire.Int(c, &st.TimeOff)
+	wire.Int(c, &st.Transitions)
+	wire.Int(c, &st.DisabledFor)
+	wire.Int(c, &st.RelockRetry)
+	wire.Int(c, &st.RelockFails)
 }
 
 // ExportState captures the link's mutable state verbatim (no lazy advance).

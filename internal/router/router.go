@@ -602,6 +602,9 @@ func (o *Output) Grants() int64 { return o.st.Grants }
 // Channel returns the attached physical channel.
 func (o *Output) Channel() *Channel { return o.ch }
 
+// RouterID returns the ID of the router the port belongs to.
+func (o *Output) RouterID() int { return o.router.id }
+
 // Port returns the output's port index.
 func (o *Output) Port() int { return o.port }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/sim"
 )
 
@@ -67,6 +68,20 @@ type PacketState struct {
 	KillRouter int
 }
 
+// Wire lists the packet's fields to c in declaration order.
+func (st *PacketState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.ID)
+	wire.Int(c, &st.Src)
+	wire.Int(c, &st.Dst)
+	wire.Int(c, &st.DstRouter)
+	wire.Int(c, &st.DstLocal)
+	wire.Int(c, &st.Len)
+	wire.Int(c, &st.CreatedAt)
+	wire.Int(c, &st.Misroutes)
+	wire.Bool(c, &st.Killed)
+	wire.Int(c, &st.KillRouter)
+}
+
 // ExportPacket flattens p.
 func ExportPacket(p *Packet) PacketState {
 	return PacketState{
@@ -107,6 +122,14 @@ type FlitDesc struct {
 	ReadyAt sim.Cycle
 }
 
+// Wire lists the flit's fields to c in declaration order.
+func (d *FlitDesc) Wire(c *wire.Codec) {
+	wire.Int(c, &d.PktID)
+	wire.Int(c, &d.Seq)
+	wire.Int(c, &d.VC)
+	wire.Int(c, &d.ReadyAt)
+}
+
 func exportFlit(f FlitRef, collect PacketCollector) FlitDesc {
 	return FlitDesc{PktID: collect.ID(f.Pkt), Seq: f.Seq, VC: f.VC, ReadyAt: f.ReadyAt}
 }
@@ -130,6 +153,14 @@ type TxFlitState struct {
 	Seq   uint64
 	PktID int64
 	CRC   uint16
+}
+
+// Wire lists the transmission's fields to c in declaration order.
+func (st *TxFlitState) Wire(c *wire.Codec) {
+	st.Flit.Wire(c)
+	wire.Uint(c, &st.Seq)
+	wire.Int(c, &st.PktID)
+	wire.Uint(c, &st.CRC)
 }
 
 func (c *Channel) exportTxFlit(tf txFlit, collect PacketCollector) TxFlitState {
@@ -157,6 +188,13 @@ type BufferState struct {
 	Flits  []FlitDesc
 	OccInt float64
 	LastT  sim.Cycle
+}
+
+// Wire lists the buffer's fields to c in declaration order.
+func (st *BufferState) Wire(c *wire.Codec) {
+	wire.Records(c, &st.Flits)
+	wire.Float(c, &st.OccInt)
+	wire.Int(c, &st.LastT)
 }
 
 // ExportState captures the buffer verbatim.
@@ -200,6 +238,14 @@ type RouterState struct {
 	EscGrants      int64 // flits granted onto an escape VC
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *RouterState) Wire(c *wire.Codec) {
+	wire.Slice(c, &st.InputBusy, wire.Int)
+	wire.Int(c, &st.FlitsRouted)
+	wire.Int(c, &st.FlitsDiscarded)
+	wire.Int(c, &st.EscGrants)
+}
+
 // InputVCState is one input VC's wormhole, arbitration and credit record.
 type InputVCState struct {
 	Route  int    // output port for the current packet, -1 when unset
@@ -222,10 +268,27 @@ type InputVCState struct {
 	CreditsReturned int
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *InputVCState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Route)
+	wire.Int(c, &st.OutVC)
+	wire.Uint(c, &st.VCMask)
+	wire.Bool(c, &st.InReq)
+	wire.Int(c, &st.ProgressAt)
+	wire.Int(c, &st.CreditsSent)
+	wire.Int(c, &st.CreditsReturned)
+}
+
 // OutVCState is one output VC's credit and ownership record.
 type OutVCState struct {
 	Credits int
 	Owner   int // input-VC index holding this output VC, -1 when free
+}
+
+// Wire lists the record's fields to c in declaration order.
+func (st *OutVCState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Credits)
+	wire.Int(c, &st.Owner)
 }
 
 // OutputState is one output port's record. Req is the request list — the
@@ -242,6 +305,16 @@ type OutputState struct {
 	CreditStalls int64
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *OutputState) Wire(c *wire.Codec) {
+	wire.Records(c, &st.OVC)
+	wire.Slice(c, &st.Req, wire.Int)
+	wire.Int(c, &st.RR)
+	wire.Bool(c, &st.WakePending)
+	wire.Int(c, &st.Grants)
+	wire.Int(c, &st.CreditStalls)
+}
+
 // InputVCSnapshot is one input VC's checkpoint: its record, its buffer and
 // the packet whose wormhole owns it.
 type InputVCSnapshot struct {
@@ -250,11 +323,25 @@ type InputVCSnapshot struct {
 	CurPktID int64 // 0 = no wormhole in progress
 }
 
+// Wire lists the snapshot's fields to c in declaration order.
+func (st *InputVCSnapshot) Wire(c *wire.Codec) {
+	st.InputVCState.Wire(c)
+	st.Buf.Wire(c)
+	wire.Int(c, &st.CurPktID)
+}
+
 // RouterSnapshot is one router's checkpoint.
 type RouterSnapshot struct {
 	RouterState
 	Ins  []InputVCSnapshot
 	Outs []OutputState
+}
+
+// Wire lists the snapshot's fields to c in declaration order.
+func (st *RouterSnapshot) Wire(c *wire.Codec) {
+	st.RouterState.Wire(c)
+	wire.Records(c, &st.Ins)
+	wire.Records(c, &st.Outs)
 }
 
 // ExportState captures the router's mutable state, registering every live
@@ -355,6 +442,13 @@ type ChannelState struct {
 	Flits       int64
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *ChannelState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.BusyUntilMC)
+	wire.Float(c, &st.BusyCycles)
+	wire.Int(c, &st.Flits)
+}
+
 // RelState is the retransmission protocol's record. Sender: sequence
 // numbers in [AckSeq, SendSeq) are unacknowledged and replayable, and
 // ReplayNext < SendSeq means a go-back-N replay is in progress, holding new
@@ -379,6 +473,33 @@ type RelState struct {
 	Stats RelStats
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *RelState) Wire(c *wire.Codec) {
+	wire.Uint(c, &st.SendSeq)
+	wire.Uint(c, &st.AckSeq)
+	wire.Uint(c, &st.ReplayNext)
+	wire.Int(c, &st.Retries)
+	wire.Int(c, &st.DownUntil)
+	wire.Int(c, &st.LastProgress)
+	wire.Bool(c, &st.WdArmed)
+	wire.Bool(c, &st.PumpArmed)
+	wire.Uint(c, &st.RxExpect)
+	wire.Bool(c, &st.WantReplay)
+	wire.Bool(c, &st.FbArmed)
+	st.Stats.Wire(c)
+}
+
+// Wire lists the counters' fields to c in declaration order.
+func (st *RelStats) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Corrupted)
+	wire.Int(c, &st.LostToDown)
+	wire.Int(c, &st.Retransmits)
+	wire.Int(c, &st.Nacks)
+	wire.Int(c, &st.Timeouts)
+	wire.Int(c, &st.Escalations)
+	wire.Int(c, &st.Duplicates)
+}
+
 // RelSnapshot is the retransmission protocol's checkpoint: its record,
 // the replayable window [AckSeq, SendSeq) of the retransmit ring (older
 // slots are dead and restore as zero values), and the rx pipeline
@@ -389,12 +510,26 @@ type RelSnapshot struct {
 	Rx   []FlitDesc
 }
 
+// Wire lists the snapshot's fields to c in declaration order.
+func (st *RelSnapshot) Wire(c *wire.Codec) {
+	st.RelState.Wire(c)
+	wire.Records(c, &st.Retx)
+	wire.Records(c, &st.Rx)
+}
+
 // ChannelSnapshot is one channel's checkpoint: its record, its in-flight
 // flits, and its protocol when reliability is enabled.
 type ChannelSnapshot struct {
 	ChannelState
 	Pending []TxFlitState
 	Rel     *RelSnapshot
+}
+
+// Wire lists the snapshot's fields to c in declaration order.
+func (st *ChannelSnapshot) Wire(c *wire.Codec) {
+	st.ChannelState.Wire(c)
+	wire.Records(c, &st.Pending)
+	wire.Ptr(c, &st.Rel)
 }
 
 // ExportState captures the channel's mutable state. The in-flight FIFOs

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/checkpoint/wire"
 )
 
 // WheelEntryState is one scheduled event in exportable form: its absolute
@@ -15,6 +17,14 @@ type WheelEntryState struct {
 	H   Handler
 }
 
+// Wire lists the entry's fields to c in declaration order.
+func (e *WheelEntryState) Wire(c *wire.Codec) {
+	wire.Int(c, &e.At)
+	wire.Uint(c, &e.Key)
+	wire.Uint(c, &e.Seq)
+	wire.Uint(c, &e.H)
+}
+
 // WheelState is the complete exportable state of a Wheel. Handlers is the
 // size of the handler table the entries index into.
 type WheelState struct {
@@ -22,6 +32,20 @@ type WheelState struct {
 	Seq      uint64 // insertion-sequence counter at snapshot time
 	Handlers int
 	Entries  []WheelEntryState
+}
+
+// Wire lists the wheel's fields to c in declaration order.
+func (st *WheelState) Wire(c *wire.Codec) {
+	wire.Int(c, &st.Now)
+	wire.Uint(c, &st.Seq)
+	wire.Int(c, &st.Handlers)
+	wire.Records(c, &st.Entries)
+}
+
+// Wire lists the generator position's fields to c in declaration order.
+func (st *RNGState) Wire(c *wire.Codec) {
+	wire.Uint(c, &st.S0)
+	wire.Uint(c, &st.S1)
 }
 
 // ExportState captures every pending event with its absolute cycle and

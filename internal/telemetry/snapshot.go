@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/checkpoint/wire"
 	"repro/internal/stats"
 )
 
@@ -14,6 +14,22 @@ import (
 type FlightState struct {
 	Events  []Event
 	Dropped int64
+}
+
+// Wire lists the recorder state's fields to c in declaration order.
+func (st *FlightState) Wire(c *wire.Codec) {
+	wire.Records(c, &st.Events)
+	wire.Int(c, &st.Dropped)
+}
+
+// Wire lists the event's fields to c in declaration order.
+func (e *Event) Wire(c *wire.Codec) {
+	wire.Int(c, &e.At)
+	wire.String(c, &e.Kind)
+	wire.Int(c, &e.Link)
+	wire.Int(c, &e.Router)
+	wire.Int(c, &e.A)
+	wire.Int(c, &e.B)
 }
 
 // ExportState captures the recorder's ring.
@@ -49,10 +65,24 @@ type SeriesState struct {
 	Tick   int64
 }
 
+// Wire lists the series' fields to c in declaration order.
+func (st *SeriesState) Wire(c *wire.Codec) {
+	wire.String(c, &st.Name)
+	wire.Records(c, &st.Points)
+	wire.Int(c, &st.Stride)
+	wire.Int(c, &st.Tick)
+}
+
 // HistogramState is one named histogram's buckets.
 type HistogramState struct {
 	Name string
 	Hist stats.Histogram
+}
+
+// Wire lists the histogram's fields to c in declaration order.
+func (st *HistogramState) Wire(c *wire.Codec) {
+	wire.String(c, &st.Name)
+	st.Hist.Wire(c)
 }
 
 // RegistryState is the registry's record: its sampler and dump
@@ -71,6 +101,16 @@ type RegistryState struct {
 	Suppressed int64
 }
 
+// Wire lists the record's fields to c in declaration order.
+func (st *RegistryState) Wire(c *wire.Codec) {
+	wire.Bool(c, &st.SamplerArmed)
+	wire.Int(c, &st.Pending)
+	wire.Int(c, &st.Samples)
+	wire.Bool(c, &st.Dumped)
+	wire.Int(c, &st.Dumps)
+	wire.Int(c, &st.Suppressed)
+}
+
 // RegistrySnapshot is the registry's checkpoint: its record plus every
 // instrument's dynamic state. Instruments and the sampler and marker
 // handlers are re-registered during network construction in a
@@ -82,14 +122,36 @@ type RegistrySnapshot struct {
 	Flight FlightState
 }
 
+// Wire lists the snapshot's fields to c in declaration order.
+func (st *RegistrySnapshot) Wire(c *wire.Codec) {
+	st.RegistryState.Wire(c)
+	wire.Records(c, &st.Series)
+	wire.Records(c, &st.Hists)
+	st.Flight.Wire(c)
+}
+
 // ExportState captures the registry's mutable state in registration order.
+// Every series' points share one backing array, each series capped to its
+// own stretch of it.
 func (r *Registry) ExportState() RegistrySnapshot {
-	st := RegistrySnapshot{RegistryState: r.st, Flight: r.flight.ExportState()}
-	for _, s := range r.series {
-		st.Series = append(st.Series, SeriesState{Name: s.name, Points: slices.Clone(s.pts), Stride: s.stride, Tick: s.tick})
+	st := RegistrySnapshot{
+		RegistryState: r.st,
+		Series:        make([]SeriesState, len(r.series)),
+		Hists:         make([]HistogramState, len(r.horder)),
+		Flight:        r.flight.ExportState(),
 	}
-	for _, name := range r.horder {
-		st.Hists = append(st.Hists, HistogramState{Name: name, Hist: r.hists[name].ExportState()})
+	total := 0
+	for _, s := range r.series {
+		total += len(s.pts)
+	}
+	pts := make([]stats.Point, 0, total)
+	for i, s := range r.series {
+		from := len(pts)
+		pts = append(pts, s.pts...)
+		st.Series[i] = SeriesState{Name: s.name, Points: pts[from:len(pts):len(pts)], Stride: s.stride, Tick: s.tick}
+	}
+	for i, name := range r.horder {
+		st.Hists[i] = HistogramState{Name: name, Hist: r.hists[name].ExportState()}
 	}
 	return st
 }
